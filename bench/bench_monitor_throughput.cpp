@@ -71,22 +71,6 @@ void BM_FullSummarize(benchmark::State& state) {
 }
 BENCHMARK(BM_FullSummarize)->Arg(1000)->Arg(2000);
 
-void BM_FullSummarizeRandomizedSvd(benchmark::State& state) {
-  const auto packets = batch(static_cast<std::size_t>(state.range(0)));
-  summarize::SummarizerConfig cfg;
-  cfg.batch_size = packets.size();
-  cfg.min_batch = 1;
-  cfg.rank = 12;
-  cfg.centroids = packets.size() / 5;
-  cfg.svd_backend = summarize::SvdBackend::kRandomized;
-  summarize::Summarizer summarizer(cfg);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(summarizer.summarize(packets));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_FullSummarizeRandomizedSvd)->Arg(1000)->Arg(2000);
-
 /// The SIMD acceptance pair: the same full pipeline with the kernels pinned
 /// to scalar vs the best level this host supports.  The items/s ratio of the
 /// two is the single-thread speedup the CI regression gate tracks.
@@ -116,24 +100,6 @@ void BM_FullSummarizeSimd(benchmark::State& state) {
 BENCHMARK(BM_FullSummarizeScalar)->Arg(1000)->Arg(2000);
 BENCHMARK(BM_FullSummarizeSimd)->Arg(1000)->Arg(2000);
 
-void BM_FullSummarizeIncrementalSvd(benchmark::State& state) {
-  const auto packets = batch(static_cast<std::size_t>(state.range(0)));
-  summarize::SummarizerConfig cfg;
-  cfg.batch_size = packets.size();
-  cfg.min_batch = 1;
-  cfg.rank = 12;
-  cfg.centroids = packets.size() / 5;
-  cfg.svd_backend = summarize::SvdBackend::kIncremental;
-  summarize::Summarizer summarizer(cfg);
-  // First update is the cold eigensolve; steady state is what matters.
-  (void)summarizer.summarize(packets);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(summarizer.summarize(packets));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_FullSummarizeIncrementalSvd)->Arg(1000)->Arg(2000);
-
 void BM_FullSummarizeMiniBatch(benchmark::State& state) {
   const auto packets = batch(static_cast<std::size_t>(state.range(0)));
   summarize::SummarizerConfig cfg;
@@ -141,10 +107,9 @@ void BM_FullSummarizeMiniBatch(benchmark::State& state) {
   cfg.min_batch = 1;
   cfg.rank = 12;
   cfg.centroids = packets.size() / 5;
-  cfg.svd_backend = summarize::SvdBackend::kIncremental;
   cfg.cluster_backend = summarize::ClusterBackend::kMiniBatch;
   summarize::Summarizer summarizer(cfg);
-  (void)summarizer.summarize(packets);  // seed centroids / basis
+  (void)summarizer.summarize(packets);  // seed centroids
   for (auto _ : state) {
     benchmark::DoNotOptimize(summarizer.summarize(packets));
   }

@@ -116,6 +116,10 @@ std::vector<QuestionMatch> InferenceEngine::match(
   // pool.  Matched rows depend only on tau_d (the distance threshold); the
   // alert flag additionally compares the count sum against scaled_tau_c.
   std::vector<QuestionMatch> matches(questions_.size());
+  // Rows narrower than the field space (a corrupt or foreign stored summary
+  // reaching replay) cannot be scored: nothing matches, and no distance is
+  // read past the end of a row.
+  if (aggregate.centroids.cols() < packet::kFieldCount) return matches;
   const auto match_one = [&](std::size_t qi) {
     const rules::Question& q = questions_[qi];
     const ThresholdPair th = thresholds_for(q.sid);

@@ -24,18 +24,19 @@ typedef double v4d __attribute__((vector_size(32)));
 typedef double v8d __attribute__((vector_size(64)));
 #endif
 
+// Broadcasts fill an out-parameter because returning a vector type from a
+// function compiled without AVX (this TU's baseline) changes the psABI.
+// Zero vectors are `= {}`, except nearest_centroids' accumulator: there gcc
+// 12 spills far less with the broadcast form (the AVX-512 kmeans_assign
+// kernel ran ~15% slower with `= {}`).
 template <class VD>
-[[gnu::always_inline]] inline VD broadcast(double x) noexcept {
-  VD v;
+[[gnu::always_inline]] inline void broadcast(VD& v, double x) noexcept {
   for (std::size_t l = 0; l < sizeof(VD) / sizeof(double); ++l) v[l] = x;
-  return v;
 }
 
 template <class VI>
-[[gnu::always_inline]] inline VI broadcast_i(long long x) noexcept {
-  VI v;
+[[gnu::always_inline]] inline void broadcast_i(VI& v, long long x) noexcept {
   for (std::size_t l = 0; l < sizeof(VI) / sizeof(long long); ++l) v[l] = x;
-  return v;
 }
 
 // ---------------------------------------------------------------------------
@@ -84,20 +85,25 @@ template <class VD>
   using VI = decltype(std::declval<VD>() < std::declval<VD>());
   std::size_t i = begin;
   for (; i + kW <= end; i += kW) {
-    VD best = broadcast<VD>(std::numeric_limits<double>::max());
-    VI best_c = broadcast_i<VI>(0);
+    VD best;
+    broadcast(best, std::numeric_limits<double>::max());
+    VI best_c = {};
     for (std::size_t c = 0; c < k; ++c) {
       const double* cen = centroids + c * d;
-      VD acc = broadcast<VD>(0.0);
+      VD acc;
+      broadcast(acc, 0.0);
       for (std::size_t j = 0; j < d; ++j) {
-        VD xv;
+        VD xv, cj;
         std::memcpy(&xv, x + j * stride + i, sizeof xv);
-        const VD diff = xv - broadcast<VD>(cen[j]);
+        broadcast(cj, cen[j]);
+        const VD diff = xv - cj;
         acc += diff * diff;
       }
       const VI closer = acc < best;
+      VI ci;
+      broadcast_i(ci, static_cast<long long>(c));
       best = closer ? acc : best;
-      best_c = closer ? broadcast_i<VI>(static_cast<long long>(c)) : best_c;
+      best_c = closer ? ci : best_c;
     }
     for (std::size_t l = 0; l < kW; ++l) {
       assignment[i + l] = static_cast<std::size_t>(best_c[l]);
@@ -160,11 +166,12 @@ template <class VD>
   out.dist = std::numeric_limits<double>::max();
   std::size_t c = 0;
   for (; c + kW <= k; c += kW) {
-    VD acc = broadcast<VD>(0.0);
+    VD acc = {};
     for (std::size_t j = 0; j < d; ++j) {
-      VD cv;
+      VD vj, cv;
       std::memcpy(&cv, dims + j * stride + c, sizeof cv);
-      const VD diff = broadcast<VD>(v[j]) - cv;
+      broadcast(vj, v[j]);
+      const VD diff = vj - cv;
       acc += diff * diff;
     }
     for (std::size_t l = 0; l < kW; ++l) {
@@ -251,7 +258,7 @@ PairDots pair_dots_scalar(const double* a, const double* b,
 __attribute__((target("avx2"))) double dot_avx2(const double* a,
                                                 const double* b,
                                                 std::size_t n) noexcept {
-  v4d acc = broadcast<v4d>(0.0);
+  v4d acc = {};
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     v4d av, bv;
@@ -266,9 +273,7 @@ __attribute__((target("avx2"))) double dot_avx2(const double* a,
 
 __attribute__((target("avx2"))) PairDots pair_dots_avx2(
     const double* a, const double* b, std::size_t n) noexcept {
-  v4d aa = broadcast<v4d>(0.0);
-  v4d bb = broadcast<v4d>(0.0);
-  v4d ab = broadcast<v4d>(0.0);
+  v4d aa = {}, bb = {}, ab = {};
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     v4d av, bv;
@@ -312,8 +317,9 @@ template <class VD>
                                                     std::size_t n, double cs,
                                                     double sn) noexcept {
   constexpr std::size_t kW = sizeof(VD) / sizeof(double);
-  const VD csv = broadcast<VD>(cs);
-  const VD snv = broadcast<VD>(sn);
+  VD csv, snv;
+  broadcast(csv, cs);
+  broadcast(snv, sn);
   std::size_t i = 0;
   for (; i + kW <= n; i += kW) {
     VD av, bv;

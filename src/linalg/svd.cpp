@@ -152,69 +152,4 @@ SvdResult truncated_svd(const Matrix& a, std::size_t r, const SvdOptions& opts) 
   return out;
 }
 
-namespace {
-
-/// Modified Gram-Schmidt: orthonormalizes the columns of m in place.
-/// Numerically-zero columns are left zero (rank deficiency).
-void orthonormalize_columns(Matrix& m) {
-  const std::size_t n = m.rows();
-  const std::size_t cols = m.cols();
-  for (std::size_t c = 0; c < cols; ++c) {
-    for (std::size_t prev = 0; prev < c; ++prev) {
-      double dot = 0.0;
-      for (std::size_t r = 0; r < n; ++r) dot += m(r, c) * m(r, prev);
-      for (std::size_t r = 0; r < n; ++r) m(r, c) -= dot * m(r, prev);
-    }
-    double norm = 0.0;
-    for (std::size_t r = 0; r < n; ++r) norm += m(r, c) * m(r, c);
-    norm = std::sqrt(norm);
-    if (norm < 1e-12) {
-      for (std::size_t r = 0; r < n; ++r) m(r, c) = 0.0;
-      continue;
-    }
-    for (std::size_t r = 0; r < n; ++r) m(r, c) /= norm;
-  }
-}
-
-}  // namespace
-
-SvdResult randomized_svd(const Matrix& a, std::size_t r, std::mt19937_64& rng,
-                         std::size_t oversample, int power_iterations) {
-  if (a.empty()) throw std::invalid_argument("randomized_svd: empty matrix");
-  const std::size_t n = a.rows();
-  const std::size_t p = a.cols();
-  const std::size_t m = std::min(n, p);
-  if (r == 0 || r > m) {
-    throw std::invalid_argument("randomized_svd: r outside [1, min(n, p)]");
-  }
-  const std::size_t l = std::min(m, r + oversample);
-
-  // Stage A: sketch the range.  Y = A * Omega, refined by power iterations
-  // (A A^T)^q Y with re-orthonormalization for stability.
-  std::normal_distribution<double> gauss(0.0, 1.0);
-  Matrix omega(p, l);
-  for (double& v : omega.data()) v = gauss(rng);
-  Matrix y = a * omega;
-  orthonormalize_columns(y);
-  const Matrix at = a.transposed();
-  for (int q = 0; q < power_iterations; ++q) {
-    Matrix z = at * y;
-    orthonormalize_columns(z);
-    y = a * z;
-    orthonormalize_columns(y);
-  }
-
-  // Stage B: exact SVD of the small projected matrix B = Q^T A  (l x p).
-  const Matrix b = y.transposed() * a;
-  SvdResult small = svd(b);
-
-  SvdResult out;
-  out.sigma.assign(small.sigma.begin(),
-                   small.sigma.begin() + static_cast<std::ptrdiff_t>(r));
-  out.v = small.v.left_cols(r);
-  out.u = y * small.u.left_cols(r);
-  out.sweeps = small.sweeps;
-  return out;
-}
-
 }  // namespace jaal::linalg

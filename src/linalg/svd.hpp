@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstddef>
-#include <random>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -48,18 +47,5 @@ struct SvdOptions {
 /// sigma_r (r), V_r (p x r).  Throws if r == 0 or r > min(n, p).
 [[nodiscard]] SvdResult truncated_svd(const Matrix& a, std::size_t r,
                                       const SvdOptions& opts = {});
-
-/// Randomized truncated SVD (Halko, Martinsson & Tropp 2011): sketches the
-/// range of `a` with a Gaussian test matrix of r + oversample columns
-/// (refined by power iterations), orthonormalizes it, and runs the exact
-/// Jacobi SVD on the small projected matrix.  Cost is O(n p (r+oversample))
-/// instead of O(n p^2) per sweep — useful for monitors running large
-/// batches or wide field spaces (e.g. payload term matrices).
-/// Accuracy: near-exact when the spectrum decays (packet matrices do;
-/// Fig. 10).  Throws if r == 0 or r > min(n, p).
-[[nodiscard]] SvdResult randomized_svd(const Matrix& a, std::size_t r,
-                                       std::mt19937_64& rng,
-                                       std::size_t oversample = 6,
-                                       int power_iterations = 2);
 
 }  // namespace jaal::linalg

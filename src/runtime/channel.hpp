@@ -69,7 +69,9 @@ class Channel {
     std::unique_lock lock(mu_);
     not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
     if (items_.empty()) return std::nullopt;  // closed and drained
-    T value = std::move(items_.front());
+    // Moved straight into the optional: a `T` local returned by conversion
+    // trips a gcc 12 -Wmaybe-uninitialized false positive on variant items.
+    std::optional<T> value(std::move(items_.front()));
     items_.pop_front();
     not_full_.notify_one();
     return value;

@@ -20,10 +20,6 @@ void ShardingConfig::validate() const {
   if (virtual_nodes == 0) {
     throw std::invalid_argument("ShardingConfig: virtual_nodes must be >= 1");
   }
-  if (merge == MergePolicy::kReduced && reduce_rows == 0) {
-    throw std::invalid_argument(
-        "ShardingConfig: MergePolicy::kReduced needs reduce_rows >= 1");
-  }
 }
 
 HashRing::HashRing(const ShardingConfig& cfg)

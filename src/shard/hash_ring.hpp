@@ -21,25 +21,8 @@
 
 namespace jaal::shard {
 
-/// How the tier combines per-shard aggregates into the one the root engine
-/// decides over.
-enum class MergePolicy : std::uint8_t {
-  /// Interleave every shard's rows back into global arrival order and merge
-  /// the per-shard match results exactly — alerts, provenance and store
-  /// contents are byte-identical to the single-engine path at any shard
-  /// count.  The default.
-  kExact,
-  /// Re-cluster each shard's aggregate down to ShardingConfig::reduce_rows
-  /// rows first (the bench_ext_hierarchy reduction), then concatenate.  The
-  /// scale mode for very large deployments: matching cost stops growing
-  /// with monitor count, but reduced rows no longer map to a single monitor
-  /// (origin = kNoOrigin), the feedback loop is unavailable, and results
-  /// are *not* byte-identical to the exact path.
-  kReduced,
-};
-
-/// Configuration of the sharded inference tier.  The default (one shard,
-/// exact merge) is the degenerate single-engine deployment, bit-for-bit.
+/// Configuration of the sharded inference tier.  The default (one shard) is
+/// the degenerate single-engine deployment, bit-for-bit.
 struct ShardingConfig {
   std::size_t shards = 1;
   /// Seeds the ring's point placement; deployments that must agree on the
@@ -48,12 +31,9 @@ struct ShardingConfig {
   /// Ring points per shard.  More points smooth the monitor distribution at
   /// the cost of a larger (still tiny) ring.
   std::size_t virtual_nodes = 16;
-  MergePolicy merge = MergePolicy::kExact;
-  /// Target rows per shard after reduction (MergePolicy::kReduced only).
-  std::size_t reduce_rows = 0;
 
-  /// Throws std::invalid_argument on zero shards / virtual nodes, or a
-  /// reduced merge without a row target (construction-time error policy).
+  /// Throws std::invalid_argument on zero shards / virtual nodes
+  /// (construction-time error policy).
   void validate() const;
 };
 

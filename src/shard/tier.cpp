@@ -41,11 +41,10 @@ InferenceTier::InferenceTier(const ShardingConfig& sharding,
           "InferenceTier: shard crash window names a shard >= shards");
     }
   }
-  // Per-shard matching engines, exact merge only: they run Algorithm 1 over
-  // their shard's aggregate; the root engine owns the decision phase.  A
-  // reduced tier matches at the root over the concatenated reduction, and a
-  // single-shard tier is just the root engine.
-  if (sharding_.shards > 1 && sharding_.merge == MergePolicy::kExact) {
+  // Per-shard matching engines: they run Algorithm 1 over their shard's
+  // aggregate; the root engine owns the decision phase.  A single-shard
+  // tier is just the root engine.
+  if (sharding_.shards > 1) {
     for (std::size_t s = 0; s < sharding_.shards; ++s) {
       shards_[s].engine = std::make_unique<inference::InferenceEngine>(
           rules, engine, aggregation);
@@ -171,18 +170,16 @@ inference::AggregatedSummary InferenceTier::build_shard_aggregate(
 const inference::AggregatedSummary& InferenceTier::aggregate_epoch(
     const telemetry::SpanContext& parent) {
   aggregated_ = true;
-  const bool exact = sharding_.merge == MergePolicy::kExact;
-  // Tier-shape spans exist only for a genuinely sharded tier, so the
-  // shards == 1 span set (and the deterministic exports, which elide them
-  // either way) is unchanged.
-  const bool trace = tel_ != nullptr && shards_.size() > 1;
-
-  if (shards_.size() == 1 && exact) {
+  if (shards_.size() == 1) {
     // Degenerate tier: the shard aggregate IS the global aggregate —
     // byte-identical to the single-engine Aggregator (arrival order).
     global_ = build_shard_aggregate(shards_[0]);
     return global_;
   }
+  // Tier-shape spans exist only for a genuinely sharded tier, so the
+  // shards == 1 span set (and the deterministic exports, which elide them
+  // either way) is unchanged.
+  const bool trace = tel_ != nullptr;
 
   // Level 1: per-shard aggregates, concurrently on the channel runtime
   // when a pool is attached.  Each task touches only its own shard's
@@ -193,18 +190,10 @@ const inference::AggregatedSummary& InferenceTier::aggregate_epoch(
                                ? tel_->tracer.span("shard_aggregate", parent, s)
                                : telemetry::Span{};
     inference::AggregatedSummary agg = build_shard_aggregate(shards_[s]);
-    if (!exact && !agg.empty()) {
-      // Hierarchical reduction (the bench_ext_hierarchy extension): bound
-      // this shard's contribution to reduce_rows re-clustered rows.  The
-      // seed is a pure function of (hash_seed, shard, epoch).
-      agg = inference::reduce_aggregate(
-          agg, sharding_.reduce_rows,
-          mix64(sharding_.hash_seed ^ (std::uint64_t{s} << 40) ^ epoch_));
-    }
     span.attr("rows", static_cast<double>(agg.rows()));
     return agg;
   };
-  if (pool_ && shards_.size() > 1) {
+  if (pool_) {
     using Built = std::pair<std::size_t, inference::AggregatedSummary>;
     runtime::Channel<Built> channel(
         std::max<std::size_t>(std::size_t{2}, pool_->threads()));
@@ -250,27 +239,10 @@ const inference::AggregatedSummary& InferenceTier::aggregate_epoch(
   global_.origin.reserve(total_rows);
   global_.local_index.reserve(total_rows);
 
-  if (!exact) {
-    // Reduced merge: concatenate the reductions in shard order.  Rows no
-    // longer map to a monitor (origin == kNoOrigin); local_index becomes
-    // the global row so rows stay uniquely addressable in provenance.
-    std::size_t row = 0;
-    for (Shard& sh : shards_) {
-      for (std::size_t i = 0; i < sh.agg.rows(); ++i, ++row) {
-        const auto src = sh.agg.centroids.row(i);
-        std::copy(src.begin(), src.end(), global_.centroids.row(row).begin());
-        global_.counts.push_back(sh.agg.counts[i]);
-        global_.origin.push_back(inference::kNoOrigin);
-        global_.local_index.push_back(row);
-      }
-    }
-    return global_;
-  }
-
-  // Exact merge: interleave shard row blocks back into arrival (sequence)
-  // order, rebuilding byte-for-byte the one tall aggregate the single
-  // engine would have produced, and record each shard's local-row ->
-  // global-row map for the match merge.
+  // Interleave shard row blocks back into arrival (sequence) order,
+  // rebuilding byte-for-byte the one tall aggregate the single engine would
+  // have produced, and record each shard's local-row -> global-row map for
+  // the match merge.
   struct Ref {
     std::uint64_t seq;
     std::uint32_t shard;
@@ -316,15 +288,8 @@ std::vector<inference::Alert> InferenceTier::infer_epoch(
     const telemetry::SpanContext& parent) {
   if (!aggregated_) (void)aggregate_epoch(parent);
   if (global_.empty()) return {};
-  const bool exact = sharding_.merge == MergePolicy::kExact;
-  const bool trace = tel_ != nullptr && shards_.size() > 1;
-
-  if (shards_.size() == 1 || !exact) {
-    // Single engine over the merged aggregate.  A reduced aggregate has no
-    // row -> monitor mapping, so the feedback loop is off (null fetch): the
-    // scale tier where raw retrieval would be impractical anyway.
-    return root_.infer(global_, exact ? fetch : nullptr, parent);
-  }
+  if (shards_.size() == 1) return root_.infer(global_, fetch, parent);
+  const bool trace = tel_ != nullptr;
 
   // Per-shard matching, concurrently on the channel runtime.  Each shard
   // engine runs Algorithm 1 over its shard aggregate only.

@@ -10,19 +10,19 @@
 // deployment code) talks only to this tier; a single-engine deployment is
 // the shards == 1 degenerate case, bit-for-bit.
 //
-// Determinism argument (MergePolicy::kExact): every accepted summary gets an
-// arrival sequence number, and the cross-shard merge interleaves shard row
-// blocks back into sequence order — reproducing, byte-for-byte, the one tall
-// aggregate the single engine would have built.  Algorithm 1's matched rows
-// are per-row facts (a full scan; each row's distance depends only on that
-// row's bytes and the question) and its matched count is an exact integer
-// sum, so per-shard partial matches merge into exactly the global
-// SimilarityResult: map shard-local rows to global rows, merge ascending,
-// sum the counts, re-derive the alert flag against the root engine's
-// scaled_tau_c.  The serial decision/feedback/postprocess phase then runs
-// once, at the root, over that merged state — alerts, provenance, and store
-// contents are byte-identical to the single-engine path at any shard count
-// and any thread count.
+// Determinism argument: every accepted summary gets an arrival sequence
+// number, and the cross-shard merge interleaves shard row blocks back into
+// sequence order — reproducing, byte-for-byte, the one tall aggregate the
+// single engine would have built.  Algorithm 1's matched rows are per-row
+// facts (a full scan; each row's distance depends only on that row's bytes
+// and the question) and its matched count is an exact integer sum, so
+// per-shard partial matches merge into exactly the global SimilarityResult:
+// map shard-local rows to global rows, merge ascending, sum the counts,
+// re-derive the alert flag against the root engine's scaled_tau_c.  The
+// serial decision/feedback/postprocess phase then runs once, at the root,
+// over that merged state — alerts, provenance, and store contents are
+// byte-identical to the single-engine path at any shard count and any
+// thread count.
 //
 // Shard loss (faults::ShardCrashWindow): a down shard refuses the summaries
 // it owns — they are not aggregated and not persisted, the epoch's report
@@ -87,10 +87,9 @@ class InferenceTier final {
   [[nodiscard]] std::size_t pending() const noexcept;
 
   /// Builds this epoch's aggregate hierarchy: per-shard aggregates (in
-  /// parallel when a pool is attached), then the cross-shard result —
-  /// sequence-interleaved under MergePolicy::kExact (byte-identical to the
-  /// single-engine Aggregator), per-shard reduced + concatenated under
-  /// kReduced.  The returned reference is valid until the next begin_epoch.
+  /// parallel when a pool is attached), then the cross-shard result,
+  /// sequence-interleaved so it is byte-identical to the single-engine
+  /// Aggregator.  The returned reference is valid until the next begin_epoch.
   /// At shards > 1 with telemetry attached, per-shard 'shard_aggregate'
   /// spans (key = shard) and a 'cross_shard_merge' span are recorded under
   /// `parent` (the controller's aggregate span).
@@ -99,8 +98,7 @@ class InferenceTier final {
 
   /// Runs inference over the aggregate built by aggregate_epoch: per-shard
   /// matching fans out over the pool, partial matches merge exactly, and
-  /// the root engine's serial decision/feedback phase runs once.  Under
-  /// kReduced the feedback loop is unavailable (`fetch` is ignored).  At
+  /// the root engine's serial decision/feedback phase runs once.  At
   /// shards > 1 with telemetry attached, per-shard 'shard_match' spans and
   /// a 'cross_shard_merge' span are recorded under `parent`.
   [[nodiscard]] std::vector<inference::Alert> infer_epoch(
@@ -185,10 +183,10 @@ class InferenceTier final {
     std::vector<summarize::CombinedSummary> buf;
     std::vector<std::uint64_t> seq;
     /// This epoch's shard-level aggregate and its row map into the global
-    /// aggregate (MergePolicy::kExact, shards > 1 only).
+    /// aggregate (shards > 1 only).
     inference::AggregatedSummary agg;
     std::vector<std::size_t> to_global;
-    /// Matching engine (shards > 1, kExact only; never decides, no
+    /// Matching engine (shards > 1 only; never decides, no
     /// telemetry, no pool — shards themselves run concurrently).
     std::unique_ptr<inference::InferenceEngine> engine;
     telemetry::Counter* tel_summaries = nullptr;

@@ -92,20 +92,7 @@ SummarizeOutput Summarizer::summarize(
                                ? tel_->tracer.span("svd", parent, monitor_)
                                : telemetry::Span{};
     const auto start = std::chrono::steady_clock::now();
-    switch (cfg_.svd_backend) {
-      case SvdBackend::kRandomized:
-        svd = linalg::randomized_svd(x_bar, r, rng_);
-        break;
-      case SvdBackend::kIncremental:
-        if (!incremental_svd_) {
-          incremental_svd_.emplace(packet::kFieldCount);
-        }
-        svd = incremental_svd_->update(x_bar, r);
-        break;
-      case SvdBackend::kJacobi:
-        svd = linalg::truncated_svd(x_bar, r);
-        break;
-    }
+    svd = linalg::truncated_svd(x_bar, r);
     if (tel_ != nullptr) {
       svd_ms_->observe(ms_since(start));
       svd_sweeps_->observe(svd.sweeps);

@@ -11,7 +11,6 @@
 #include <random>
 #include <span>
 
-#include "linalg/incremental_svd.hpp"
 #include "observe/drift.hpp"
 #include "runtime/thread_pool.hpp"
 #include "summarize/kmeans.hpp"
@@ -26,20 +25,6 @@ enum class SummaryFormat : std::uint8_t {
   kAuto,      ///< Pick the cheaper of S1/S2 (the paper's rule).
   kCombined,  ///< Force S1.
   kSplit,     ///< Force S2.
-};
-
-/// Fields-mode (§4.2) reduction backend.
-enum class SvdBackend : std::uint8_t {
-  /// Exact one-sided Jacobi, from scratch per batch (the reference path).
-  kJacobi,
-  /// Randomized range-finder — near-identical on decaying spectra
-  /// (Fig. 10) and cheaper for large batches; RNG-dependent.
-  kRandomized,
-  /// Warm-started Gram eigensolve (linalg/incremental_svd.hpp): exact
-  /// factors of the current batch, but the Jacobi sweeps start from the
-  /// previous epoch's basis, so steady-state batches converge in 1-2
-  /// sweeps instead of ~6+.  Deterministic.
-  kIncremental,
 };
 
 /// Packets-mode (§4.3) vector quantization backend.
@@ -60,7 +45,6 @@ struct SummarizerConfig {
   std::size_t centroids = 200;     ///< k: representative packets.
   SummaryFormat format = SummaryFormat::kAuto;
   KMeansOptions kmeans;
-  SvdBackend svd_backend = SvdBackend::kJacobi;
   ClusterBackend cluster_backend = ClusterBackend::kLloyd;
   std::uint64_t seed = 42;
   /// Emit per-batch FidelityStats (SVD energy retained, k-means inertia,
@@ -102,10 +86,9 @@ class Summarizer {
   /// the same summaries as one that ran from epoch 0 (the same purity rule
   /// the fault scenarios follow).  The controller calls this before every
   /// flush; direct users who never call it keep the single continuous
-  /// stream seeded at construction.  Note the warm backends (kIncremental
-  /// SVD, kMiniBatch clustering) carry cross-epoch numeric state that this
-  /// does not reset — restart byte-identity holds for the stateless
-  /// defaults (kJacobi + kLloyd).
+  /// stream seeded at construction.  Note the warm kMiniBatch clustering
+  /// backend carries cross-epoch centroids that this does not reset —
+  /// restart byte-identity holds for the stateless default (kLloyd).
   void begin_epoch(std::uint64_t epoch) noexcept;
 
   [[nodiscard]] const SummarizerConfig& config() const noexcept { return cfg_; }
@@ -132,8 +115,6 @@ class Summarizer {
   SummarizerConfig cfg_;
   MonitorId monitor_;
   std::mt19937_64 rng_;
-  /// Warm state for SvdBackend::kIncremental (lazily constructed).
-  std::optional<linalg::IncrementalSvd> incremental_svd_;
   /// Warm state for ClusterBackend::kMiniBatch (lazily constructed;
   /// re-seeded if the clustered dimensionality changes, e.g. a format
   /// switch between U_r rows and reconstructed packet rows).

@@ -74,6 +74,17 @@ class Reader {
     return static_cast<double>(f);
   }
   [[nodiscard]] bool done() const noexcept { return pos_ == bytes_.size(); }
+  [[nodiscard]] std::size_t scalar_bytes() const noexcept {
+    return precision_ == WirePrecision::kFloat64 ? 8 : 4;
+  }
+  /// Throws unless `count` more items of `item_bytes` each fit in the
+  /// buffer: checked before sizing a container from a count off the wire,
+  /// so a corrupt count cannot trigger a huge allocation.
+  void need_items(std::uint64_t count, std::size_t item_bytes) const {
+    if (count > (bytes_.size() - pos_) / item_bytes) {
+      throw std::runtime_error("summary deserialize: truncated buffer");
+    }
+  }
 
  private:
   void need(std::size_t n) const {
@@ -98,6 +109,7 @@ linalg::Matrix get_matrix(Reader& r) {
   if (std::uint64_t{rows} * cols > (1u << 26)) {
     throw std::runtime_error("summary deserialize: implausible matrix size");
   }
+  r.need_items(std::uint64_t{rows} * cols, r.scalar_bytes());
   linalg::Matrix m(rows, cols);
   for (double& v : m.data()) v = r.scalar();
   return m;
@@ -211,6 +223,7 @@ MonitorSummary deserialize(std::span<const std::uint8_t> bytes) {
     c.monitor = r.u32();
     c.centroids = get_matrix(r);
     const std::uint32_t n = r.u32();
+    r.need_items(n, 4);
     c.counts.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) c.counts.push_back(r.u32());
     c.check_invariants();
@@ -221,10 +234,12 @@ MonitorSummary deserialize(std::span<const std::uint8_t> bytes) {
     s.monitor = r.u32();
     s.u_centroids = get_matrix(r);
     const std::uint32_t nr = r.u32();
+    r.need_items(nr, r.scalar_bytes());
     s.sigma.reserve(nr);
     for (std::uint32_t i = 0; i < nr; ++i) s.sigma.push_back(r.scalar());
     s.vt = get_matrix(r);
     const std::uint32_t n = r.u32();
+    r.need_items(n, 4);
     s.counts.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) s.counts.push_back(r.u32());
     s.check_invariants();

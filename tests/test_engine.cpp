@@ -262,5 +262,24 @@ TEST(Engine, EmptyAggregateYieldsNothing) {
   EXPECT_TRUE(engine.infer(AggregatedSummary{}, nullptr).empty());
 }
 
+TEST(Engine, NarrowRowsNeverMatch) {
+  // A stored summary narrower than the field space (corrupt or foreign
+  // data reaching replay) is not scored, even by a rule whose loose
+  // threshold would match any well-formed row.
+  EngineConfig cfg;
+  cfg.default_thresholds = {1.0, 1.0};
+  InferenceEngine engine(flood_ruleset(), cfg);
+  AggregatedSummary agg;
+  agg.centroids = linalg::Matrix{{0.25, 0.5}, {0.5, 0.1}};
+  agg.counts = {500, 500};
+  agg.origin = {0, 0};
+  agg.local_index = {0, 1};
+  for (const QuestionMatch& m : engine.match(agg)) {
+    EXPECT_TRUE(m.strict.matched_rows.empty());
+    EXPECT_TRUE(m.loose.matched_rows.empty());
+  }
+  EXPECT_TRUE(engine.infer(agg, nullptr).empty());
+}
+
 }  // namespace
 }  // namespace jaal::inference

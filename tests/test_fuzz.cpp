@@ -4,12 +4,17 @@
 // on every ctest invocation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <set>
 #include <sstream>
 
 #include "packet/wire.hpp"
 #include "proto/messages.hpp"
 #include "rules/rule.hpp"
+#include "store/flat_record.hpp"
+#include "store/metrics_codec.hpp"
+#include "store/store.hpp"
 #include "summarize/summary.hpp"
 #include "trace/background.hpp"
 #include "trace/pcap.hpp"
@@ -180,6 +185,180 @@ TEST(Fuzz, PcapReaderOnTruncatedValidFile) {
       (void)trace::read_pcap(truncated);
     } catch (const std::exception&) {
     }
+  }
+}
+
+// ------------------------------------------------- on-disk store decoders
+
+/// Flips 1-6 random bits of `bytes`; returns whether the magic or version
+/// byte (bytes 0 and 1) changed.
+bool flip_bits(std::vector<std::uint8_t>& bytes, std::mt19937_64& rng) {
+  const auto before = bytes;
+  for (std::size_t f = 1 + rng() % 6; f > 0; --f) {
+    bytes[rng() % bytes.size()] ^=
+        static_cast<std::uint8_t>(1u << (rng() % 8));
+  }
+  return bytes[0] != before[0] || bytes[1] != before[1];
+}
+
+/// For the magic+version varint payloads: every strict prefix of `valid`
+/// is refused (each field is needed); bit flips, sometimes followed by
+/// truncation, never crash, and are refused when they hit the header.
+template <class Decode>
+void expect_payload_refuses_damage(const std::vector<std::uint8_t>& valid,
+                                   Decode decode, std::uint64_t seed) {
+  ASSERT_TRUE(decode(valid).has_value());
+  for (std::size_t cut = 0; cut < valid.size(); ++cut) {
+    EXPECT_FALSE(decode({valid.data(), cut}).has_value()) << "cut=" << cut;
+  }
+  std::mt19937_64 rng(seed);
+  for (int i = 0; i < 3000; ++i) {
+    auto mutated = valid;
+    const bool header_hit = flip_bits(mutated, rng);
+    if (rng() % 4 == 0) mutated.resize(rng() % (mutated.size() + 1));
+    try {
+      const bool decoded = decode(mutated).has_value();
+      if (header_hit) {
+        EXPECT_FALSE(decoded);
+      }
+    } catch (const std::exception&) {
+      // a clean rejection is fine; crashing is not
+    }
+  }
+}
+
+TEST(Fuzz, MetricsDeltaDecoderOnMutatedValidPayload) {
+  using telemetry::MetricKind;
+  telemetry::MetricsSnapshot s;
+  s.entries.push_back(
+      {.name = "jaal_packets_observed_total", .counter = 1234, .histogram = {}});
+  s.entries.push_back({.name = "jaal_epoch_current",
+                       .kind = MetricKind::kGauge,
+                       .gauge = -9,
+                       .histogram = {}});
+  std::vector<std::uint64_t> buckets(telemetry::Histogram::kBucketCount, 0);
+  buckets[3] = 2;
+  buckets[7] = 3;
+  s.entries.push_back({.name = "jaal_batch_packets",
+                       .kind = MetricKind::kHistogram,
+                       .histogram = {5, 2.5, 1.5, buckets}});
+  expect_payload_refuses_damage(store::encode_metrics_delta(s),
+                                &store::decode_metrics_delta, 12);
+}
+
+TEST(Fuzz, FlightEventsDecoderOnMutatedValidPayload) {
+  using observe::FlightEventKind;
+  const std::vector<observe::FlightEvent> events = {
+      {.seq = 10, .epoch = 4, .kind = FlightEventKind::kFidelity, .a = 0.999},
+      {.seq = 11, .epoch = 4, .kind = FlightEventKind::kShip, .actor = 3},
+      {.seq = 12, .kind = FlightEventKind::kEpochClose, .u = {0, 0, 1u << 20}},
+  };
+  expect_payload_refuses_damage(store::encode_flight_events(events),
+                                &store::decode_flight_events, 13);
+}
+
+TEST(Fuzz, EpochMetaDecoderOnMutatedValidPayload) {
+  const auto valid = store::encode_epoch_meta({7, 3.5, 4000, 0.75, 0.25, 4});
+  ASSERT_EQ(valid.size(), 40u);
+  // Strict prefixes are refused, except that the first 32 bytes are by
+  // design a complete single-engine (shard_count 1) payload.
+  for (std::size_t cut = 0; cut < valid.size(); ++cut) {
+    EXPECT_EQ(store::decode_epoch_meta(7, {valid.data(), cut}).has_value(),
+              cut == 32)
+        << "cut=" << cut;
+  }
+  // The fields are fixed-width and take any bit pattern, so a flipped
+  // payload decodes unless its shard-count word became zero.
+  std::mt19937_64 rng(11);
+  for (int i = 0; i < 2000; ++i) {
+    auto mutated = valid;
+    (void)flip_bits(mutated, rng);
+    const bool zero_shards = std::all_of(mutated.begin() + 32, mutated.end(),
+                                         [](std::uint8_t b) { return b == 0; });
+    EXPECT_EQ(store::decode_epoch_meta(7, mutated).has_value(), !zero_shards);
+  }
+}
+
+TEST(Fuzz, RecordHeaderDecodesAnyBytesLosslessly) {
+  // Five fixed-width integers: every 24-byte pattern decodes and re-encodes
+  // to itself (validating a frame is next_record's job, below).
+  std::mt19937_64 rng(14);
+  for (int i = 0; i < 1000; ++i) {
+    const auto bytes = random_bytes(rng, store::kRecordHeaderBytes);
+    std::vector<std::uint8_t> back(store::kRecordHeaderBytes);
+    store::encode_record_header(store::decode_record_header(bytes.data()),
+                                back.data());
+    EXPECT_EQ(back, bytes);
+  }
+}
+
+/// Walks every frame next_record accepts, checking that each payload view
+/// stays inside the buffer.  Returns (records accepted, final offset).
+std::pair<std::size_t, std::size_t> walk(std::span<const std::uint8_t> shard) {
+  std::size_t offset = 0;
+  std::size_t records = 0;
+  while (const auto rec = store::next_record(shard, offset)) {
+    EXPECT_GE(rec->payload.data(), shard.data());
+    EXPECT_LE(rec->payload.data() + rec->payload.size(),
+              shard.data() + shard.size());
+    if (++records > shard.size() / store::kRecordHeaderBytes) {
+      ADD_FAILURE() << "accepted more frames than fit in the buffer";
+      break;
+    }
+  }
+  EXPECT_LE(offset, shard.size());
+  return {records, offset};
+}
+
+TEST(Fuzz, RecordFrameWalkStopsAtCorruption) {
+  std::mt19937_64 rng(15);
+  std::vector<std::uint8_t> shard;
+  std::vector<std::size_t> ends;  // offset just past each record
+  for (const std::size_t len : {5, 40, 1, 64}) {
+    const auto payload = random_bytes(rng, len);
+    const store::RecordHeader h{static_cast<std::uint32_t>(len),
+                                store::crc32(payload), 2, 5,
+                                1 + static_cast<std::uint32_t>(ends.size())};
+    const std::size_t at = shard.size();
+    shard.resize(at + store::kRecordHeaderBytes);
+    store::encode_record_header(h, shard.data() + at);
+    shard.insert(shard.end(), payload.begin(), payload.end());
+    ends.push_back(shard.size());
+  }
+  ASSERT_EQ(walk(shard), std::make_pair(ends.size(), shard.size()));
+
+  // Truncation: exactly the records wholly before the cut survive, and the
+  // walk stops at the end of the last of them (the torn tail).
+  for (std::size_t cut = 0; cut < shard.size(); ++cut) {
+    const auto kept = static_cast<std::size_t>(
+        std::upper_bound(ends.begin(), ends.end(), cut) - ends.begin());
+    EXPECT_EQ(walk({shard.data(), cut}),
+              std::make_pair(kept, kept == 0 ? 0 : ends[kept - 1]))
+        << "cut=" << cut;
+  }
+
+  for (int i = 0; i < 2000; ++i) {
+    // Up to three flipped bits in one payload: CRC-32 detects every error
+    // of that weight, so the walk stops right before that record.
+    const std::size_t victim = rng() % ends.size();
+    const std::size_t tail = victim == 0 ? 0 : ends[victim - 1];
+    const std::size_t begin = tail + store::kRecordHeaderBytes;
+    std::set<std::size_t> bits;
+    for (std::size_t f = 1 + rng() % 3; bits.size() < f;) {
+      bits.insert(rng() % ((ends[victim] - begin) * 8));
+    }
+    auto mutated = shard;
+    for (const std::size_t bit : bits) {
+      mutated[begin + bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    }
+    EXPECT_EQ(walk(mutated), std::make_pair(victim, tail));
+
+    // Flips anywhere (headers included), maybe truncated: the walk stays in
+    // bounds and terminates, whatever it accepts.
+    mutated = shard;
+    (void)flip_bits(mutated, rng);
+    if (rng() % 4 == 0) mutated.resize(rng() % (mutated.size() + 1));
+    (void)walk(mutated);
   }
 }
 

@@ -197,8 +197,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- Topology invariants across profiles and seeds -------------------------
 
+// gtest names each case by the parameter's bytes. A `bool` flag would leave
+// seven padding bytes holding whatever was on the stack, so the case names
+// would change from run to run; a full-width flag leaves no padding.
 struct TopoParams {
-  bool abovenet;
+  std::uint64_t abovenet;  // 1 = Abovenet profile, 0 = Exodus
   std::uint64_t seed;
 };
 
@@ -207,7 +210,7 @@ class TopologyProperty : public ::testing::TestWithParam<TopoParams> {};
 TEST_P(TopologyProperty, StructuralInvariants) {
   const auto [abovenet, seed] = GetParam();
   const netsim::IspProfile profile =
-      abovenet ? netsim::abovenet_profile() : netsim::exodus_profile();
+      abovenet != 0 ? netsim::abovenet_profile() : netsim::exodus_profile();
   const netsim::Topology topo = netsim::make_isp_topology(profile, seed);
 
   EXPECT_EQ(topo.node_count(), profile.target_router_count);
@@ -232,12 +235,12 @@ TEST_P(TopologyProperty, StructuralInvariants) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TopologyProperty,
-                         ::testing::Values(TopoParams{true, 1},
-                                           TopoParams{true, 7},
-                                           TopoParams{true, 13},
-                                           TopoParams{false, 1},
-                                           TopoParams{false, 7},
-                                           TopoParams{false, 13}));
+                         ::testing::Values(TopoParams{1, 1},
+                                           TopoParams{1, 7},
+                                           TopoParams{1, 13},
+                                           TopoParams{0, 1},
+                                           TopoParams{0, 7},
+                                           TopoParams{0, 13}));
 
 // --- Summary serialization round-trips across formats/shapes ---------------
 

@@ -1,10 +1,10 @@
-// Determinism contract of the sharded inference tier: at MergePolicy::kExact
-// the deployment's observable output — alerts, provenance, store bytes, the
-// offline doctor timeline — is byte-identical at every shard count and every
-// thread count, under clean and faulted scenarios alike.  The one documented
-// exception: a sharded store's EpochMeta commit records carry a trailing
-// shard-count word (store.hpp), so EpochMeta comparison is field-wise with
-// shard_count checked against the writing tier, not byte-wise.
+// Determinism contract of the sharded inference tier: the deployment's
+// observable output — alerts, provenance, store bytes, the offline doctor
+// timeline — is byte-identical at every shard count and every thread count,
+// under clean and faulted scenarios alike.  The one documented exception: a
+// sharded store's EpochMeta commit records carry a trailing shard-count word
+// (store.hpp), so EpochMeta comparison is field-wise with shard_count checked
+// against the writing tier, not byte-wise.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -94,10 +94,6 @@ TEST(HashRing, ConfigValidates) {
   cfg.virtual_nodes = 0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg.virtual_nodes = 16;
-  cfg.merge = shard::MergePolicy::kReduced;
-  cfg.reduce_rows = 0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg.reduce_rows = 32;
   EXPECT_NO_THROW(cfg.validate());
 }
 
@@ -365,7 +361,9 @@ TEST(ShardEquivalence, ShardCrashDegradesInsteadOfCrashing) {
       if (s == 1) {
         // Inside the window the shard is marked down; outside it is not.
         const bool in_window = e.shards[s].down;
-        if (in_window) EXPECT_EQ(e.shards[s].summaries, 0u);
+        if (in_window) {
+          EXPECT_EQ(e.shards[s].summaries, 0u);
+        }
       } else {
         EXPECT_FALSE(e.shards[s].down);
       }
@@ -421,26 +419,6 @@ TEST(ShardEquivalence, ShardedStoreReplaysLikeSingleEngine) {
                 inference::alert_to_json(live[i].alerts[j], live[i].end_time))
           << "epoch " << i << " alert " << j;
     }
-  }
-}
-
-// ------------------------------------------------------ reduced merge
-
-TEST(ShardEquivalence, ReducedMergeRunsAndBoundsTheAggregate) {
-  TempDir dir("reduced");
-  telemetry::Telemetry tel;
-  JaalConfig cfg = shard_config(2, 2, dir.str(), &tel);
-  cfg.sharding.merge = shard::MergePolicy::kReduced;
-  cfg.sharding.reduce_rows = 24;
-  JaalController controller(cfg, ruleset());
-  trace::BackgroundTraffic gen(trace::trace1_profile(), 11);
-  const auto epochs = controller.run(gen, kDuration);
-  EXPECT_GE(epochs.size(), 5u);
-  // The reduced path trades exactness for a bounded cross-shard aggregate;
-  // it must run to completion — alerts are a different (documented)
-  // contract, so only the degenerate failure modes are asserted.
-  for (const EpochResult& e : epochs) {
-    EXPECT_EQ(e.shards.size(), 2u);
   }
 }
 

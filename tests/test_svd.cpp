@@ -147,61 +147,6 @@ TEST(Svd, RankForEnergyZeroMatrix) {
   EXPECT_EQ(r.rank_for_energy(0.9), 0u);
 }
 
-TEST(RandomizedSvd, MatchesExactOnDecayingSpectrum) {
-  // Packet-matrix-like input: strong leading directions, weak tail.
-  std::mt19937_64 rng(11);
-  Matrix a = random_matrix(200, 18, 12);
-  // Impose decay by scaling columns.
-  for (std::size_t c = 0; c < a.cols(); ++c) {
-    const double scale = 1.0 / static_cast<double>(1 + c * c);
-    for (std::size_t r = 0; r < a.rows(); ++r) a(r, c) *= scale;
-  }
-  const SvdResult exact = truncated_svd(a, 6);
-  const SvdResult randomized = randomized_svd(a, 6, rng);
-  ASSERT_EQ(randomized.sigma.size(), 6u);
-  for (std::size_t i = 0; i < 6; ++i) {
-    EXPECT_NEAR(randomized.sigma[i], exact.sigma[i],
-                0.02 * exact.sigma[0] + 1e-9)
-        << "sigma " << i;
-  }
-  // Reconstruction error comparable to the exact truncation.
-  const double exact_err = (a - exact.reconstruct()).frobenius_norm();
-  const double rand_err = (a - randomized.reconstruct()).frobenius_norm();
-  EXPECT_LE(rand_err, exact_err * 1.2 + 1e-9);
-}
-
-TEST(RandomizedSvd, ShapesAndOrthonormality) {
-  std::mt19937_64 rng(13);
-  const Matrix a = random_matrix(120, 30, 14);
-  const SvdResult r = randomized_svd(a, 8, rng);
-  EXPECT_EQ(r.u.rows(), 120u);
-  EXPECT_EQ(r.u.cols(), 8u);
-  EXPECT_EQ(r.v.rows(), 30u);
-  EXPECT_EQ(r.v.cols(), 8u);
-  expect_orthonormal_columns(r.u, r.sigma, 1e-6);
-  expect_orthonormal_columns(r.v, r.sigma, 1e-6);
-  for (std::size_t i = 1; i < r.sigma.size(); ++i) {
-    EXPECT_GE(r.sigma[i - 1], r.sigma[i]);
-  }
-}
-
-TEST(RandomizedSvd, ExactForLowRankInput) {
-  // Rank-3 matrix: the sketch captures the range exactly.
-  std::mt19937_64 rng(15);
-  const Matrix left = random_matrix(60, 3, 16);
-  const Matrix right = random_matrix(3, 12, 17);
-  const Matrix a = left * right;
-  const SvdResult r = randomized_svd(a, 3, rng);
-  EXPECT_LT(a.max_abs_diff(r.reconstruct()), 1e-8);
-}
-
-TEST(RandomizedSvd, ValidatesRank) {
-  std::mt19937_64 rng(18);
-  const Matrix a = random_matrix(10, 4, 19);
-  EXPECT_THROW((void)randomized_svd(a, 0, rng), std::invalid_argument);
-  EXPECT_THROW((void)randomized_svd(a, 5, rng), std::invalid_argument);
-}
-
 TEST(Svd, SingleColumn) {
   Matrix a(5, 1);
   for (std::size_t i = 0; i < 5; ++i) a(i, 0) = 2.0;

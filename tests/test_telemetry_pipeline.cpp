@@ -141,7 +141,9 @@ TEST(TelemetryPipeline, EpochTraceHasThePipelineShape) {
 
   // Every span carries the epoch's simulated close time, never wall clock.
   for (const auto& s : run.spans) {
-    if (s.trace_id == 0) EXPECT_DOUBLE_EQ(s.sim_time, epoch->sim_time);
+    if (s.trace_id == 0) {
+      EXPECT_DOUBLE_EQ(s.sim_time, epoch->sim_time);
+    }
   }
 }
 
