@@ -219,9 +219,9 @@ int main() {
     return 1;
   }
 
-  bench::write_bench_json(
-      "simd_kernels", rows,
-      {{"simd_detected",
-        "\"" + std::string(simd::level_name(simd::detected())) + "\""}});
+  std::string detected = "\"";
+  detected += simd::level_name(simd::detected());
+  detected += '"';
+  bench::write_bench_json("simd_kernels", rows, {{"simd_detected", detected}});
   return 0;
 }

@@ -106,7 +106,7 @@ int main() {
   std::vector<std::unique_ptr<netsim::LinkQueue>> links;
   for (std::size_t m = 0; m < cfg.monitor_count; ++m) {
     netsim::LinkConfig lcfg;
-    lcfg.name = "m" + std::to_string(m) + "-ctrl";
+    lcfg.name = 'm' + std::to_string(m) + "-ctrl";
     lcfg.rate_bytes_per_s = 250e3;
     lcfg.queue_limit_bytes = 8 * 1024;
     links.push_back(std::make_unique<netsim::LinkQueue>(events, lcfg));

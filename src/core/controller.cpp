@@ -1,13 +1,9 @@
 #include "core/controller.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <exception>
-#include <mutex>
+#include <future>
 #include <stdexcept>
 #include <utility>
-
-#include "runtime/channel.hpp"
 
 namespace jaal::core {
 namespace {
@@ -20,67 +16,30 @@ inference::EngineConfig merged_engine_config(const JaalConfig& cfg) {
   return e;
 }
 
+std::shared_ptr<runtime::ThreadPool> make_pool(const JaalConfig& cfg) {
+  const std::size_t threads =
+      cfg.threads == 0 ? runtime::threads_from_env(1) : cfg.threads;
+  if (threads <= 1) return nullptr;
+  return std::make_shared<runtime::ThreadPool>(threads);
+}
+
 }  // namespace
 
 JaalController::JaalController(const JaalConfig& cfg,
                                std::vector<rules::Rule> rules)
     : cfg_(cfg),
+      pool_(make_pool(cfg)),
       transport_(cfg.faults, cfg.monitor_count),
       tier_(cfg.sharding, std::move(rules), merged_engine_config(cfg),
             cfg.aggregation, cfg.faults.shard_crashes),
-      health_(cfg.observe, std::max<std::size_t>(cfg.monitor_count, 1)) {
+      health_(cfg.observe, std::max<std::size_t>(cfg.monitor_count, 1)),
+      rec_(cfg, pool_ ? &pool_->stats() : nullptr) {
   if (cfg_.monitor_count == 0) {
     throw std::invalid_argument("JaalController: need at least one monitor");
   }
-  const std::size_t threads =
-      cfg_.threads == 0 ? runtime::threads_from_env(1) : cfg_.threads;
-  if (threads > 1) {
-    pool_ = std::make_shared<runtime::ThreadPool>(threads);
-    tier_.set_pool(pool_);
-  }
-  if (cfg_.observe.flight_recorder) {
-    flight_ = std::make_unique<observe::FlightRecorder>(
-        cfg_.observe.flight_capacity);
-  }
-  if (cfg_.observe.slo) {
-    slo_ = std::make_unique<observe::SloTracker>(cfg_.observe.slo_config);
-  }
-  if (cfg_.telemetry != nullptr) {
-    tier_.set_telemetry(cfg_.telemetry);
-    transport_.set_telemetry(cfg_.telemetry);
-    auto& m = cfg_.telemetry->metrics;
-    tel_degraded_epochs_ = &m.counter("jaal_faults_degraded_epochs_total");
-    tel_rolled_forward_ =
-        &m.counter("jaal_faults_summaries_rolled_forward_total");
-    tel_packets_lost_ = &m.counter("jaal_faults_packets_lost_total");
-    tel_drift_events_ = &m.counter("jaal_observe_drift_events_total");
-    tel_monitors_drifting_ = &m.gauge("jaal_observe_monitors_drifting");
-    tel_caution_permille_ = &m.gauge("jaal_observe_caution_permille");
-    if (cfg_.observe.flight_recorder || cfg_.store_metrics) {
-      tel_flight_events_ = &m.counter("jaal_observe_flight_events_total");
-      tel_flight_dropped_ = &m.counter("jaal_observe_flight_dropped_total");
-      tel_flight_dumps_ = &m.counter("jaal_observe_flight_dumps_total");
-    }
-    if (cfg_.observe.slo) {
-      tel_slo_epochs_ = &m.counter("jaal_slo_epochs_observed_total");
-      tel_slo_rf_breaches_ =
-          &m.counter("jaal_slo_report_fraction_breaches_total");
-      tel_slo_lat_breaches_ = &m.counter("jaal_slo_stage_ms_breaches_total");
-      tel_slo_burn_ = &m.gauge("jaal_slo_burn_rate_permille");
-      tel_slo_rf_budget_ =
-          &m.gauge("jaal_slo_report_fraction_budget_remaining_permille");
-      tel_slo_lat_budget_ =
-          &m.gauge("jaal_slo_stage_ms_budget_remaining_permille");
-    }
-    if (cfg_.observe.profile) {
-      tel_profile_path_ms_ = &m.histogram("jaal_profile_critical_path_ms");
-      tel_profile_epochs_ = &m.counter("jaal_profile_epochs_total");
-      tel_profile_stragglers_ = &m.counter("jaal_profile_stragglers_total");
-    }
-    // One stats system: the pool's runtime counters land in the same
-    // registry (and the same exports) as every other jaal metric.
-    if (pool_) pool_->stats().bind(&cfg_.telemetry->metrics);
-  }
+  tier_.set_pool(pool_);
+  tier_.set_telemetry(cfg_.telemetry);
+  transport_.set_telemetry(cfg_.telemetry);
   if (!cfg_.store_dir.empty()) {
     // Open (and recover) the persistence layer before any epoch runs: torn
     // shard tails and uncommitted epochs are truncated here, and the epoch
@@ -105,10 +64,8 @@ JaalController::JaalController(const JaalConfig& cfg,
     // energy pass when drift monitoring is off.
     scfg.record_fidelity = scfg.record_fidelity && cfg_.observe.drift;
     monitors_.emplace_back(static_cast<summarize::MonitorId>(i), scfg);
-    if (pool_) monitors_.back().set_pool(pool_);
-    if (cfg_.telemetry != nullptr) {
-      monitors_.back().set_telemetry(cfg_.telemetry);
-    }
+    monitors_.back().set_pool(pool_);
+    monitors_.back().set_telemetry(cfg_.telemetry);
   }
 }
 
@@ -125,7 +82,7 @@ void JaalController::ingest(const packet::PacketRecord& pkt) {
     // The vantage point is dark: packets routed to a crashed monitor are
     // lost, not rerouted (a second monitor never sees these flows, §6).
     ++epoch_lost_packets_;
-    if (tel_packets_lost_ != nullptr) tel_packets_lost_->add(1);
+    rec_.packet_lost();
     return;
   }
   monitors_[m].observe(pkt);
@@ -133,70 +90,16 @@ void JaalController::ingest(const packet::PacketRecord& pkt) {
 }
 
 EpochResult JaalController::close_epoch(double now) {
-  // Wall clock only feeds the latency SLI (never any persisted or
-  // deterministic output); skip the clock reads entirely when SLO is off.
-  const auto wall_start = slo_ ? std::chrono::steady_clock::now()
-                               : std::chrono::steady_clock::time_point{};
+  EpochResult result;
+  result.end_time = now;
+  result.packets = std::exchange(epoch_packets_, 0);
+  result.packets_lost = std::exchange(epoch_lost_packets_, 0);
+  const std::uint64_t epoch = epoch_index_++;
+  rec_.begin_epoch(epoch, now, result.packets, store_.get());
   // Per-epoch feedback-fallback delta for the health ledger (engine stats
   // are monotonic across epochs).
   const std::uint64_t fallbacks_before =
       tier_.engine().stats().feedback_fallbacks;
-  EpochResult result;
-  result.end_time = now;
-  result.packets = epoch_packets_;
-  result.packets_lost = epoch_lost_packets_;
-  epoch_packets_ = 0;
-  epoch_lost_packets_ = 0;
-  const std::uint64_t epoch = epoch_index_;
-  ++epoch_index_;
-
-  // Flight events: recorded into the ring (flight_recorder on) and/or
-  // collected for the store's per-epoch kEvents batch (store_metrics on).
-  // All emission points sit in the serial phases of this function, so the
-  // event sequence is deterministic across runs and thread counts.
-  const bool persist_ops = store_ != nullptr && cfg_.store_metrics;
-  std::vector<observe::FlightEvent> fr_events;
-  const auto fev = [&](observe::FlightEvent ev) {
-    if (flight_ == nullptr && !persist_ops) return;
-    ev.epoch = epoch;
-    ev.seq = flight_seq_++;
-    if (flight_) flight_->record(ev);
-    if (persist_ops) fr_events.push_back(ev);
-    if (tel_flight_events_ != nullptr) tel_flight_events_->add(1);
-  };
-  const auto span_event = [&](std::uint32_t stage) {
-    observe::FlightEvent ev;
-    ev.kind = observe::FlightEventKind::kSpan;
-    ev.actor = stage;
-    ev.a = now;
-    fev(ev);
-  };
-
-  // One trace per epoch: the root span's trace id is the epoch index, and
-  // the simulated end time rides along so traces line up across runs even
-  // though wall-clock durations differ.
-  telemetry::Telemetry* tel = cfg_.telemetry;
-  const bool profiling = tel != nullptr && cfg_.observe.profile;
-  telemetry::Span epoch_span =
-      tel != nullptr ? tel->tracer.span("epoch", {}, epoch)
-                     : telemetry::Span{};
-  epoch_span.set_sim_time(now);
-  epoch_span.attr("packets", static_cast<double>(result.packets));
-  const telemetry::SpanContext epoch_ctx = epoch_span.context();
-  if (store_) {
-    // Store appends/commits below emit store_append/store_commit/
-    // index_finalize spans under this epoch's trace when profiling; the
-    // default context keeps the store span-free.
-    store_->set_trace_context(profiling ? epoch_ctx
-                                        : telemetry::SpanContext{});
-  }
-  if (tel != nullptr) {
-    // The observe phase happened during ingest(); record it as a
-    // zero-duration span carrying the epoch's packet count.
-    telemetry::Span observe = tel->tracer.span("observe", epoch_ctx);
-    observe.attr("packets", static_cast<double>(result.packets));
-  }
-  span_event(0);  // observe
 
   // Crash windows: a monitor that is down this epoch loses its buffered
   // packets (a process restart) and ships nothing.
@@ -219,56 +122,9 @@ EpochResult JaalController::close_epoch(double now) {
   transport_.begin_epoch(epoch, now, deadline);
   tier_.begin_epoch(epoch);
 
-  telemetry::Span summarize_span =
-      tel != nullptr ? tel->tracer.span("summarize", epoch_ctx)
-                     : telemetry::Span{};
-  const telemetry::SpanContext summarize_ctx = summarize_span.context();
-
-  // Summarize phase: flush every live monitor into a slot table, in
-  // parallel when a pool is attached (summarization of N monitors is
-  // embarrassingly parallel — each Monitor owns its buffer and its seeded
-  // RNG), results streaming through a bounded channel whose capacity
-  // throttles producers to what the reduction side consumes.  The slot
-  // table is reduced in monitor order below, so everything downstream is
-  // bit-identical to the serial loop.
-  std::vector<std::optional<summarize::MonitorSummary>> slots(
-      monitors_.size());
-  if (pool_) {
-    runtime::StageTimer timer(&pool_->stats(), "flush_epoch");
-    using Flushed =
-        std::pair<std::size_t, std::optional<summarize::MonitorSummary>>;
-    runtime::Channel<Flushed> channel(
-        std::max<std::size_t>(std::size_t{2}, pool_->threads()));
-    std::mutex error_mu;
-    std::exception_ptr error;
-    std::size_t submitted = 0;
-    for (std::size_t i = 0; i < monitors_.size(); ++i) {
-      if (!transport_.monitor_up(i, epoch)) continue;
-      ++submitted;
-      (void)pool_->submit([this, i, summarize_ctx, &channel, &error_mu,
-                           &error] {
-        std::optional<summarize::MonitorSummary> summary;
-        try {
-          summary = monitors_[i].flush_epoch(summarize_ctx);
-        } catch (...) {
-          std::lock_guard lock(error_mu);
-          if (!error) error = std::current_exception();
-        }
-        channel.push({i, std::move(summary)});
-      });
-    }
-    for (std::size_t received = 0; received < submitted; ++received) {
-      auto item = channel.pop();
-      slots[item->first] = std::move(item->second);
-    }
-    channel.close();
-    if (error) std::rethrow_exception(error);
-  } else {
-    for (std::size_t i = 0; i < monitors_.size(); ++i) {
-      if (!transport_.monitor_up(i, epoch)) continue;
-      slots[i] = monitors_[i].flush_epoch(summarize_ctx);
-    }
-  }
+  const telemetry::SpanContext summarize_ctx = rec_.begin("summarize");
+  std::vector<std::optional<summarize::MonitorSummary>> slots = rec_.timed(
+      "flush_epoch", [&] { return flush_monitors(epoch, summarize_ctx); });
 
   // Drift monitoring: feed each flushed monitor's summary fidelity to the
   // health ledger, serially in monitor order (determinism), *before*
@@ -281,14 +137,7 @@ EpochResult JaalController::close_epoch(double now) {
       fs.epoch = epoch;
       health_.observe_fidelity(fs);
       result.fidelity.push_back(fs);
-      observe::FlightEvent ev;
-      ev.kind = observe::FlightEventKind::kFidelity;
-      ev.actor = fs.monitor;
-      ev.a = fs.svd_energy_retained;
-      ev.b = fs.kmeans_inertia;
-      ev.c = fs.reconstruction_error;
-      ev.u[0] = fs.batch_packets;
-      fev(ev);
+      rec_.fidelity(fs);
     }
   }
 
@@ -306,9 +155,6 @@ EpochResult JaalController::close_epoch(double now) {
     }
   }
   carry_.clear();
-  if (result.summaries_rolled_in > 0 && tel_rolled_forward_ != nullptr) {
-    tel_rolled_forward_->add(result.summaries_rolled_in);
-  }
 
   std::uint64_t ship_bytes = 0;
   std::size_t produced = 0;
@@ -316,9 +162,8 @@ EpochResult JaalController::close_epoch(double now) {
     if (!slots[i]) continue;
     ++produced;
     const std::size_t bytes = summarize::wire_bytes(*slots[i]);
-    const faults::ShipOutcome outcome = transport_.ship(i, bytes);
-    switch (outcome.status) {
-      case faults::ShipStatus::kDelivered: {
+    switch (transport_.ship(i, bytes).status) {
+      case faults::ShipStatus::kDelivered:
         ship_bytes += bytes;  // it crossed the link either way
         if (tier_.add_summary(*slots[i])) {
           ++result.monitors_reporting;
@@ -327,38 +172,23 @@ EpochResult JaalController::close_epoch(double now) {
           // dies at the tier's door, degrading report_fraction like any
           // other loss.
           ++result.summaries_lost_shard;
-          observe::FlightEvent ev;
-          ev.kind = observe::FlightEventKind::kShip;
-          ev.actor = static_cast<std::uint32_t>(i);
-          ev.u[0] = 4;  // shard down
-          fev(ev);
+          rec_.ship(i, observe::ShipFate::kShardDown);
         }
         break;
-      }
-      case faults::ShipStatus::kDropped: {
+      case faults::ShipStatus::kDropped:
         ++result.summaries_dropped;
-        observe::FlightEvent ev;
-        ev.kind = observe::FlightEventKind::kShip;
-        ev.actor = static_cast<std::uint32_t>(i);
-        ev.u[0] = 1;  // dropped
-        fev(ev);
+        rec_.ship(i, observe::ShipFate::kDropped);
         break;
-      }
-      case faults::ShipStatus::kLate: {
+      case faults::ShipStatus::kLate:
         ++result.summaries_late;
-        const bool roll =
-            cfg_.aggregation.late_policy == faults::LatePolicy::kRollForward;
-        if (roll) {
+        if (cfg_.aggregation.late_policy == faults::LatePolicy::kRollForward) {
           ship_bytes += bytes;  // it did cross the link, just slowly
           carry_.push_back(std::move(*slots[i]));
+          rec_.ship(i, observe::ShipFate::kRolledForward);
+        } else {
+          rec_.ship(i, observe::ShipFate::kLate);
         }
-        observe::FlightEvent ev;
-        ev.kind = observe::FlightEventKind::kShip;
-        ev.actor = static_cast<std::uint32_t>(i);
-        ev.u[0] = roll ? 3 : 2;  // rolled forward : late
-        fev(ev);
         break;
-      }
     }
   }
 
@@ -371,261 +201,56 @@ EpochResult JaalController::close_epoch(double now) {
           ? 1.0
           : static_cast<double>(result.monitors_reporting) /
                 static_cast<double>(expected);
-  if (result.degraded() && tel_degraded_epochs_ != nullptr) {
-    tel_degraded_epochs_->add(1);
-  }
+  rec_.attr("monitors_reporting",
+            static_cast<double>(result.monitors_reporting));
+  rec_.end();
+  rec_.shipped(result, ship_bytes);
 
-  summarize_span.attr("monitors_reporting",
-                      static_cast<double>(result.monitors_reporting));
-  summarize_span.finish();
-  span_event(1);  // summarize
-  if (tel != nullptr) {
-    // The ship leg: summary bytes crossing the monitor->controller links.
-    // Since the fault transport it can fail — dropped/late arrivals are
-    // recorded on the span next to what got through.
-    telemetry::Span ship = tel->tracer.span("ship", epoch_ctx);
-    ship.attr("summary_bytes", static_cast<double>(ship_bytes));
-    ship.attr("monitors_reporting",
-              static_cast<double>(result.monitors_reporting));
-    if (result.summaries_dropped > 0 || result.summaries_late > 0 ||
-        result.monitors_crashed > 0 || result.summaries_lost_shard > 0) {
-      ship.attr("dropped", static_cast<double>(result.summaries_dropped));
-      ship.attr("late", static_cast<double>(result.summaries_late));
-      ship.attr("crashed", static_cast<double>(result.monitors_crashed));
-      if (result.summaries_lost_shard > 0) {
-        ship.attr("shard_lost",
-                  static_cast<double>(result.summaries_lost_shard));
-      }
-      ship.attr("report_fraction", result.report_fraction);
-    }
-  }
-  span_event(2);  // ship
-  // The caution signal the engine surfaces on this epoch's alerts, and the
-  // close-out that folds the epoch into the health ledger on every exit
-  // path (the drift events it returns belong to this epoch).
+  // The caution signal the engine surfaces on this epoch's alerts.
   result.caution = health_.caution();
   tier_.set_caution(result.caution);
-  const auto close_health = [&] {
-    observe::HealthTracker::EpochDegradation deg;
-    deg.report_fraction = result.report_fraction;
-    deg.monitors_crashed = result.monitors_crashed;
-    deg.summaries_dropped = result.summaries_dropped;
-    deg.summaries_late = result.summaries_late;
-    deg.summaries_rolled_in = result.summaries_rolled_in;
-    deg.packets_lost = result.packets_lost;
-    deg.feedback_fallbacks =
-        tier_.engine().stats().feedback_fallbacks - fallbacks_before;
-    deg.alerts = result.alerts.size();
-    result.drift_events = health_.end_epoch(epoch, deg);
-    if (tel_drift_events_ != nullptr) {
-      if (!result.drift_events.empty()) {
-        tel_drift_events_->add(result.drift_events.size());
-      }
-      tel_monitors_drifting_->set(
-          static_cast<std::int64_t>(health_.monitors_drifting()));
-      tel_caution_permille_->set(
-          static_cast<std::int64_t>(result.caution * 1000.0 + 0.5));
-    }
-    // Drift transitions, then the feedback and close events — the order the
-    // offline replay (store/doctor) relies on: fidelity before close.
-    for (const observe::HealthEvent& e : result.drift_events) {
-      observe::FlightEvent ev;
-      ev.kind = e.kind == observe::HealthEventKind::kDriftStart
-                    ? observe::FlightEventKind::kDriftStart
-                    : observe::FlightEventKind::kDriftEnd;
-      ev.actor = e.monitor;
-      ev.a = e.value;
-      ev.b = e.baseline;
-      ev.c = e.z;
-      ev.u[0] = observe::drift_metric_id(e.metric);
-      fev(ev);
-    }
-    if (deg.feedback_fallbacks > 0) {
-      observe::FlightEvent ev;
-      ev.kind = observe::FlightEventKind::kFeedback;
-      ev.u[0] = deg.feedback_fallbacks;
-      fev(ev);
-    }
-    {
-      observe::FlightEvent ev;
-      ev.kind = observe::FlightEventKind::kEpochClose;
-      ev.actor = static_cast<std::uint32_t>(deg.alerts);
-      ev.a = result.report_fraction;
-      ev.b = result.caution;
-      ev.c = static_cast<double>(cfg_.monitor_count);
-      ev.u[0] = deg.monitors_crashed;
-      ev.u[1] = deg.summaries_dropped;
-      ev.u[2] = deg.summaries_late;
-      ev.u[3] = deg.summaries_rolled_in;
-      ev.u[4] = deg.packets_lost;
-      ev.u[5] = deg.feedback_fallbacks;
-      fev(ev);
-    }
-    if (slo_) {
-      const double latency_ms =
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - wall_start)
-              .count();
-      slo_->observe_epoch(epoch, result.report_fraction, latency_ms);
-      if (tel_slo_epochs_ != nullptr) {
-        tel_slo_epochs_->add(1);
-        tel_slo_rf_breaches_->add(slo_->rf_breaches() -
-                                  slo_prev_rf_breaches_);
-        tel_slo_lat_breaches_->add(slo_->latency_breaches() -
-                                   slo_prev_lat_breaches_);
-        slo_prev_rf_breaches_ = slo_->rf_breaches();
-        slo_prev_lat_breaches_ = slo_->latency_breaches();
-        tel_slo_burn_->set(slo_->rf_burn_rate_permille());
-        tel_slo_rf_budget_->set(slo_->rf_budget_remaining_permille());
-        tel_slo_lat_budget_->set(slo_->latency_budget_remaining_permille());
-      }
-    }
-    if (flight_) {
-      // Regression trigger: the health report's worst finding got worse
-      // than anything seen before — capture the ring before later epochs
-      // overwrite the lead-up.
-      const auto findings = health_.report().ranked_findings();
-      const double severity =
-          findings.empty() ? 0.0 : findings.front().severity;
-      if (severity > last_top_severity_) {
-        last_top_severity_ = severity;
-        last_flight_dump_ = flight_->dump_jsonl();
-        if (tel_flight_dumps_ != nullptr) tel_flight_dumps_->add(1);
-      }
-      if (tel_flight_dropped_ != nullptr) {
-        tel_flight_dropped_->add(flight_->dropped() - flight_dropped_prev_);
-        flight_dropped_prev_ = flight_->dropped();
-      }
-    }
-  };
+  if (tier_.pending() > 0) infer(result);
+  close_out(result, epoch, fallbacks_before);
+  return result;
+}
 
-  // Store commit: alerts and provenance land first, then the EpochMeta
-  // record in the summaries log marks the epoch durable — a crash between
-  // any of these appends leaves an uncommitted epoch that recovery
-  // truncates wholesale on the next open.
-  const auto commit_store = [&] {
-    if (!store_) return;
-    for (const inference::Alert& a : result.alerts) {
-      store_->put_alert(epoch, a, result.end_time);
-      if (a.provenance) {
-        store_->put_provenance(epoch, a.sid, *a.provenance);
-      }
+std::vector<std::optional<summarize::MonitorSummary>>
+JaalController::flush_monitors(std::uint64_t epoch,
+                               const telemetry::SpanContext& ctx) {
+  // Flush every live monitor into its slot, in parallel when a pool is
+  // attached (summarization of N monitors is embarrassingly parallel —
+  // each Monitor owns its buffer and its seeded RNG, and each task writes
+  // only its own slot).  The caller reduces the slot table in monitor
+  // order, so everything downstream is bit-identical to the serial loop.
+  std::vector<std::optional<summarize::MonitorSummary>> slots(
+      monitors_.size());
+  std::vector<std::future<void>> flushes;
+  for (std::size_t i = 0; i < monitors_.size(); ++i) {
+    if (!transport_.monitor_up(i, epoch)) continue;
+    if (!pool_) {
+      slots[i] = monitors_[i].flush_epoch(ctx);
+      continue;
     }
-    if (persist_ops) {
-      // Ops stream: the flight events raised closing this epoch and the
-      // registry's delta since the previous commit, both riding under this
-      // epoch's EpochMeta (an uncommitted epoch rolls them back).
-      if (!fr_events.empty()) store_->put_events(epoch, fr_events);
-      if (cfg_.telemetry != nullptr) {
-        telemetry::MetricsSnapshot cur = cfg_.telemetry->metrics.snapshot();
-        store_->put_metrics(epoch, cur.diff(prev_metrics_));
-        prev_metrics_ = std::move(cur);
-      }
-    }
-    store::EpochMeta meta{epoch, result.end_time, result.packets,
-                          result.report_fraction, result.caution};
-    meta.shard_count = tier_.shard_count();
-    store_->commit_epoch(meta);
-  };
-
-  // Shared close-out for every exit path: the critical-path profile
-  // brackets close_health/commit_store so the deterministic digest lands in
-  // this epoch's ops stream while the wall-clock profile still covers the
-  // store commit itself.
-  const auto close_out = [&] {
-    if (!profiling) {
-      close_health();
-      commit_store();
-      result.shards = tier_.shard_stats();
-      return;
-    }
-    // Deterministic digest first, before anything is persisted: drain the
-    // spans recorded so far and rebuild the tree.  The epoch root is still
-    // open (it must cover the store commit), so synthesize its record —
-    // deterministic mode only needs the tree shape, never durations.
-    std::vector<telemetry::SpanRecord> spans = tel->tracer.drain();
-    {
-      telemetry::SpanRecord root;
-      root.name = "epoch";
-      root.key = epoch;
-      root.trace_id = epoch;
-      root.span_id = epoch_ctx.span_id;
-      root.parent_id = 0;
-      root.sim_time = now;
-      spans.push_back(root);
-    }
-    telemetry::CriticalPathOptions det_opts;
-    det_opts.mode = telemetry::DurationMode::kDeterministic;
-    const telemetry::CriticalPath det =
-        telemetry::CriticalPath::build(spans, epoch, det_opts);
-    {
-      observe::FlightEvent ev;
-      ev.kind = observe::FlightEventKind::kProfile;
-      ev.actor = telemetry::profile_stage_id(det.dominant_stage);
-      ev.a = det.root_inclusive_ms;
-      ev.b = static_cast<double>(det.path.size());
-      ev.u[0] = det.span_count;
-      ev.u[1] = det.sibling_groups;
-      fev(ev);
-    }
-    close_health();
-    commit_store();
-    // Close the root and take the wall-clock profile over the complete
-    // epoch — including the store spans the commit just recorded.
-    epoch_span.finish();
-    spans.pop_back();  // synthesized root; the finished one follows
-    {
-      std::vector<telemetry::SpanRecord> rest = tel->tracer.drain();
-      spans.insert(spans.end(), rest.begin(), rest.end());
-    }
-    telemetry::CriticalPath wall =
-        telemetry::CriticalPath::build(spans, epoch, {});
-    if (tel_profile_epochs_ != nullptr) {
-      tel_profile_epochs_->add(1);
-      tel_profile_path_ms_->observe(wall.root_inclusive_ms);
-      if (!wall.stragglers.empty()) {
-        tel_profile_stragglers_->add(wall.stragglers.size());
-      }
-      for (const telemetry::StageTime& st : wall.stages) {
-        telemetry::Histogram* h = nullptr;
-        for (auto& [name, handle] : tel_profile_stage_) {
-          if (name == st.name) {
-            h = handle;
-            break;
-          }
-        }
-        if (h == nullptr) {
-          h = &tel->metrics.histogram("jaal_profile_stage_exclusive_ms{stage=\"" +
-                                      st.name + "\"}");
-          tel_profile_stage_.emplace_back(st.name, h);
-        }
-        // Exclusive self-time can go negative when siblings overlap on the
-        // pool (parallelism credit); the histogram records the spent side.
-        h->observe(std::max(0.0, st.exclusive_ms));
-      }
-    }
-    if (slo_) slo_->attribute_latency(wall.dominant_stage);
-    result.profile = std::move(wall);
-    result.shards = tier_.shard_stats();
-  };
-
-  if (tier_.pending() == 0) {
-    close_out();
-    return result;
+    flushes.push_back(pool_->submit(
+        [this, i, &ctx, &slots] { slots[i] = monitors_[i].flush_epoch(ctx); }));
   }
+  // Every task finishes before `slots` can go; then the first failure (in
+  // monitor order) propagates.
+  for (std::future<void>& f : flushes) f.wait();
+  for (std::future<void>& f : flushes) f.get();
+  return slots;
+}
 
-  telemetry::Span aggregate_span =
-      tel != nullptr ? tel->tracer.span("aggregate", epoch_ctx)
-                     : telemetry::Span{};
+void JaalController::infer(EpochResult& result) {
+  const telemetry::SpanContext aggregate_ctx = rec_.begin("aggregate");
   // The tier builds the aggregate hierarchy: per-shard aggregates, then the
   // cross-shard merge (at one shard, exactly the old flat Aggregator) —
   // with per-shard shard_aggregate spans under this stage's span when the
   // tier is genuinely sharded.
-  const inference::AggregatedSummary& aggregate =
-      tier_.aggregate_epoch(aggregate_span.context());
-  aggregate_span.attr("rows", static_cast<double>(aggregate.origin.size()));
-  aggregate_span.finish();
-  span_event(3);  // aggregate
+  const inference::AggregatedSummary& aggregated =
+      tier_.aggregate_epoch(aggregate_ctx);
+  rec_.attr("rows", static_cast<double>(aggregated.origin.size()));
+  rec_.end();
 
   const inference::RawPacketFetcher fetch =
       [this](summarize::MonitorId id,
@@ -644,30 +269,38 @@ EpochResult JaalController::close_epoch(double now) {
   tier_.set_tau_c_scale(cfg_.engine.tau_c_scale *
                         static_cast<double>(result.packets) / 2000.0);
   tier_.set_report_fraction(result.report_fraction);
-  {
-    telemetry::Span infer_span =
-        tel != nullptr ? tel->tracer.span("infer", epoch_ctx)
-                       : telemetry::Span{};
-    runtime::StageTimer timer(pool_ ? &pool_->stats() : nullptr, "infer");
-    result.alerts = tier_.infer_epoch(fetch, infer_span.context());
-    infer_span.attr("alerts", static_cast<double>(result.alerts.size()));
-  }
-  span_event(4);  // infer
-  if (tel != nullptr) {
-    // The postprocess leg: distributed/feedback classification tallies.
-    std::size_t distributed = 0, via_feedback = 0;
+  const telemetry::SpanContext infer_ctx = rec_.begin("infer");
+  result.alerts =
+      rec_.timed("infer", [&] { return tier_.infer_epoch(fetch, infer_ctx); });
+  rec_.attr("alerts", static_cast<double>(result.alerts.size()));
+  rec_.end();
+  rec_.postprocessed(result);
+}
+
+void JaalController::close_out(EpochResult& result, std::uint64_t epoch,
+                               std::uint64_t fallbacks_before) {
+  const std::uint64_t fallbacks =
+      tier_.engine().stats().feedback_fallbacks - fallbacks_before;
+  rec_.close_epoch(result, health_, fallbacks);
+  // Store commit: alerts and provenance land first, then the recorder's ops
+  // batch, then the EpochMeta record in the summaries log marks the epoch
+  // durable — a crash between any of these appends leaves an uncommitted
+  // epoch that recovery truncates wholesale on the next open.
+  if (store_) {
     for (const inference::Alert& a : result.alerts) {
-      distributed += a.distributed ? 1 : 0;
-      via_feedback += a.via_feedback ? 1 : 0;
+      store_->put_alert(epoch, a, result.end_time);
+      if (a.provenance) {
+        store_->put_provenance(epoch, a.sid, *a.provenance);
+      }
     }
-    telemetry::Span post = tel->tracer.span("postprocess", epoch_ctx);
-    post.attr("alerts", static_cast<double>(result.alerts.size()));
-    post.attr("distributed", static_cast<double>(distributed));
-    post.attr("via_feedback", static_cast<double>(via_feedback));
+    rec_.persist_ops(*store_);
+    store::EpochMeta meta{epoch, result.end_time, result.packets,
+                          result.report_fraction, result.caution};
+    meta.shard_count = tier_.shard_count();
+    store_->commit_epoch(meta);
   }
-  span_event(5);  // postprocess
-  close_out();
-  return result;
+  rec_.end_epoch(result);
+  result.shards = tier_.shard_stats();
 }
 
 std::vector<EpochResult> JaalController::run(trace::PacketSource& source,

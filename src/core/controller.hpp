@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/epoch_recorder.hpp"
 #include "core/monitor.hpp"
 #include "faults/transport.hpp"
 #include "inference/engine.hpp"
@@ -241,76 +242,46 @@ class JaalController {
   /// otherwise).  dump_jsonl() gives the on-demand dump.
   [[nodiscard]] const observe::FlightRecorder* flight_recorder()
       const noexcept {
-    return flight_.get();
+    return rec_.flight();
   }
   /// The SLO tracker, when ObserveConfig::slo is on (null otherwise).
   [[nodiscard]] const observe::SloTracker* slo() const noexcept {
-    return slo_.get();
+    return rec_.slo();
   }
   /// The most recent automatic flight dump — taken when an epoch close
   /// raises the health report's top finding severity above its previous
   /// high-water mark.  Empty until the first regression.
   [[nodiscard]] const std::string& last_flight_dump() const noexcept {
-    return last_flight_dump_;
+    return rec_.last_flight_dump();
   }
 
  private:
+  /// Flushes every live monitor's epoch batch into a per-monitor slot.
+  [[nodiscard]] std::vector<std::optional<summarize::MonitorSummary>>
+  flush_monitors(std::uint64_t epoch, const telemetry::SpanContext& ctx);
+  /// Aggregate -> infer -> postprocess over what the tier accepted.
+  void infer(EpochResult& result);
+  /// Health ledger, close-out report and store commit.
+  void close_out(EpochResult& result, std::uint64_t epoch,
+                 std::uint64_t fallbacks_before);
+
   JaalConfig cfg_;
   std::shared_ptr<runtime::ThreadPool> pool_;  ///< Null when threads == 1.
   std::vector<Monitor> monitors_;
   faults::SummaryTransport transport_;
   shard::InferenceTier tier_;
   observe::HealthTracker health_;
+  /// Every span, flight event, metric, SLO sample and profile of the epoch
+  /// pipeline is reported through here.
+  EpochRecorder rec_;
   /// Persistence sink (JaalConfig::store_dir); null when persistence is
   /// off.
   std::unique_ptr<store::DeploymentStore> store_;
   /// Late summaries awaiting the next epoch (LatePolicy::kRollForward).
   std::vector<summarize::MonitorSummary> carry_;
-  /// Flight recorder (ObserveConfig::flight_recorder); null when off.
-  std::unique_ptr<observe::FlightRecorder> flight_;
-  /// SLO tracker (ObserveConfig::slo); null when off.
-  std::unique_ptr<observe::SloTracker> slo_;
-  /// Baseline for per-epoch metrics deltas (store_metrics): the registry
-  /// snapshot at the previous commit (empty at construction, so the first
-  /// epoch's delta covers everything since startup).
-  telemetry::MetricsSnapshot prev_metrics_;
-  /// Seq counter for *persisted* flight events (the recorder keeps its own;
-  /// this one stays deterministic even when the ring is off).
-  std::uint64_t flight_seq_ = 0;
-  /// High-water severity of the health report's top finding; an epoch
-  /// raising it triggers an automatic flight dump.
-  double last_top_severity_ = 0.0;
-  std::string last_flight_dump_;
   std::uint64_t epoch_packets_ = 0;
   std::uint64_t epoch_lost_packets_ = 0;
   std::uint64_t epoch_index_ = 0;  ///< Trace id of the next epoch's trace.
-  std::uint64_t slo_prev_rf_breaches_ = 0;
-  std::uint64_t slo_prev_lat_breaches_ = 0;
-  std::uint64_t flight_dropped_prev_ = 0;
-  telemetry::Counter* tel_degraded_epochs_ = nullptr;
-  telemetry::Counter* tel_rolled_forward_ = nullptr;
-  telemetry::Counter* tel_packets_lost_ = nullptr;
-  telemetry::Counter* tel_drift_events_ = nullptr;
-  telemetry::Gauge* tel_monitors_drifting_ = nullptr;
-  telemetry::Gauge* tel_caution_permille_ = nullptr;
-  telemetry::Counter* tel_flight_events_ = nullptr;
-  telemetry::Counter* tel_flight_dropped_ = nullptr;
-  telemetry::Counter* tel_flight_dumps_ = nullptr;
-  telemetry::Counter* tel_slo_epochs_ = nullptr;
-  telemetry::Counter* tel_slo_rf_breaches_ = nullptr;
-  telemetry::Counter* tel_slo_lat_breaches_ = nullptr;
-  telemetry::Gauge* tel_slo_burn_ = nullptr;
-  telemetry::Gauge* tel_slo_rf_budget_ = nullptr;
-  telemetry::Gauge* tel_slo_lat_budget_ = nullptr;
-  /// jaal_profile_* family (telemetry + ObserveConfig::profile).
-  telemetry::Histogram* tel_profile_path_ms_ = nullptr;
-  telemetry::Counter* tel_profile_epochs_ = nullptr;
-  telemetry::Counter* tel_profile_stragglers_ = nullptr;
-  /// Lazily-bound per-stage exclusive-time histograms, keyed by stage
-  /// name (labels are interned by the registry; this cache just avoids
-  /// re-formatting the label on every epoch).
-  std::vector<std::pair<std::string, telemetry::Histogram*>>
-      tel_profile_stage_;
 };
 
 }  // namespace jaal::core

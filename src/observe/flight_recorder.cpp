@@ -1,15 +1,17 @@
 #include "observe/flight_recorder.hpp"
 
-#include <cstdio>
+#include <bit>
 #include <stdexcept>
+
+#include "telemetry/json.hpp"
 
 namespace jaal::observe {
 namespace {
 
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+using telemetry::fmt_double;
+
+bool bits_equal(double a, double b) noexcept {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
 }  // namespace
@@ -59,6 +61,61 @@ std::string to_json(const FlightEvent& event) {
   }
   out += "]}";
   return out;
+}
+
+FlightEvent fidelity_event(const FidelityStats& s) noexcept {
+  return {.kind = FlightEventKind::kFidelity, .actor = s.monitor,
+          .a = s.svd_energy_retained, .b = s.kmeans_inertia,
+          .c = s.reconstruction_error, .u = {s.batch_packets}};
+}
+
+FidelityStats fidelity_from_event(const FlightEvent& ev) noexcept {
+  return {.epoch = ev.epoch, .monitor = ev.actor,
+          .batch_packets = static_cast<std::size_t>(ev.u[0]),
+          .svd_energy_retained = ev.a, .kmeans_inertia = ev.b,
+          .reconstruction_error = ev.c};
+}
+
+FlightEvent drift_event(const HealthEvent& e) noexcept {
+  return {.kind = e.kind == HealthEventKind::kDriftStart
+                      ? FlightEventKind::kDriftStart
+                      : FlightEventKind::kDriftEnd,
+          .actor = e.monitor, .a = e.value, .b = e.baseline, .c = e.z,
+          .u = {drift_metric_id(e.metric)}};
+}
+
+bool drift_matches(const FlightEvent& stored,
+                   const HealthEvent& derived) noexcept {
+  const bool stored_start = stored.kind == FlightEventKind::kDriftStart;
+  const bool derived_start = derived.kind == HealthEventKind::kDriftStart;
+  return stored_start == derived_start && stored.epoch == derived.epoch &&
+         stored.actor == derived.monitor &&
+         drift_metric_name(stored.u[0]) == derived.metric &&
+         bits_equal(stored.a, derived.value) &&
+         bits_equal(stored.b, derived.baseline) &&
+         bits_equal(stored.c, derived.z);
+}
+
+FlightEvent epoch_close_event(const HealthTracker::EpochDegradation& d,
+                              double caution,
+                              std::size_t monitor_count) noexcept {
+  return {.kind = FlightEventKind::kEpochClose,
+          .actor = static_cast<std::uint32_t>(d.alerts),
+          .a = d.report_fraction, .b = caution,
+          .c = static_cast<double>(monitor_count),
+          .u = {d.monitors_crashed, d.summaries_dropped, d.summaries_late,
+                d.summaries_rolled_in, d.packets_lost, d.feedback_fallbacks}};
+}
+
+HealthTracker::EpochDegradation degradation_from_event(
+    const FlightEvent& ev) noexcept {
+  return {.report_fraction = ev.a,
+          .monitors_crashed = static_cast<std::size_t>(ev.u[0]),
+          .summaries_dropped = static_cast<std::size_t>(ev.u[1]),
+          .summaries_late = static_cast<std::size_t>(ev.u[2]),
+          .summaries_rolled_in = static_cast<std::size_t>(ev.u[3]),
+          .packets_lost = ev.u[4], .feedback_fallbacks = ev.u[5],
+          .alerts = static_cast<std::size_t>(ev.actor)};
 }
 
 FlightRecorder::FlightRecorder(std::size_t capacity) : capacity_(capacity) {

@@ -28,6 +28,8 @@
 #include <string>
 #include <vector>
 
+#include "observe/health.hpp"
+
 namespace jaal::observe {
 
 /// Event vocabulary.  Values are stable — they are persisted verbatim in
@@ -59,10 +61,11 @@ enum class FlightEventKind : std::uint8_t {
 ///   kDriftStart/ actor=monitor a=value b=baseline c=z
 ///   kDriftEnd    u0=metric id (0 svd_energy, 1 kmeans_inertia,
 ///                              2 recon_error)
-///   kShip        actor=monitor u0=outcome (1 dropped, 2 late,
-///                              3 rolled forward)
+///   kShip        actor=monitor u0=ShipFate (1 dropped, 2 late,
+///                              3 rolled forward, 4 owning shard down)
 ///   kFeedback    u0=fallbacks this epoch
-///   kSpan        actor=stage id (0 observe .. 5 postprocess) a=sim_time
+///   kSpan        actor=stage id (telemetry::profile_stage_id: 0 observe
+///                .. 5 postprocess) a=sim_time
 ///   kProfile     actor=dominant stage id (telemetry::profile_stage_id,
 ///                deterministic-mode critical path) a=root inclusive units
 ///                b=critical path depth  u = {span count, sibling groups}
@@ -87,6 +90,32 @@ struct FlightEvent {
 /// One deterministic JSON line for an event (no trailing newline);
 /// doubles as %.17g.
 [[nodiscard]] std::string to_json(const FlightEvent& event);
+
+// The payloads the offline doctor replays: each encoder sits next to its
+// decoder, so the live recorder and the doctor cannot disagree on a field.
+// Encoders leave seq and epoch to the recorder.
+
+/// Why a shipped summary did not aggregate on time (kShip u0).
+enum class ShipFate : std::uint64_t {
+  kDropped = 1,
+  kLate = 2,
+  kRolledForward = 3,
+  kShardDown = 4,  ///< Delivered, but its owning inference shard is down.
+};
+
+[[nodiscard]] FlightEvent fidelity_event(const FidelityStats& s) noexcept;
+[[nodiscard]] FidelityStats fidelity_from_event(const FlightEvent& ev) noexcept;
+[[nodiscard]] FlightEvent drift_event(const HealthEvent& e) noexcept;
+/// One stored drift transition == one re-derived HealthEvent, field for
+/// field (doubles compared by bit pattern: the store round-trips exact
+/// bits, so any difference is a real divergence, not formatting).
+[[nodiscard]] bool drift_matches(const FlightEvent& stored,
+                                 const HealthEvent& derived) noexcept;
+[[nodiscard]] FlightEvent epoch_close_event(
+    const HealthTracker::EpochDegradation& d, double caution,
+    std::size_t monitor_count) noexcept;
+[[nodiscard]] HealthTracker::EpochDegradation degradation_from_event(
+    const FlightEvent& ev) noexcept;
 
 class FlightRecorder {
  public:

@@ -5,35 +5,18 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "telemetry/json.hpp"
+
 namespace jaal::observe {
 namespace {
 
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+using telemetry::fmt_double;
+using telemetry::json_escape;
 
 std::string fmt_fixed(double v, int prec) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", prec, v);
   return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
-  return out;
 }
 
 }  // namespace

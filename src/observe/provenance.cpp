@@ -1,18 +1,17 @@
 #include "observe/provenance.hpp"
 
-#include <cstdio>
+#include <charconv>
+
+#include "telemetry/json.hpp"
 
 namespace jaal::observe {
 namespace {
 
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+using telemetry::fmt_double;
 
 void append_u64(std::string& out, std::uint64_t v) {
-  out += std::to_string(v);
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 }  // namespace
@@ -37,7 +36,9 @@ double AlertProvenance::mean_margin() const noexcept {
 }
 
 std::string to_json(const AlertProvenance& p) {
-  std::string out = "{\"kind\":\"provenance\",\"sid\":";
+  std::string out;
+  out.reserve(512 + 128 * p.centroids.size());  // ~ the record's length
+  out += "{\"kind\":\"provenance\",\"sid\":";
   append_u64(out, p.sid);
   out += ",\"case\":\"";
   out += to_string(p.threshold_case);
@@ -68,9 +69,13 @@ std::string to_json(const AlertProvenance& p) {
     append_u64(out, c.local_index);
     out += ",\"count\":";
     append_u64(out, c.count);
-    out += ",\"distance\":" + fmt_double(c.distance);
-    out += ",\"margin_d1\":" + fmt_double(c.margin_d1);
-    out += ",\"margin_d2\":" + fmt_double(c.margin_d2);
+    // The bulk of the record: append in place, no temporaries.
+    out += ",\"distance\":";
+    telemetry::append_double(out, c.distance);
+    out += ",\"margin_d1\":";
+    telemetry::append_double(out, c.margin_d1);
+    out += ",\"margin_d2\":";
+    telemetry::append_double(out, c.margin_d2);
     out += "}";
   }
   out += "],\"feedback\":{\"requested\":";

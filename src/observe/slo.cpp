@@ -2,19 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
+#include "telemetry/json.hpp"
+
 namespace jaal::observe {
-namespace {
 
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-}  // namespace
+using telemetry::fmt_double;
 
 void SloConfig::validate() const {
   if (!(objective > 0.0) || !(objective < 1.0)) {

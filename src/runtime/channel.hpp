@@ -39,7 +39,7 @@ class Channel {
   // That is deliberate, not an oversight: a woken peer may be the last user
   // of this channel and destroy it as soon as it can re-acquire the lock
   // (the epoch pipeline does exactly this — the consumer pops the final
-  // summary and tears the channel down while the producing task is still
+  // completion and tears the channel down while the producing task is still
   // returning from push).  Notifying under the lock guarantees the notifier
   // has no further channel access once the waiter proceeds.
 

@@ -2,66 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
 #include <map>
 
+#include "telemetry/json.hpp"
 #include "telemetry/profile.hpp"
 
 namespace jaal::store {
 namespace {
 
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-bool bits_equal(double a, double b) noexcept {
-  return std::memcmp(&a, &b, sizeof(a)) == 0;
-}
-
-observe::FidelityStats fidelity_from_event(const observe::FlightEvent& ev) {
-  observe::FidelityStats stats;
-  stats.epoch = ev.epoch;
-  stats.monitor = ev.actor;
-  stats.batch_packets = static_cast<std::size_t>(ev.u[0]);
-  stats.svd_energy_retained = ev.a;
-  stats.kmeans_inertia = ev.b;
-  stats.reconstruction_error = ev.c;
-  return stats;
-}
-
-observe::HealthTracker::EpochDegradation degradation_from_event(
-    const observe::FlightEvent& ev) {
-  observe::HealthTracker::EpochDegradation d;
-  d.report_fraction = ev.a;
-  d.monitors_crashed = static_cast<std::size_t>(ev.u[0]);
-  d.summaries_dropped = static_cast<std::size_t>(ev.u[1]);
-  d.summaries_late = static_cast<std::size_t>(ev.u[2]);
-  d.summaries_rolled_in = static_cast<std::size_t>(ev.u[3]);
-  d.packets_lost = ev.u[4];
-  d.feedback_fallbacks = ev.u[5];
-  d.alerts = static_cast<std::size_t>(ev.actor);
-  return d;
-}
-
-/// One stored drift transition == one re-derived HealthEvent, field for
-/// field (doubles compared by bit pattern: the store round-trips exact
-/// bits, so any difference is a real divergence, not formatting).
-bool drift_matches(const observe::FlightEvent& stored,
-                   const observe::HealthEvent& derived) {
-  const bool stored_start =
-      stored.kind == observe::FlightEventKind::kDriftStart;
-  const bool derived_start =
-      derived.kind == observe::HealthEventKind::kDriftStart;
-  return stored_start == derived_start && stored.epoch == derived.epoch &&
-         stored.actor == derived.monitor &&
-         observe::drift_metric_name(stored.u[0]) == derived.metric &&
-         bits_equal(stored.a, derived.value) &&
-         bits_equal(stored.b, derived.baseline) &&
-         bits_equal(stored.c, derived.z);
-}
+using telemetry::fmt_double;
 
 /// Folds one stored delta into the running cumulative snapshot (counters
 /// and histogram counts/buckets/sums add; gauges are last-writer-wins; max
@@ -176,7 +125,7 @@ StoreDiagnosis diagnose_store(const DeploymentStore& store,
       for (const auto& ev : *it->second) {
         switch (ev.kind) {
           case observe::FlightEventKind::kFidelity:
-            tracker.observe_fidelity(fidelity_from_event(ev));
+            tracker.observe_fidelity(observe::fidelity_from_event(ev));
             break;
           case observe::FlightEventKind::kDriftStart:
           case observe::FlightEventKind::kDriftEnd:
@@ -194,12 +143,14 @@ StoreDiagnosis diagnose_store(const DeploymentStore& store,
       }
     }
     std::vector<observe::HealthEvent> derived;
+    observe::HealthTracker::EpochDegradation deg;
     if (close != nullptr) {
-      derived = tracker.end_epoch(meta.epoch, degradation_from_event(*close));
+      deg = observe::degradation_from_event(*close);
+      derived = tracker.end_epoch(meta.epoch, deg);
       ++epochs_closed;
       bool match = derived.size() == stored_drift.size();
       for (std::size_t i = 0; match && i < derived.size(); ++i) {
-        match = drift_matches(*stored_drift[i], derived[i]);
+        match = observe::drift_matches(*stored_drift[i], derived[i]);
       }
       if (!match) ++out.drift_mismatches;
     }
@@ -210,13 +161,17 @@ StoreDiagnosis diagnose_store(const DeploymentStore& store,
                 ",\"report_fraction\":" + fmt_double(meta.report_fraction) +
                 ",\"caution\":" + fmt_double(meta.caution);
     if (close != nullptr) {
-      timeline += ",\"alerts\":" + std::to_string(close->actor) +
-                  ",\"monitors_crashed\":" + std::to_string(close->u[0]) +
-                  ",\"summaries_dropped\":" + std::to_string(close->u[1]) +
-                  ",\"summaries_late\":" + std::to_string(close->u[2]) +
-                  ",\"summaries_rolled_in\":" + std::to_string(close->u[3]) +
-                  ",\"packets_lost\":" + std::to_string(close->u[4]) +
-                  ",\"feedback_fallbacks\":" + std::to_string(close->u[5]) +
+      timeline += ",\"alerts\":" + std::to_string(deg.alerts) +
+                  ",\"monitors_crashed\":" +
+                  std::to_string(deg.monitors_crashed) +
+                  ",\"summaries_dropped\":" +
+                  std::to_string(deg.summaries_dropped) +
+                  ",\"summaries_late\":" + std::to_string(deg.summaries_late) +
+                  ",\"summaries_rolled_in\":" +
+                  std::to_string(deg.summaries_rolled_in) +
+                  ",\"packets_lost\":" + std::to_string(deg.packets_lost) +
+                  ",\"feedback_fallbacks\":" +
+                  std::to_string(deg.feedback_fallbacks) +
                   ",\"drift_events\":" + std::to_string(derived.size());
     }
     if (profile != nullptr) {

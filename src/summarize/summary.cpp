@@ -11,10 +11,11 @@ constexpr std::uint8_t kTagCombined = 1;
 constexpr std::uint8_t kTagSplit = 2;
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((v >> 16) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
+  const std::uint8_t b[4] = {static_cast<std::uint8_t>(v),
+                             static_cast<std::uint8_t>(v >> 8),
+                             static_cast<std::uint8_t>(v >> 16),
+                             static_cast<std::uint8_t>(v >> 24)};
+  out.insert(out.end(), b, b + 4);
 }
 
 void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
@@ -171,6 +172,7 @@ std::size_t wire_bytes(const MonitorSummary& s) noexcept {
 std::vector<std::uint8_t> serialize(const MonitorSummary& s,
                                     WirePrecision precision) {
   std::vector<std::uint8_t> out;
+  out.reserve(element_count(s) * 8 + 64);
   out.push_back(kWireMagic);
   out.push_back(static_cast<std::uint8_t>(precision));
   const ScalarWriter w{out, precision};

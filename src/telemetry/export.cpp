@@ -1,5 +1,6 @@
 #include "telemetry/export.hpp"
 
+#include "telemetry/json.hpp"
 #include "telemetry/profile.hpp"
 
 #include <algorithm>
@@ -22,12 +23,6 @@ std::pair<std::string, std::string> split_labels(const std::string& name) {
   return {name.substr(0, brace), std::move(labels)};
 }
 
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 /// Bucket bound label: exact decimal of the power-of-two bound, "+Inf" last.
 std::string le_label(double ub) {
   if (std::isinf(ub)) return "+Inf";
@@ -42,28 +37,6 @@ void append_labels(std::string& out, const std::string& labels,
   if (!labels.empty() && !extra.empty()) out += ',';
   out += extra;
   out += '}';
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::vector<MetricsSnapshot::Entry> sorted_entries(
@@ -327,7 +300,9 @@ std::string prometheus_text(const MetricsSnapshot& snapshot) {
         }
         out += base + "_sum";
         append_labels(out, labels, "");
-        out += " " + fmt_double(e.histogram.sum) + "\n";
+        out += ' ';
+        out += fmt_double(e.histogram.sum);
+        out += '\n';
         out += base + "_count";
         append_labels(out, labels, "");
         std::snprintf(buf, sizeof(buf), " %" PRIu64 "\n", e.histogram.count);
@@ -412,8 +387,10 @@ std::string to_jsonl(const MetricsSnapshot& metrics,
       out += ",\"attrs\":{";
       for (std::size_t i = 0; i < s.attrs.size(); ++i) {
         if (i != 0) out += ',';
-        out += "\"" + json_escape(s.attrs[i].first) +
-               "\":" + fmt_double(s.attrs[i].second);
+        out += '"';
+        out += json_escape(s.attrs[i].first);
+        out += "\":";
+        out += fmt_double(s.attrs[i].second);
       }
       out += '}';
     }

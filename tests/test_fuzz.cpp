@@ -151,7 +151,7 @@ TEST(Fuzz, RuleParserOnMutatedValidRules) {
         case 1: mutated.erase(pos, 1); break;
         default: mutated.insert(pos, 1, static_cast<char>(' ' + rng() % 94));
       }
-      if (mutated.empty()) mutated = "x";
+      if (mutated.empty()) mutated.push_back('x');
     }
     try {
       (void)rules::parse_rule(mutated, vars);

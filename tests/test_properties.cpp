@@ -248,7 +248,9 @@ struct SummaryShape {
   std::size_t n;
   std::size_t r;
   std::size_t k;
-  bool split;
+  // A full word, not a bool: gtest names each case by the parameter's raw
+  // bytes, and a bool would leave seven bytes of stack padding in them.
+  std::uint64_t split;  // 1 = split format, 0 = combined
 };
 
 class SummarySerializationProperty
