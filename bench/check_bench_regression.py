@@ -11,9 +11,8 @@ Host awareness:
     the baseline report the same hardware_concurrency -- wall-clock-derived
     numbers are not comparable across hosts.  Absolute floors on `speedup`
     columns still apply (a speedup is a same-host ratio, so it travels).
-  * A runtime_scaling / shard_scaling file tagged "skipped_single_core":
-    true contains only the threads=1 / shards=1 row; every scaling
-    assertion is skipped.
+  * A runtime_scaling file tagged "skipped_single_core": true contains
+    only the threads=1 row; every scaling assertion is skipped.
   * SIMD floors are skipped when the host has no vector unit
     (meta.simd_detected == "scalar").
 
@@ -108,7 +107,7 @@ def check_file(fresh_path, baseline_path, failures):
 
     _, base_meta, base_rows = load(baseline_path)
 
-    if single_core and bench in ("runtime_scaling", "shard_scaling"):
+    if single_core and bench == "runtime_scaling":
         skip("scaling checks (single-core host)")
         return
     if fresh_meta.get("hardware_concurrency") != base_meta.get(

@@ -34,18 +34,17 @@ struct RunOutcome {
   /// and how many feedback retrievals fell back to summary-only decisions.
   double mean_margin = 0.0;
   std::uint64_t feedback_fallbacks = 0;
-  /// Summaries refused by a down inference shard (ShardCrashWindow).
-  std::uint64_t shard_lost = 0;
+  /// Summaries refused by a down inference tier (ShardCrashWindow).
+  std::uint64_t tier_lost = 0;
   faults::TransportStats transport;
   std::string fingerprint;     ///< Serialized alerts (determinism check).
 };
 
 /// One 6-epoch deployment: 4 monitors, 1 s epochs, with (`attack` = true) or
 /// without the flood.  Everything is seeded; faults come from `scenario`
-/// (transport faults to the transport, shard_crashes to the inference tier,
-/// which runs `shards` engine shards).
-RunOutcome run_once(const faults::FaultScenario& scenario, bool attack,
-                    std::size_t shards = 1) {
+/// (transport faults to the transport, shard_crashes to the inference
+/// tier).
+RunOutcome run_once(const faults::FaultScenario& scenario, bool attack) {
   trace::TraceProfile profile = trace::trace1_profile();
   profile.packets_per_second = 4000.0;
   trace::BackgroundTraffic background(profile, 7);
@@ -69,7 +68,6 @@ RunOutcome run_once(const faults::FaultScenario& scenario, bool attack,
   cfg.engine.default_thresholds = {0.008, 0.03};
   cfg.engine.feedback_enabled = true;
   cfg.faults = scenario;
-  cfg.sharding.shards = shards;
   core::JaalController jaal(
       cfg, rules::parse_rules(rules::default_ruleset_text(),
                               core::evaluation_rule_vars()));
@@ -83,7 +81,7 @@ RunOutcome run_once(const faults::FaultScenario& scenario, bool attack,
   double margin_sum = 0.0;
   std::size_t margin_count = 0;
   for (const core::EpochResult& epoch : jaal.run(mix, kDuration)) {
-    out.shard_lost += epoch.summaries_lost_shard;
+    out.tier_lost += epoch.summaries_lost_shard;
     bool hit = false;
     for (const auto& alert : epoch.alerts) {
       for (std::uint32_t sid : sids) hit |= alert.sid == sid;
@@ -131,10 +129,8 @@ struct Row {
 };
 
 Row run_scenario(const std::string& label,
-                 const faults::FaultScenario& scenario,
-                 std::size_t shards = 1) {
-  return {label, run_once(scenario, true, shards),
-          run_once(scenario, false, shards)};
+                 const faults::FaultScenario& scenario) {
+  return {label, run_once(scenario, true), run_once(scenario, false)};
 }
 
 }  // namespace
@@ -159,28 +155,27 @@ int main() {
     scenario.crashes.push_back({2, 3, 4});
     rows.push_back(run_scenario("5% + crash@3", scenario));
   }
-  // Shard-loss scenario: a 4-shard inference tier with shard 1 down for
-  // epoch 3 — the tier refuses that shard's summaries, the report fraction
-  // drops, thresholds rescale; the deployment degrades instead of crashing.
+  // Tier-outage scenario: the inference tier is down for epoch 3 — it
+  // refuses every summary and the report fraction drops; the deployment
+  // degrades instead of crashing.
   {
     faults::FaultScenario scenario;
     scenario.seed = 42;
     faults::ShardCrashWindow w;
-    w.shard = 1;
     w.crash_epoch = 3;
     w.restart_epoch = 4;
     scenario.shard_crashes.push_back(w);
-    rows.push_back(run_scenario("shard 1 down@3", scenario, /*shards=*/4));
+    rows.push_back(run_scenario("tier down@3", scenario));
   }
 
   std::printf("detection quality vs control-plane loss (4 monitors, "
               "6 x 1 s epochs, distributed SYN flood from t=%.0f s)\n\n",
               kAttackStart);
   std::printf("%-14s %9s %9s %9s %10s %11s %9s %6s %12s %10s\n", "scenario",
-              "delivered", "dropped", "crashed", "shard_lost", "confidence",
+              "delivered", "dropped", "crashed", "tier_lost", "confidence",
               "TPR", "FPR", "mean_margin", "fallbacks");
   std::ofstream csv("fault_scenarios_table.csv");
-  csv << "scenario,delivered,dropped,crashed_epochs,shard_lost,"
+  csv << "scenario,delivered,dropped,crashed_epochs,tier_lost,"
          "mean_confidence,tpr,fpr,mean_margin,feedback_fallbacks\n";
   for (const Row& row : rows) {
     const faults::TransportStats& t = row.attack.transport;
@@ -190,13 +185,13 @@ int main() {
         static_cast<unsigned long long>(t.summaries_delivered),
         static_cast<unsigned long long>(t.summaries_dropped),
         static_cast<unsigned long long>(t.crashed_monitor_epochs),
-        static_cast<unsigned long long>(row.attack.shard_lost),
+        static_cast<unsigned long long>(row.attack.tier_lost),
         row.attack.mean_confidence, row.attack.tpr, row.benign.fpr,
         row.attack.mean_margin,
         static_cast<unsigned long long>(row.attack.feedback_fallbacks));
     csv << row.label << ',' << t.summaries_delivered << ','
         << t.summaries_dropped << ',' << t.crashed_monitor_epochs << ','
-        << row.attack.shard_lost << ',' << row.attack.mean_confidence << ','
+        << row.attack.tier_lost << ',' << row.attack.mean_confidence << ','
         << row.attack.tpr << ',' << row.benign.fpr << ','
         << row.attack.mean_margin << ',' << row.attack.feedback_fallbacks
         << '\n';
@@ -220,20 +215,20 @@ int main() {
               " -> %.2f (50%% loss)\n",
               baseline_tpr, moderate_tpr, rows[4].attack.tpr);
 
-  // Shard-loss check: the outage must surface as refused summaries and a
-  // dented confidence, never as a crash or a zeroed detection rate.
-  const Row& shard_row = rows.back();
-  if (shard_row.attack.shard_lost == 0) {
-    std::printf("FAIL: shard crash window refused nothing\n");
+  // Tier-outage check: the outage must surface as refused summaries, never
+  // as a crash or a zeroed detection rate.
+  const Row& outage_row = rows.back();
+  if (outage_row.attack.tier_lost == 0) {
+    std::printf("FAIL: tier outage window refused nothing\n");
     return 1;
   }
-  if (shard_row.attack.tpr == 0.0) {
-    std::printf("FAIL: one lost shard zeroed out detection\n");
+  if (outage_row.attack.tpr == 0.0) {
+    std::printf("FAIL: a one-epoch tier outage zeroed out detection\n");
     return 1;
   }
-  std::printf("shard loss: %llu summaries refused, TPR held at %.2f\n",
-              static_cast<unsigned long long>(shard_row.attack.shard_lost),
-              shard_row.attack.tpr);
+  std::printf("tier outage: %llu summaries refused, TPR held at %.2f\n",
+              static_cast<unsigned long long>(outage_row.attack.tier_lost),
+              outage_row.attack.tpr);
 
   // Determinism self-check: the seeded crash scenario reproduces exactly.
   faults::FaultScenario repeat;

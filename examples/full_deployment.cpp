@@ -97,11 +97,8 @@ int main() {
   ecfg.default_thresholds = {0.008, 0.03};
   ecfg.per_rule[1000005] = {0.015, 0.02};  // sockstress's usable range
   ecfg.verify_all_alerts = true;           // §10: raw-confirm every alert
-  // The inference tier is the deployment-facing detection API; at the
-  // default single shard it is the historical one-engine path bit-for-bit
-  // (bump sharding.shards to fan monitors out across engine shards).
-  shard::ShardingConfig sharding;
-  shard::InferenceTier tier(sharding, ruleset, ecfg);
+  // The inference tier is the deployment-facing detection API.
+  shard::InferenceTier tier({}, ruleset, ecfg);
   inference::AlertCorrelator correlator({3, 2});
   std::ofstream log_file("full_deployment_alerts.jsonl");
   core::AlertLogger logger(log_file);

@@ -1,16 +1,12 @@
 // ISP deployment planning: place monitors on a 367-router Abovenet-like
 // topology, balance flows across them with the greedy assigner, and compare
 // the network cost of Jaal summaries against raw-packet replication — then
-// run a live detection slice on a sharded inference tier and check it is
-// byte-identical to the single-engine path (the artifact CI uploads).
+// run a live detection slice and check it raises alerts (the artifact CI
+// uploads).
 //
-//   $ ./isp_deployment [--shards N]    # N engine shards (default 4)
+//   $ ./isp_deployment
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include "jaal.hpp"
@@ -19,16 +15,8 @@ namespace {
 
 using namespace jaal;
 
-/// One seeded detection slice (background + distributed SYN flood, 8
-/// monitors) on a tier with `shards` engine shards.  Returns the epochs and
-/// a serialized alert fingerprint for the cross-shard-count identity check.
-struct SliceResult {
-  std::vector<core::EpochResult> epochs;
-  std::string fingerprint;
-  std::size_t alerts = 0;
-};
-
-SliceResult run_slice(std::size_t shards) {
+/// One seeded detection slice: background plus a SYN flood, 8 monitors.
+std::vector<core::EpochResult> run_slice() {
   core::JaalConfig cfg;
   cfg.summarizer.batch_size = 400;
   cfg.summarizer.min_batch = 150;
@@ -38,7 +26,6 @@ SliceResult run_slice(std::size_t shards) {
   cfg.epoch_seconds = 0.04;
   cfg.engine.default_thresholds = {0.008, 0.03};
   cfg.engine.feedback_enabled = true;
-  cfg.sharding.shards = shards;
 
   core::JaalController controller(
       cfg, rules::parse_rules(rules::default_ruleset_text(),
@@ -52,34 +39,13 @@ SliceResult run_slice(std::size_t shards) {
   attack::SynFlood flood(acfg);
   trace::TrafficMix mix(bg, {&flood}, 0.10);
 
-  SliceResult out;
-  out.epochs = controller.run(mix, 0.3);
-  std::ostringstream fp;
-  for (const core::EpochResult& e : out.epochs) {
-    for (const inference::Alert& a : e.alerts) {
-      fp << inference::alert_to_json(a, e.end_time) << '\n';
-      ++out.alerts;
-    }
-  }
-  out.fingerprint = fp.str();
-  return out;
+  return controller.run(mix, 0.3);
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace jaal::netsim;
-
-  std::size_t shards = 4;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    }
-  }
-  if (shards == 0) {
-    std::fprintf(stderr, "--shards must be >= 1\n");
-    return 2;
-  }
 
   // 1. The network: RocketFuel-like ISP map ("topology 1").
   const Topology topo = make_isp_topology(abovenet_profile(), 1);
@@ -139,62 +105,29 @@ int main(int argc, char** argv) {
   std::printf("\nJaal ships summaries worth ~35%% of raw bytes: the first\n"
               "row bounds its impact; raw replication needs the last.\n");
 
-  // 5. Live detection slice on a sharded inference tier: the same seeded
-  //    traffic through 1 shard and through `shards` shards must alert
-  //    byte-for-byte identically — sharding is a deployment knob, not a
-  //    semantic one.
-  std::printf("\nsharded inference tier (%zu shard%s vs single engine):\n",
-              shards, shards == 1 ? "" : "s");
-  const SliceResult single = run_slice(1);
-  const SliceResult sharded = run_slice(shards);
-  const bool identical = sharded.fingerprint == single.fingerprint;
-  std::printf("  %zu epochs, %zu alert(s); byte-identical to single "
-              "engine: %s\n",
-              sharded.epochs.size(), sharded.alerts,
-              identical ? "yes" : "NO");
-
-  struct PerShard {
-    std::uint64_t summaries = 0, rows = 0, packets = 0;
-  };
-  std::vector<PerShard> totals(shards);
-  for (const core::EpochResult& e : sharded.epochs) {
-    for (const shard::ShardEpochStats& s : e.shards) {
-      totals[s.shard].summaries += s.summaries;
-      totals[s.shard].rows += s.rows;
-      totals[s.shard].packets += s.packets;
-    }
+  // 5. Live detection slice: the seeded traffic through the full pipeline
+  //    must raise alerts.
+  const std::vector<core::EpochResult> epochs = run_slice();
+  std::size_t alerts = 0;
+  std::size_t reporting = 0;
+  for (const core::EpochResult& e : epochs) {
+    alerts += e.alerts.size();
+    reporting += e.monitors_reporting;
   }
-  for (std::size_t s = 0; s < shards; ++s) {
-    std::printf("  shard %zu: %llu summaries, %llu rows, %llu packets\n", s,
-                static_cast<unsigned long long>(totals[s].summaries),
-                static_cast<unsigned long long>(totals[s].rows),
-                static_cast<unsigned long long>(totals[s].packets));
-  }
+  std::printf("\nlive detection slice: %zu epochs, %zu summaries aggregated, "
+              "%zu alert(s)\n",
+              epochs.size(), reporting, alerts);
 
-  // The CI artifact: machine-readable record of the run and the check.
+  // The CI artifact: machine-readable record of the slice.
   {
-    std::ofstream out("isp_deployment_sharded.json");
-    out << "{\"shards\":" << shards
-        << ",\"epochs\":" << sharded.epochs.size()
-        << ",\"alerts\":" << sharded.alerts
-        << ",\"byte_identical_to_single_engine\":"
-        << (identical ? "true" : "false") << ",\"per_shard\":[";
-    for (std::size_t s = 0; s < shards; ++s) {
-      out << (s ? "," : "") << "{\"shard\":" << s
-          << ",\"summaries\":" << totals[s].summaries
-          << ",\"rows\":" << totals[s].rows
-          << ",\"packets\":" << totals[s].packets << "}";
-    }
-    out << "]}\n";
+    std::ofstream out("isp_deployment_slice.json");
+    out << "{\"epochs\":" << epochs.size() << ",\"summaries\":" << reporting
+        << ",\"alerts\":" << alerts << "}\n";
   }
-  std::printf("  artifact written to isp_deployment_sharded.json\n");
+  std::printf("  artifact written to isp_deployment_slice.json\n");
 
-  if (sharded.alerts == 0) {
-    std::printf("FAIL: sharded slice raised no alerts\n");
-    return 1;
-  }
-  if (!identical) {
-    std::printf("FAIL: sharded alerts diverged from the single engine\n");
+  if (alerts == 0) {
+    std::printf("FAIL: live slice raised no alerts\n");
     return 1;
   }
   return 0;

@@ -268,46 +268,7 @@ int main() {
   std::printf("\n----- critical path (per-epoch profiler) -----\n");
   std::fputs(profile_report.to_text().c_str(), stdout);
 
-  // --- 5. The sharded tier's per-shard series: re-run a short sharded
-  // deployment with its own registry.  jaal_shard_*{shard="..."} counters
-  // are registered only when shards > 1, so the main run's metric set above
-  // is untouched — and the persisted ops timeline elides them either way
-  // (telemetry::is_tier_shape_metric), keeping stores byte-identical across
-  // shard counts.
-  {
-    telemetry::Telemetry shard_tel;
-    core::JaalConfig scfg = cfg;
-    scfg.telemetry = &shard_tel;
-    scfg.monitor_count = 4;
-    scfg.sharding.shards = 2;
-    core::JaalController sharded(scfg, ruleset);
-    trace::BackgroundTraffic bg2(profile, 7);
-    const auto epochs = sharded.run(bg2, 3.0);
-    std::printf("\n----- sharded tier (shards=2, %zu monitors, %zu epochs)"
-                " -----\n",
-                scfg.monitor_count, epochs.size());
-    const MetricsSnapshot ssnap = shard_tel.metrics.snapshot();
-    for (std::size_t s = 0; s < sharded.tier().shard_count(); ++s) {
-      const std::string label = "shard", value = std::to_string(s);
-      std::printf("  shard %zu: %.0f summaries / %.0f rows aggregated, "
-                  "%.0f refused, %.0f down epochs\n",
-                  s,
-                  counter_of(ssnap, telemetry::with_label(
-                                        "jaal_shard_summaries_total", label,
-                                        value)),
-                  counter_of(ssnap, telemetry::with_label(
-                                        "jaal_shard_rows_total", label,
-                                        value)),
-                  counter_of(ssnap, telemetry::with_label(
-                                        "jaal_shard_summaries_lost_total",
-                                        label, value)),
-                  counter_of(ssnap, telemetry::with_label(
-                                        "jaal_shard_down_epochs_total",
-                                        label, value)));
-    }
-  }
-
-  // --- 6. Exports: the operator-facing dumps.
+  // --- 5. Exports: the operator-facing dumps.
   {
     std::ofstream prom("jaal_telemetry_report.prom");
     prom << telemetry::prometheus_text(snap);
@@ -324,7 +285,7 @@ int main() {
   }
   {
     // Deterministic variants: unit-weight trace (byte-identical across
-    // runs/threads/shards) and the profiler's stage table as JSONL.
+    // runs/threads) and the profiler's stage table as JSONL.
     telemetry::ChromeTraceOptions det;
     det.mode = telemetry::DurationMode::kDeterministic;
     std::ofstream trace("jaal_telemetry_report.det.trace.json");

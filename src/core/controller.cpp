@@ -52,8 +52,8 @@ JaalController::JaalController(const JaalConfig& cfg,
       epoch_index_ = *last + 1;
     }
     // Summary persistence rides the tier's accept path: a summary refused
-    // by a down shard is lost, not stored — the log records exactly what
-    // was aggregated.
+    // by a down tier is lost, not stored — the log records exactly what was
+    // aggregated.
     tier_.set_store(store_.get());
   }
   monitors_.reserve(cfg_.monitor_count);
@@ -144,9 +144,9 @@ EpochResult JaalController::close_epoch(double now) {
   // Ship + aggregate phase, serial in monitor order: the transport decides
   // each summary's fate (its draws depend only on seed/epoch/monitor, so
   // the outcome is identical across runs and thread counts).  The tier
-  // routes each accepted summary to its owning shard (and persists it);
-  // a refusal means the shard is down this epoch.  Late summaries rolled
-  // forward from earlier epochs aggregate first.
+  // aggregates (and persists) each accepted summary; a refusal means the
+  // tier is down this epoch.  Late summaries rolled forward from earlier
+  // epochs aggregate first.
   for (summarize::MonitorSummary& s : carry_) {
     if (tier_.add_summary(s)) {
       ++result.summaries_rolled_in;
@@ -168,9 +168,8 @@ EpochResult JaalController::close_epoch(double now) {
         if (tier_.add_summary(*slots[i])) {
           ++result.monitors_reporting;
         } else {
-          // Delivered, but the owning inference shard is down: the summary
-          // dies at the tier's door, degrading report_fraction like any
-          // other loss.
+          // Delivered, but the inference tier is down: the summary dies at
+          // the tier's door, degrading report_fraction like any other loss.
           ++result.summaries_lost_shard;
           rec_.ship(i, observe::ShipFate::kShardDown);
         }
@@ -242,13 +241,8 @@ JaalController::flush_monitors(std::uint64_t epoch,
 }
 
 void JaalController::infer(EpochResult& result) {
-  const telemetry::SpanContext aggregate_ctx = rec_.begin("aggregate");
-  // The tier builds the aggregate hierarchy: per-shard aggregates, then the
-  // cross-shard merge (at one shard, exactly the old flat Aggregator) —
-  // with per-shard shard_aggregate spans under this stage's span when the
-  // tier is genuinely sharded.
-  const inference::AggregatedSummary& aggregated =
-      tier_.aggregate_epoch(aggregate_ctx);
+  rec_.begin("aggregate");
+  const inference::AggregatedSummary& aggregated = tier_.aggregate_epoch();
   rec_.attr("rows", static_cast<double>(aggregated.origin.size()));
   rec_.end();
 
@@ -296,11 +290,9 @@ void JaalController::close_out(EpochResult& result, std::uint64_t epoch,
     rec_.persist_ops(*store_);
     store::EpochMeta meta{epoch, result.end_time, result.packets,
                           result.report_fraction, result.caution};
-    meta.shard_count = tier_.shard_count();
     store_->commit_epoch(meta);
   }
   rec_.end_epoch(result);
-  result.shards = tier_.shard_stats();
 }
 
 std::vector<EpochResult> JaalController::run(trace::PacketSource& source,

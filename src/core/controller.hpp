@@ -72,16 +72,14 @@ struct JaalConfig : DeploymentConfig {
   /// Seeded failure scenario on the monitor->engine control plane.  The
   /// default is fault-free: perfect delivery, no retries, the historical
   /// behavior bit-for-bit.  FaultScenario::shard_crashes flows to the
-  /// inference tier (shard outages), everything else to the transport.
+  /// inference tier (tier outages), everything else to the transport.
   faults::FaultScenario faults;
   /// The aggregation knobs — deadline, late-summary fate, report-fraction
-  /// threshold scaling — shared by the transport deadline and both tier
-  /// merge stages (see inference::AggregationPolicy; previously the
-  /// scattered summary_deadline_s / late_policy fields).
+  /// threshold scaling — shared by the transport deadline and the inference
+  /// tier (see inference::AggregationPolicy).
   inference::AggregationPolicy aggregation;
-  /// Inference-tier shape: shard count, hash-ring seed, merge policy.  The
-  /// default single shard is the historical one-engine deployment,
-  /// bit-for-bit (see shard::InferenceTier).
+  /// Carries no settings (see shard::ShardingConfig); kept for the
+  /// end-to-end benchmark, which still sets it.
   shard::ShardingConfig sharding;
   /// Detection observability: alert provenance capture and summary-quality
   /// drift monitoring (both default on; provenance additionally requires
@@ -130,13 +128,10 @@ struct EpochResult {
   std::size_t summaries_rolled_in = 0;  ///< Late arrivals carried in from
                                         ///< earlier epochs (kRollForward).
   std::uint64_t packets_lost = 0;     ///< Ingress lost to crashed monitors.
-  /// Summaries delivered by the transport but refused because their owning
-  /// inference shard was down (faults::ShardCrashWindow).  They count
+  /// Summaries delivered by the transport but refused because the
+  /// inference tier was down (faults::ShardCrashWindow).  They count
   /// against report_fraction exactly like transport drops.
   std::size_t summaries_lost_shard = 0;
-  /// Per-shard accounting (shard::InferenceTier::shard_stats); one entry
-  /// per shard, in shard order, every epoch.
-  std::vector<shard::ShardEpochStats> shards;
   /// Summaries delivered in time over summaries expected (produced plus
   /// crashed); the engine scales its count thresholds by it and stamps it
   /// on every alert as Alert::confidence.
@@ -184,14 +179,11 @@ class JaalController {
   /// Aggregate communication statistics over all monitors plus feedback.
   [[nodiscard]] CommStats comm() const;
 
-  /// The inference tier the controller drives (shard topology, per-shard
-  /// stats, the root engine).
+  /// The inference tier the controller drives.
   [[nodiscard]] const shard::InferenceTier& tier() const noexcept {
     return tier_;
   }
-  /// The tier's root engine (stats, questions, thresholds) — the seam every
-  /// pre-tier consumer used; kept so alerting pipelines don't care whether
-  /// the deployment is sharded.
+  /// The tier's engine (stats, questions, thresholds).
   [[nodiscard]] const inference::InferenceEngine& engine() const noexcept {
     return tier_.engine();
   }

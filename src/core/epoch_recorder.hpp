@@ -17,8 +17,8 @@
 // covers the commit.
 //
 // Every event is raised from the controller's serial phases, so seq
-// numbers and payloads are identical across runs, thread counts and shard
-// counts.  With telemetry, flight recorder, SLO and ops persistence all
+// numbers and payloads are identical across runs and thread counts.
+// With telemetry, flight recorder, SLO and ops persistence all
 // off, each reporting site costs one branch and no allocation.
 #pragma once
 

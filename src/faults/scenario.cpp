@@ -49,7 +49,7 @@ void FaultScenario::validate() const {
   for (const ShardCrashWindow& c : shard_crashes) {
     if (c.restart_epoch < c.crash_epoch) {
       throw std::invalid_argument(
-          "FaultScenario: shard crash window restart_epoch < crash_epoch");
+          "FaultScenario: tier outage window restart_epoch < crash_epoch");
     }
   }
   if (retry.max_attempts == 0) {

@@ -46,20 +46,18 @@ struct CrashWindow {
   }
 };
 
-/// One inference-shard outage: the engine shard is down for epochs in
+/// One inference-tier outage: the tier is down for epochs in
 /// [crash_epoch, restart_epoch).  Monitors keep observing and shipping —
-/// the loss is on the receiving side: summaries owned by a down shard are
-/// refused at arrival (not aggregated, not persisted), the epoch's
-/// report_fraction drops accordingly, and inference proceeds over the
-/// surviving shards' rows.  Distinct from CrashWindow, which silences a
-/// *monitor* (the sending side).
+/// the loss is on the receiving side: every summary is refused at arrival
+/// (not aggregated, not persisted) and the epoch's report_fraction drops
+/// accordingly.  Distinct from CrashWindow, which silences a *monitor* (the
+/// sending side).
 struct ShardCrashWindow {
-  std::size_t shard = 0;
   std::uint64_t crash_epoch = 0;
   std::uint64_t restart_epoch = 0;  ///< Exclusive; == crash_epoch is a no-op.
 
-  [[nodiscard]] bool covers(std::size_t s, std::uint64_t epoch) const noexcept {
-    return s == shard && epoch >= crash_epoch && epoch < restart_epoch;
+  [[nodiscard]] bool covers(std::uint64_t epoch) const noexcept {
+    return epoch >= crash_epoch && epoch < restart_epoch;
   }
 };
 
@@ -100,9 +98,9 @@ struct FaultScenario {
   // --- Monitor outages ---------------------------------------------------
   std::vector<CrashWindow> crashes;
 
-  // --- Inference-shard outages --------------------------------------------
+  // --- Inference-tier outages ---------------------------------------------
   /// Consumed by shard::InferenceTier (the transport ignores them): windows
-  /// during which one engine shard refuses the summaries it owns.
+  /// during which the tier refuses every summary.
   std::vector<ShardCrashWindow> shard_crashes;
 
   // --- Feedback round-trip ------------------------------------------------

@@ -15,10 +15,9 @@
 namespace jaal::inference {
 
 /// Every knob governing how summaries become the aggregate an engine
-/// decides over, in one place — shared by the deployment controller, the
-/// per-shard aggregation stage, and the cross-shard merge, so the deadline /
-/// late-arrival / threshold-scaling behavior cannot drift between tiers.
-/// (Previously scattered across JaalConfig and implicit engine behavior.)
+/// decides over, in one place — shared by the deployment controller's
+/// transport deadline and the inference tier, so the deadline /
+/// late-arrival / threshold-scaling behavior cannot drift between them.
 struct AggregationPolicy {
   /// Aggregation deadline, in simulated seconds after the epoch close: a
   /// summary arriving later is *late* (counted; late_policy decides its

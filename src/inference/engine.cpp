@@ -200,8 +200,7 @@ std::vector<Alert> InferenceEngine::decide(
 
   // The decision/feedback phase mutates stats_ and the fetch cache and
   // therefore stays serial, in question order — making the alert stream
-  // bit-identical to the poolless path (and, via the tier's merged matches,
-  // to the single-engine path at any shard count).
+  // bit-identical to the poolless path.
   const auto& rule_list = matcher_.rules();
   for (std::size_t qi = 0; qi < questions_.size(); ++qi) {
     const rules::Question& q = questions_[qi];

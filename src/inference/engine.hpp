@@ -125,9 +125,7 @@ using RawPacketFetcher = std::function<RawFetch(
     summarize::MonitorId, const std::vector<std::size_t>& centroid_indices)>;
 
 /// One question's Algorithm 1 result at both thresholds — the unit of work
-/// the matching phase produces and the decision phase consumes.  Shard
-/// engines ship these to the tier's cross-shard merge (matched rows are
-/// per-row facts, so per-shard partials merge exactly; see shard/tier.hpp).
+/// the matching phase produces and the decision phase consumes.
 struct QuestionMatch {
   SimilarityResult strict;  ///< tau_d1 (low FPR).
   SimilarityResult loose;   ///< tau_d2 (high TPR).
@@ -164,9 +162,8 @@ class InferenceEngine {
 
   /// Matching phase alone: Algorithm 1 per question (strict + loose), one
   /// QuestionMatch per question in question order.  Read-only on engine
-  /// state; fans out over the attached pool.  The sharded tier runs this
-  /// per shard and merges the partials before a single decide() at the
-  /// root.
+  /// state; fans out over the attached pool.  Kept apart from decide() as
+  /// the seam a matching process boundary would cut along.
   [[nodiscard]] std::vector<QuestionMatch> match(
       const AggregatedSummary& aggregate) const;
 
@@ -174,7 +171,7 @@ class InferenceEngine {
   /// variance postprocessing and provenance over precomputed matches
   /// (matches.size() must equal questions().size(); matched_rows index into
   /// `aggregate`).  Mutates stats and telemetry — run it exactly once per
-  /// epoch, at the root of the tier.
+  /// epoch.
   [[nodiscard]] std::vector<Alert> decide(
       const AggregatedSummary& aggregate, const std::vector<QuestionMatch>& matches,
       const RawPacketFetcher& fetch,
@@ -234,9 +231,7 @@ class InferenceEngine {
   void set_telemetry(telemetry::Telemetry* tel);
 
   /// The count threshold in effect for a question right now (tau_c scaled
-  /// by tau_c_scale and — policy permitting — the report fraction).  Public
-  /// so the cross-shard merge can re-derive the alert flag over merged
-  /// counts with the exact root-engine threshold.
+  /// by tau_c_scale and — policy permitting — the report fraction).
   [[nodiscard]] std::uint64_t scaled_tau_c(const rules::Question& q) const;
 
  private:

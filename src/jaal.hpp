@@ -11,17 +11,14 @@
 //                   core::ConfusionCounts, core::RocCurve
 //   rules           rules::Rule, rules::parse_rules,
 //                   rules::default_ruleset_text, rules::RuleVars
-//   inference       shard::InferenceTier, shard::ShardingConfig,
-//                   inference::AggregationPolicy, inference::Alert,
-//                   inference::AggregatedSummary, inference::AlertCorrelator
-//                   (the tier is the deployment-facing detection API:
-//                   consistent-hash monitor partitioning across N engine
-//                   shards with hierarchical cross-shard aggregation,
-//                   byte-identical to one engine at every shard count;
-//                   inference::InferenceEngine remains exported for
-//                   single-engine embedding and store replay, but new code
-//                   should construct an InferenceTier — at shards=1 it IS
-//                   the old engine, same bytes, same alerts)
+//   inference       shard::InferenceTier, inference::AggregationPolicy,
+//                   inference::Alert, inference::AggregatedSummary,
+//                   inference::AlertCorrelator (the tier is the
+//                   deployment-facing detection API: one engine plus the
+//                   per-epoch aggregate/infer flow; inference::InferenceEngine
+//                   remains exported for embedding and store replay.
+//                   shard::ShardingConfig is an empty struct kept for the
+//                   end-to-end benchmark)
 //   traffic         trace::BackgroundTraffic, trace::TrafficMix,
 //                   trace::PcapReader/Writer, attack::* generators
 //   fault model     faults::FaultScenario, faults::CrashWindow,
@@ -90,7 +87,6 @@
 #include "observe/observe.hpp"
 #include "payload/term_matrix.hpp"
 #include "rules/rule.hpp"
-#include "shard/hash_ring.hpp"
 #include "shard/tier.hpp"
 #include "store/doctor.hpp"
 #include "store/replay.hpp"

@@ -62,7 +62,7 @@ enum class FlightEventKind : std::uint8_t {
 ///   kDriftEnd    u0=metric id (0 svd_energy, 1 kmeans_inertia,
 ///                              2 recon_error)
 ///   kShip        actor=monitor u0=ShipFate (1 dropped, 2 late,
-///                              3 rolled forward, 4 owning shard down)
+///                              3 rolled forward, 4 tier down)
 ///   kFeedback    u0=fallbacks this epoch
 ///   kSpan        actor=stage id (telemetry::profile_stage_id: 0 observe
 ///                .. 5 postprocess) a=sim_time
@@ -71,7 +71,7 @@ enum class FlightEventKind : std::uint8_t {
 ///                b=critical path depth  u = {span count, sibling groups}
 ///                — all fields are derived from the deterministic span
 ///                tree shape, so the persisted bytes stay byte-identical
-///                across runs, thread counts, and shard counts.
+///                across runs and thread counts.
 struct FlightEvent {
   std::uint64_t seq = 0;  ///< Assigned by record(); global, gap-free.
   std::uint64_t epoch = 0;
@@ -100,7 +100,7 @@ enum class ShipFate : std::uint64_t {
   kDropped = 1,
   kLate = 2,
   kRolledForward = 3,
-  kShardDown = 4,  ///< Delivered, but its owning inference shard is down.
+  kShardDown = 4,  ///< Delivered, but the inference tier is down.
 };
 
 [[nodiscard]] FlightEvent fidelity_event(const FidelityStats& s) noexcept;

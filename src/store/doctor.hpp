@@ -52,8 +52,8 @@ struct StoreDiagnosis {
   /// health reconstruction saw everything the live tracker saw.
   bool health_complete = false;
   std::size_t monitor_count = 0;      ///< As used for reconstruction.
-  /// Largest inference-tier shard count any committed epoch ran with (1 for
-  /// single-engine and pre-sharding stores).  Purely informational: the
+  /// Largest inference-tier shard count any committed epoch ran with (see
+  /// EpochMeta::shard_count).  Purely informational: the
   /// diagnosis arithmetic is shard-agnostic, and the timeline stays
   /// byte-identical across shard counts.
   std::uint64_t shard_count = 1;

@@ -450,6 +450,9 @@ TimeShardLog::load_sidecar(std::uint64_t index,
     return std::nullopt;
   }
   const std::uint64_t count = get_u64_at(d + 32);
+  // Bound the count by the file before multiplying: a crafted count whose
+  // byte size wraps around 2^64 would otherwise pass the size check.
+  if (count > (map.size() - kIndexHeaderBytes - 4) / 16) return std::nullopt;
   const std::uint64_t body = kIndexHeaderBytes + count * 16;
   if (map.size() != body + 4) return std::nullopt;
   if (crc32({d, static_cast<std::size_t>(body)}) !=
@@ -468,34 +471,64 @@ TimeShardLog::load_sidecar(std::uint64_t index,
   return out;
 }
 
+bool TimeShardLog::confirm_run(std::span<const std::uint8_t> bytes,
+                               const std::vector<EpochOffset>& offsets,
+                               std::size_t i,
+                               std::vector<RecordView>* out) const {
+  const EpochOffset& entry = offsets[i];
+  const bool last = i + 1 == offsets.size();
+  const std::uint64_t end = last ? bytes.size() : offsets[i + 1].offset;
+  if (entry.offset < kShardHeaderBytes || entry.offset >= end ||
+      end > bytes.size()) {
+    return false;
+  }
+  std::size_t offset = static_cast<std::size_t>(entry.offset);
+  while (offset < end) {
+    const std::size_t before = offset;
+    const auto rec = next_record(bytes, offset);
+    if (!rec || rec->epoch != entry.epoch) return false;
+    if (tel_scan_bytes_ != nullptr) tel_scan_bytes_->add(offset - before);
+    if (out != nullptr) out->push_back(*rec);
+  }
+  if (offset != end) return false;
+  if (last) return true;
+  // The run must really end here: the next record opens the next entry's
+  // epoch rather than continuing this one.
+  const auto next = next_record(bytes, offset);
+  return next && next->epoch == offsets[i + 1].epoch;
+}
+
 bool TimeShardLog::query_with_index(
     std::span<const std::uint8_t> bytes,
     const std::vector<EpochOffset>& offsets, std::uint64_t epoch,
     const std::function<bool(const RecordView&)>& fn) const {
+  // The index is believed only where the records confirm it: the entries
+  // on either side of `epoch` must each start a run of their epoch's
+  // records that ends exactly at the next entry (the first entry right
+  // after the header).  That proves where `epoch`'s records are — or, with
+  // no entry of its own, that it has none — without reading the rest of
+  // the shard, and no callback runs before the proof is complete.
   const auto it = std::lower_bound(
       offsets.begin(), offsets.end(), epoch,
       [](const EpochOffset& eo, std::uint64_t e) { return eo.epoch < e; });
-  if (it == offsets.end() || it->epoch != epoch) {
-    return true;  // the index is current, so absence is authoritative
+  const auto at = static_cast<std::size_t>(it - offsets.begin());
+  const bool present = it != offsets.end() && it->epoch == epoch;
+  if (at == 0) {
+    const std::uint64_t first =
+        offsets.empty() ? bytes.size() : offsets.front().offset;
+    if (first != kShardHeaderBytes) return false;
+  } else if (!confirm_run(bytes, offsets, at - 1, nullptr)) {
+    return false;
   }
-  if (it->offset < kShardHeaderBytes || it->offset >= bytes.size()) {
-    return false;  // implausible seek target: treat the index as stale
+  std::vector<RecordView> records;
+  if (at < offsets.size() &&
+      !confirm_run(bytes, offsets, at, present ? &records : nullptr)) {
+    return false;
   }
-  std::size_t offset = static_cast<std::size_t>(it->offset);
-  bool any = false;
-  while (true) {
-    const std::size_t before = offset;
-    const auto rec = next_record(bytes, offset);
-    if (!rec) {
-      // The very first frame failing validation means the index pointed at
-      // garbage; mid-epoch it is just the torn tail.
-      return any;
-    }
-    if (tel_scan_bytes_ != nullptr) tel_scan_bytes_->add(offset - before);
-    if (rec->epoch != epoch) return any || rec->epoch > epoch;
-    any = true;
-    if (!fn(*rec)) return true;
+  for (const RecordView& rec : records) {
+    if (!fn(rec)) break;
   }
+  return true;
 }
 
 void TimeShardLog::for_each_in_epoch(

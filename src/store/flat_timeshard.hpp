@@ -61,8 +61,9 @@ inline constexpr char kShardMagic[8] = {'J', 'S', 'T', 'O', 'R', 'E',
 ///   [32,40) entry count
 ///   then count x (epoch u64, offset u64), ascending by epoch,
 ///   then CRC-32 (u32) over all preceding bytes.
-/// The index is advisory: every offset it yields is re-validated by record
-/// framing, and any mismatch falls back to the authoritative walk.
+/// The index is advisory: a point query re-validates the entries around its
+/// epoch against the record framing, and any mismatch falls back to the
+/// authoritative walk.
 inline constexpr std::size_t kIndexHeaderBytes = 40;
 inline constexpr std::uint32_t kIndexFormatVersion = 1;
 inline constexpr char kIndexMagic[8] = {'J', 'I', 'D', 'X', '1',
@@ -114,12 +115,12 @@ class TimeShardLog {
 
   /// Point query: every valid record of exactly `epoch`, in append order.
   /// Seeks through the shard's sidecar index (or the writer's in-memory
-  /// tail index) when available and valid — O(records in the epoch) bytes
-  /// visited instead of O(shard); falls back to a full shard walk
-  /// otherwise.  Telemetry: jaal_store_index_point_queries_total counts
-  /// indexed answers, jaal_store_index_fallback_scans_total counts
-  /// fallbacks, jaal_store_scan_bytes_total counts bytes visited either
-  /// way.
+  /// tail index) when available and valid — O(records in the epoch and
+  /// its neighbours) bytes visited instead of O(shard); falls back to a
+  /// full shard walk otherwise.  Telemetry:
+  /// jaal_store_index_point_queries_total counts indexed answers,
+  /// jaal_store_index_fallback_scans_total counts fallbacks,
+  /// jaal_store_scan_bytes_total counts bytes visited either way.
   void for_each_in_epoch(
       std::uint64_t epoch,
       const std::function<bool(const RecordView&)>& fn) const;
@@ -178,11 +179,18 @@ class TimeShardLog {
   [[nodiscard]] std::optional<std::vector<EpochOffset>> load_sidecar(
       std::uint64_t index, std::uint64_t expected_data_end) const;
   /// Serves a point query over one mapped shard from `offsets`; returns
-  /// false when the index turned out stale (caller falls back to a walk).
+  /// false, before calling `fn`, when the records contradict the index
+  /// (caller falls back to a walk).
   [[nodiscard]] bool query_with_index(
       std::span<const std::uint8_t> bytes,
       const std::vector<EpochOffset>& offsets, std::uint64_t epoch,
       const std::function<bool(const RecordView&)>& fn) const;
+  /// True when offsets[i]'s records all carry its epoch and run exactly to
+  /// the next entry (the data end for the last); appends them to `out`.
+  [[nodiscard]] bool confirm_run(std::span<const std::uint8_t> bytes,
+                                 const std::vector<EpochOffset>& offsets,
+                                 std::size_t i,
+                                 std::vector<RecordView>* out) const;
   void fail() noexcept { failed_ = true; }
 
   TimeShardConfig cfg_;

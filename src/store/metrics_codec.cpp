@@ -100,14 +100,9 @@ std::vector<std::uint8_t> encode_metrics_delta(
   kept.reserve(delta.entries.size());
   for (const auto& e : delta.entries) {
     if (telemetry::is_wall_clock_metric(e.name)) continue;
-    // Per-shard tier-shape series depend on the shard count, not on what the
-    // deployment detected — eliding them keeps stores byte-identical across
-    // shard counts.
-    if (telemetry::is_tier_shape_metric(e.name)) continue;
     // The store's own I/O accounting is self-referential (each append grows
-    // it, and the commit record's size depends on the tier shape), so
-    // persisting it would also leak the shard count into the ops bytes.
-    // The live registry still exports the family.
+    // it), so it stays out of the ops bytes.  The live registry still
+    // exports the family.
     if (e.name.rfind("jaal_store_", 0) == 0) continue;
     if (e.kind == MetricKind::kCounter && e.counter == 0) continue;
     if (e.kind == MetricKind::kHistogram && e.histogram.count == 0) continue;

@@ -2,9 +2,8 @@
 //   kMetrics  one per-epoch MetricsSnapshot *delta* (what the registry
 //             accumulated during that epoch — see MetricsSnapshot::diff),
 //             compact varint encoding, deterministic: entries sorted by
-//             name, wall-clock metrics (telemetry::is_wall_clock_metric),
-//             tier-shape metrics (telemetry::is_tier_shape_metric) and
-//             zero deltas elided;
+//             name, wall-clock metrics (telemetry::is_wall_clock_metric)
+//             and zero deltas elided;
 //   kEvents   the flight-recorder events the controller raised while
 //             closing that epoch, fixed-field varint encoding.
 //

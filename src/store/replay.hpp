@@ -28,9 +28,9 @@ struct ReplayEpoch {
   std::uint64_t packets = 0;
   double report_fraction = 1.0;
   double caution = 0.0;
-  /// Shard count of the writing deployment (1 for pre-sharding stores).
+  /// Shard count of the writing deployment (see EpochMeta::shard_count).
   /// Replay is shard-agnostic: summaries were persisted in arrival order,
-  /// so the rebuilt aggregate equals the live tier's cross-shard merge.
+  /// so the rebuilt aggregate equals the live tier's.
   std::uint64_t shard_count = 1;
   std::size_t summaries = 0;  ///< Summaries aggregated this epoch.
   std::vector<inference::Alert> alerts;

@@ -57,9 +57,9 @@ struct EpochMeta {
   std::uint64_t packets = 0;     ///< Packets ingested this epoch.
   double report_fraction = 1.0;  ///< Delivered / expected summaries.
   double caution = 0.0;          ///< Drift caution at decision time.
-  /// Inference-tier shard count the writing deployment ran with.  Encoded
-  /// only when != 1, so stores written by single-engine deployments (and all
-  /// pre-sharding stores) keep the original 32-byte payload byte-for-byte.
+  /// Inference-tier shard count the writing deployment ran with: always 1
+  /// now, but stores written by sharded builds carry larger values and stay
+  /// readable.  Encoded only when != 1 (the original 32-byte payload).
   std::uint64_t shard_count = 1;
 };
 

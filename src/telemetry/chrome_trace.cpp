@@ -78,11 +78,6 @@ void export_wall(std::string& out, bool& first,
 /// (name, key, span_id) order.
 void export_deterministic(std::string& out, bool& first,
                           std::vector<const SpanRecord*> recs) {
-  recs.erase(std::remove_if(recs.begin(), recs.end(),
-                            [](const SpanRecord* s) {
-                              return is_tier_shape_span(s->name);
-                            }),
-             recs.end());
   std::sort(recs.begin(), recs.end(),
             [](const SpanRecord* a, const SpanRecord* b) {
               if (a->trace_id != b->trace_id) return a->trace_id < b->trace_id;

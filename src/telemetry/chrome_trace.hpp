@@ -3,15 +3,15 @@
 // Two modes, mirroring profile.hpp's DurationMode:
 //  - kWall: real start/duration timestamps (microseconds, relative to the
 //    tracer's birth).  Spans are packed greedily into "thread" lanes so
-//    parallel siblings (monitor flushes, shard fan-out) render side by
+//    parallel siblings (monitor flushes) render side by
 //    side while parent/child nesting stays on one lane.  This is the mode
 //    an operator opens in https://ui.perfetto.dev.
 //  - kDeterministic: a synthetic layout derived only from the span tree
 //    shape.  Every span is 1 unit wide plus its children (1 unit = 1 us),
 //    children are laid out in sorted (name, key, span_id) order, and the
 //    trace base timestamp comes from the deterministic sim_time.  The
-//    output is byte-identical across runs, thread counts, and shard
-//    counts (tier-shape spans are excluded); a tier-1 test pins that.
+//    output is byte-identical across runs and thread counts; a tier-1
+//    test pins that.
 #pragma once
 
 #include <string>

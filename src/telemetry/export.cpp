@@ -1,7 +1,6 @@
 #include "telemetry/export.hpp"
 
 #include "telemetry/json.hpp"
-#include "telemetry/profile.hpp"
 
 #include <algorithm>
 #include <cinttypes>
@@ -230,10 +229,6 @@ bool is_wall_clock_metric(const std::string& name) noexcept {
          name.rfind("jaal_profile_", 0) == 0;
 }
 
-bool is_tier_shape_metric(const std::string& name) noexcept {
-  return name.rfind("jaal_shard_", 0) == 0;
-}
-
 std::string escape_label_value(const std::string& value) {
   std::string out;
   out.reserve(value.size());
@@ -365,10 +360,6 @@ std::string to_jsonl(const MetricsSnapshot& metrics,
               return a.span_id < b.span_id;
             });
   for (const SpanRecord& s : ordered) {
-    // Tier-shape spans exist only when shards > 1; the deterministic dump
-    // is pinned byte-identical across shard counts, so they are elided
-    // alongside the wall-clock fields.
-    if (!options.include_timings && is_tier_shape_span(s.name)) continue;
     std::snprintf(buf, sizeof(buf),
                   "{\"kind\":\"span\",\"trace\":%" PRIu64
                   ",\"span\":\"%016" PRIx64 "\",\"parent\":\"%016" PRIx64

@@ -49,12 +49,6 @@ struct JsonlOptions {
 /// histograms and the scheduler-dependent jaal_runtime_* family).
 [[nodiscard]] bool is_wall_clock_metric(const std::string& name) noexcept;
 
-/// True for metrics that describe the *shape* of the inference tier rather
-/// than what the deployment detected (the per-shard jaal_shard_* family).
-/// The store's ops stream elides them so persisted metrics deltas stay
-/// byte-identical across shard counts.
-[[nodiscard]] bool is_tier_shape_metric(const std::string& name) noexcept;
-
 /// Escapes a Prometheus label *value* per the text exposition format:
 /// backslash, double quote, and line feed become \\, \", and \n.
 [[nodiscard]] std::string escape_label_value(const std::string& value);

@@ -28,8 +28,8 @@ constexpr std::string_view kStageNames[] = {
     "svd",             // 6
     "kmeans",          // 7
     "feedback",        // 8
-    "shard_aggregate", // 9
-    "shard_match",     // 10
+    "shard_aggregate",    // 9   retired: no span uses 9-11 any more, but
+    "shard_match",        // 10  12-15 are persisted and keep their ids
     "cross_shard_merge",  // 11
     "store_append",    // 12
     "store_commit",    // 13
@@ -38,11 +38,6 @@ constexpr std::string_view kStageNames[] = {
 };
 
 }  // namespace
-
-bool is_tier_shape_span(std::string_view name) noexcept {
-  return name == "shard_aggregate" || name == "shard_match" ||
-         name == "cross_shard_merge";
-}
 
 std::uint8_t profile_stage_id(std::string_view name) noexcept {
   for (std::size_t i = 0; i < std::size(kStageNames); ++i) {
@@ -68,7 +63,6 @@ CriticalPath CriticalPath::build(const std::vector<SpanRecord>& spans,
   std::vector<const SpanRecord*> recs;
   for (const SpanRecord& s : spans) {
     if (s.trace_id != trace_id) continue;
-    if (det && is_tier_shape_span(s.name)) continue;
     recs.push_back(&s);
   }
   std::sort(recs.begin(), recs.end(),

@@ -5,20 +5,18 @@
 // exclusive (self) time telescopes — exclusive(s) = inclusive(s) - sum of
 // children's inclusive — so the exclusive times of every span in the tree
 // sum *exactly* to the root's inclusive time.  Parallel children (monitor
-// flushes, shard fan-out) can drive a parent's exclusive time negative;
+// flushes) can drive a parent's exclusive time negative;
 // that is parallelism credit and is deliberately not clamped, because
 // clamping would break the telescoping identity the tests pin down.
 //
 // Two duration modes:
 //  - kWall: real measured durations.  This is what operators profile with;
 //    it also powers straggler detection (max-vs-median skew across sibling
-//    groups like per-monitor flushes or per-shard aggregates).
+//    groups like per-monitor flushes).
 //  - kDeterministic: every span weighs 1 unit (inclusive = subtree size).
 //    Durations are the *only* nondeterministic span field, so this mode is
-//    byte-identical across runs and thread counts; tier-shape spans
-//    (per-shard fan-out, only emitted when shards > 1) are excluded so it
-//    is also invariant across shard counts.  Stragglers cannot exist here:
-//    siblings all weigh the same.
+//    byte-identical across runs and thread counts.  Stragglers cannot
+//    exist here: siblings all weigh the same.
 //
 // `ProfileReport` rolls critical paths up across epochs into a ranked
 // stage table (exclusive ms, % of total, critical-path hit count) with
@@ -37,13 +35,8 @@ namespace jaal::telemetry {
 
 enum class DurationMode {
   kWall,           ///< Measured durations (nondeterministic).
-  kDeterministic,  ///< Unit weights; byte-identical across runs/threads/shards.
+  kDeterministic,  ///< Unit weights; byte-identical across runs/threads.
 };
-
-/// True for spans whose presence depends on the shard count (per-shard
-/// fan-out and merge spans, emitted only when shards > 1).  Deterministic
-/// exports exclude them so output is shard-count-invariant.
-[[nodiscard]] bool is_tier_shape_span(std::string_view name) noexcept;
 
 /// Stable small integer per known stage name, for compact flight-recorder
 /// payloads.  Ids 0..5 match the kSpan stage ids already persisted by the
@@ -76,8 +69,8 @@ struct PathNode {
 
 /// Slowest member of a sibling group whose skew crossed the threshold.
 struct Straggler {
-  std::string name;   ///< Sibling group name (e.g. "shard_aggregate").
-  std::uint64_t key;  ///< Key of the slowest sibling (monitor/shard id).
+  std::string name;   ///< Sibling group name (e.g. "flush_epoch").
+  std::uint64_t key;  ///< Key of the slowest sibling (e.g. monitor id).
   double max_ms = 0.0;
   double median_ms = 0.0;
   std::size_t group_size = 0;

@@ -15,7 +15,7 @@
 // timestamp where the caller has one (epoch end time, event-queue now()).
 //
 // The tracer buffers finished spans in per-thread stripes (same
-// round-robin stripe map as the metric counters) so shard/monitor pool
+// round-robin stripe map as the metric counters) so monitor pool
 // workers never contend on one global mutex; `drain()` moves the stripe
 // buffers into a stable archive at epoch close.  Exports sort, so the
 // determinism contracts are unchanged.

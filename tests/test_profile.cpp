@@ -6,11 +6,12 @@
 //      (up to float rounding) to the root's inclusive time — in both
 //      duration modes, on synthetic trees and on real controller epochs.
 //   2. Determinism: the deterministic-mode Chrome trace, span JSONL and
-//      per-epoch critical-path digests are byte-identical across runs,
-//      thread counts {1, 2} and shard counts {1, 2, 4}.
+//      per-epoch critical-path digests are byte-identical across runs and
+//      thread counts {1, 2, 4}.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -192,8 +193,19 @@ TEST(Profile, StageIdsRoundTrip) {
             "store_commit");
   EXPECT_EQ(profile_stage_id("not_a_stage"), 255);
   EXPECT_EQ(profile_stage_name(255), "other");
-  EXPECT_TRUE(is_tier_shape_span("shard_match"));
-  EXPECT_FALSE(is_tier_shape_span("summarize"));
+}
+
+// kSpan flight events persist these ids in the ops log, so a stage may be
+// retired but never removed or reordered: every id stays where it is.
+TEST(Profile, StageIdsArePinned) {
+  const char* const names[] = {
+      "observe", "summarize", "ship", "aggregate", "infer", "postprocess",
+      "svd", "kmeans", "feedback", "shard_aggregate", "shard_match",
+      "cross_shard_merge", "store_append", "store_commit", "index_finalize",
+      "epoch"};
+  for (std::size_t id = 0; id < std::size(names); ++id) {
+    EXPECT_EQ(profile_stage_id(names[id]), id) << names[id];
+  }
 }
 
 // ------------------------------------------------------------ chrome trace
@@ -213,14 +225,11 @@ TEST(ChromeTrace, WallModeEmitsCompleteEvents) {
   EXPECT_EQ(events, 4u);
 }
 
-TEST(ChromeTrace, DeterministicModeDropsOrphansDuplicatesAndTierShape) {
+TEST(ChromeTrace, DeterministicModeDropsOrphansAndDuplicates) {
   std::vector<SpanRecord> spans = synthetic_tree();
-  SpanRecord shard;
-  shard.name = "shard_aggregate";
-  shard.trace_id = 9;
-  shard.span_id = 555;
-  shard.parent_id = spans[0].span_id;
-  spans.push_back(shard);
+  SpanRecord duplicate = spans[1];
+  duplicate.name = "twin";
+  spans.push_back(duplicate);
   SpanRecord orphan;
   orphan.name = "ghost";
   orphan.trace_id = 9;
@@ -230,14 +239,14 @@ TEST(ChromeTrace, DeterministicModeDropsOrphansDuplicatesAndTierShape) {
   ChromeTraceOptions det;
   det.mode = DurationMode::kDeterministic;
   const std::string json = export_chrome_trace(spans, det);
-  EXPECT_EQ(json.find("shard_aggregate"), std::string::npos);
+  EXPECT_EQ(json.find("twin"), std::string::npos);
   EXPECT_EQ(json.find("ghost"), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"svd\""), std::string::npos);
 }
 
 // ----------------------------------------- controller-level determinism
 
-core::JaalConfig profile_config(std::size_t shards, std::size_t threads,
+core::JaalConfig profile_config(std::size_t threads,
                                 telemetry::Telemetry* tel) {
   core::JaalConfig cfg;
   cfg.summarizer.batch_size = 400;
@@ -249,7 +258,6 @@ core::JaalConfig profile_config(std::size_t shards, std::size_t threads,
   cfg.threads = threads;
   cfg.engine.default_thresholds = {0.008, 0.03};
   cfg.engine.feedback_enabled = true;
-  cfg.sharding.shards = shards;
   cfg.telemetry = tel;
   return cfg;
 }
@@ -262,9 +270,9 @@ struct DetOutputs {
   double wall_telescope_err = 0.0;  ///< Max |sum(excl) - root| over epochs.
 };
 
-DetOutputs run_profiled(std::size_t shards, std::size_t threads) {
+DetOutputs run_profiled(std::size_t threads) {
   telemetry::Telemetry tel;
-  core::JaalConfig cfg = profile_config(shards, threads, &tel);
+  core::JaalConfig cfg = profile_config(threads, &tel);
   core::JaalController controller(
       cfg, rules::parse_rules(rules::default_ruleset_text(),
                               core::evaluation_rule_vars()));
@@ -294,35 +302,28 @@ DetOutputs run_profiled(std::size_t shards, std::size_t threads) {
 }
 
 TEST(ChromeTrace, DeterministicExportsByteIdenticalAcrossThreadsAndShards) {
-  const DetOutputs base = run_profiled(1, 1);
+  const DetOutputs base = run_profiled(1);
   ASSERT_GT(base.epochs, 0u);
   ASSERT_FALSE(base.chrome.empty());
   ASSERT_FALSE(base.digests.empty());
   // Repeat run: byte-identical.
-  const DetOutputs rerun = run_profiled(1, 1);
+  const DetOutputs rerun = run_profiled(1);
   EXPECT_EQ(base.chrome, rerun.chrome);
   EXPECT_EQ(base.span_jsonl, rerun.span_jsonl);
   EXPECT_EQ(base.digests, rerun.digests);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-    for (const std::size_t shards :
-         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-      if (threads == 1 && shards == 1) continue;
-      const DetOutputs got = run_profiled(shards, threads);
-      EXPECT_EQ(base.chrome, got.chrome)
-          << "chrome trace diverged at threads=" << threads
-          << " shards=" << shards;
-      EXPECT_EQ(base.span_jsonl, got.span_jsonl)
-          << "span JSONL diverged at threads=" << threads
-          << " shards=" << shards;
-      EXPECT_EQ(base.digests, got.digests)
-          << "critical-path digest diverged at threads=" << threads
-          << " shards=" << shards;
-    }
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    const DetOutputs got = run_profiled(threads);
+    EXPECT_EQ(base.chrome, got.chrome)
+        << "chrome trace diverged at threads=" << threads;
+    EXPECT_EQ(base.span_jsonl, got.span_jsonl)
+        << "span JSONL diverged at threads=" << threads;
+    EXPECT_EQ(base.digests, got.digests)
+        << "critical-path digest diverged at threads=" << threads;
   }
 }
 
 TEST(Profile, ControllerEpochsTelescopeInWallMode) {
-  const DetOutputs out = run_profiled(2, 2);
+  const DetOutputs out = run_profiled(2);
   ASSERT_GT(out.epochs, 0u);
   // Float rounding only — the identity itself is exact.
   EXPECT_LT(out.wall_telescope_err, 1e-6);
@@ -330,7 +331,7 @@ TEST(Profile, ControllerEpochsTelescopeInWallMode) {
 
 TEST(Profile, ControllerFillsEpochProfile) {
   telemetry::Telemetry tel;
-  core::JaalConfig cfg = profile_config(1, 1, &tel);
+  core::JaalConfig cfg = profile_config(1, &tel);
   core::JaalController controller(
       cfg, rules::parse_rules(rules::default_ruleset_text(),
                               core::evaluation_rule_vars()));
@@ -361,7 +362,7 @@ TEST(Profile, ControllerFillsEpochProfile) {
 
   // Profiling off: spans still flow, but no per-epoch analysis.
   telemetry::Telemetry tel2;
-  core::JaalConfig off = profile_config(1, 1, &tel2);
+  core::JaalConfig off = profile_config(1, &tel2);
   off.observe.profile = false;
   core::JaalController plain(
       off, rules::parse_rules(rules::default_ruleset_text(),

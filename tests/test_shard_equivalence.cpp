@@ -1,10 +1,10 @@
-// Determinism contract of the sharded inference tier: the deployment's
-// observable output — alerts, provenance, store bytes, the offline doctor
-// timeline — is byte-identical at every shard count and every thread count,
-// under clean and faulted scenarios alike.  The one documented exception: a
-// sharded store's EpochMeta commit records carry a trailing shard-count word
-// (store.hpp), so EpochMeta comparison is field-wise with shard_count checked
-// against the writing tier, not byte-wise.
+// Determinism contract of the inference tier: the deployment's observable
+// output — alerts, provenance, store bytes, the offline doctor timeline — is
+// byte-identical at every thread count, under clean and faulted scenarios
+// alike, and a tier outage degrades the epoch instead of crashing it.  The
+// suite name and most test names date from the sharded tier this one
+// engine replaced; they are kept so results stay comparable across
+// versions.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -20,7 +20,6 @@
 #include "core/controller.hpp"
 #include "core/experiment.hpp"
 #include "inference/alert_json.hpp"
-#include "shard/hash_ring.hpp"
 #include "shard/tier.hpp"
 #include "store/doctor.hpp"
 #include "store/replay.hpp"
@@ -37,7 +36,7 @@ struct TempDir {
   fs::path path;
   explicit TempDir(const std::string& tag)
       : path(fs::temp_directory_path() /
-             ("jaal_shard_test_" + tag + "_" + std::to_string(::getpid()))) {
+             ("jaal_tier_test_" + tag + "_" + std::to_string(::getpid()))) {
     fs::remove_all(path);
     fs::create_directories(path);
   }
@@ -50,56 +49,6 @@ std::vector<rules::Rule> ruleset() {
                             evaluation_rule_vars());
 }
 
-// ------------------------------------------------------------- hash ring
-
-TEST(HashRing, SingleShardOwnsEverything) {
-  shard::ShardingConfig cfg;
-  shard::HashRing ring(cfg);
-  for (summarize::MonitorId m = 0; m < 100; ++m) {
-    EXPECT_EQ(ring.owner(m), 0u);
-  }
-}
-
-TEST(HashRing, OwnershipIsDeterministicAndCoversAllShards) {
-  shard::ShardingConfig cfg;
-  cfg.shards = 4;
-  shard::HashRing a(cfg), b(cfg);
-  std::vector<std::size_t> hits(cfg.shards, 0);
-  for (summarize::MonitorId m = 0; m < 64; ++m) {
-    const std::size_t owner = a.owner(m);
-    EXPECT_EQ(owner, b.owner(m)) << "monitor " << m;
-    ASSERT_LT(owner, cfg.shards);
-    ++hits[owner];
-  }
-  // 16 virtual nodes per shard spread 64 monitors over all 4 shards.
-  for (std::size_t s = 0; s < cfg.shards; ++s) {
-    EXPECT_GT(hits[s], 0u) << "shard " << s << " owns nothing";
-  }
-}
-
-TEST(HashRing, SeedChangesThePartition) {
-  shard::ShardingConfig a, b;
-  a.shards = b.shards = 8;
-  b.hash_seed = a.hash_seed + 1;
-  shard::HashRing ra(a), rb(b);
-  std::size_t moved = 0;
-  for (summarize::MonitorId m = 0; m < 256; ++m) {
-    moved += ra.owner(m) != rb.owner(m) ? 1 : 0;
-  }
-  EXPECT_GT(moved, 0u);
-}
-
-TEST(HashRing, ConfigValidates) {
-  shard::ShardingConfig cfg;
-  cfg.shards = 0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg.shards = 2;
-  cfg.virtual_nodes = 0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg.virtual_nodes = 16;
-  EXPECT_NO_THROW(cfg.validate());
-}
-
 // ------------------------------------------------- aggregation policy
 
 TEST(AggregationPolicy, NegativeDeadlineThrowsAtConstruction) {
@@ -109,17 +58,13 @@ TEST(AggregationPolicy, NegativeDeadlineThrowsAtConstruction) {
 }
 
 TEST(InferenceTier, RejectsShardFaultWindowsOutOfRange) {
-  shard::ShardingConfig sharding;
-  sharding.shards = 2;
   faults::ShardCrashWindow w;
-  w.shard = 2;  // >= shards
-  EXPECT_THROW(shard::InferenceTier(sharding, ruleset(), {}, {}, {w}),
-               std::invalid_argument);
-  w.shard = 0;
   w.crash_epoch = 5;
   w.restart_epoch = 3;
-  EXPECT_THROW(shard::InferenceTier(sharding, ruleset(), {}, {}, {w}),
+  EXPECT_THROW(shard::InferenceTier({}, ruleset(), {}, {}, {w}),
                std::invalid_argument);
+  w.restart_epoch = 5;  // empty window: a no-op, not an error
+  EXPECT_NO_THROW(shard::InferenceTier({}, ruleset(), {}, {}, {w}));
 }
 
 // ------------------------------------------------- epoch-meta codec
@@ -152,7 +97,7 @@ TEST(EpochMetaCodec, ShardedEncodingRoundTripsAndRejectsGarbage) {
   EXPECT_FALSE(store::decode_epoch_meta(9, truncated).has_value());
 }
 
-// ------------------------------------------- sharded deployment harness
+// ---------------------------------------------------- deployment harness
 
 struct ShardRun {
   std::vector<EpochResult> epochs;
@@ -160,6 +105,7 @@ struct ShardRun {
   std::vector<std::string> provenance_lines;  ///< Stored provenance JSON.
   /// Canonical rendering of every record in the summaries log, with
   /// EpochMeta decoded (shard_count separately asserted, not rendered).
+  /// Summary records render as "kind=<k> epoch=<e> ...".
   std::vector<std::string> summary_records;
   /// Raw ops-log records (kind/epoch/payload bytes, hex).
   std::vector<std::string> ops_records;
@@ -175,8 +121,8 @@ struct ShardRun {
 
 constexpr double kDuration = 0.3;
 
-JaalConfig shard_config(std::size_t shards, std::size_t threads,
-                        const std::string& dir, telemetry::Telemetry* tel) {
+JaalConfig shard_config(std::size_t threads, const std::string& dir,
+                        telemetry::Telemetry* tel) {
   JaalConfig cfg;
   cfg.summarizer.batch_size = 400;
   cfg.summarizer.min_batch = 150;
@@ -185,22 +131,21 @@ JaalConfig shard_config(std::size_t shards, std::size_t threads,
   cfg.monitor_count = 5;
   cfg.epoch_seconds = 0.04;
   cfg.threads = threads;
-  // Strict/loose pair so case-3 feedback (serial, root-side) runs sharded.
+  // Strict/loose pair so case-3 feedback runs.
   cfg.engine.default_thresholds = {0.008, 0.03};
   cfg.engine.feedback_enabled = true;
-  cfg.sharding.shards = shards;
   cfg.store_dir = dir;
   cfg.store_metrics = true;
   cfg.telemetry = tel;
   return cfg;
 }
 
-ShardRun run_sharded(std::size_t shards, std::size_t threads,
+ShardRun run_sharded(std::size_t threads,
                      const faults::FaultScenario& scenario,
                      const std::string& dir,
                      const std::function<void(JaalConfig&)>& tweak = {}) {
   telemetry::Telemetry tel;
-  JaalConfig cfg = shard_config(shards, threads, dir, &tel);
+  JaalConfig cfg = shard_config(threads, dir, &tel);
   cfg.faults = scenario;
   if (tweak) tweak(cfg);
 
@@ -244,9 +189,7 @@ ShardRun run_sharded(std::size_t shards, std::size_t threads,
       const auto meta = store::decode_epoch_meta(rec.epoch, rec.payload);
       EXPECT_TRUE(meta.has_value());
       if (meta) {
-        // The shard-count word is the single allowed cross-shard-count
-        // difference; every other field must line up byte-for-byte.
-        EXPECT_EQ(meta->shard_count, shards) << "epoch " << rec.epoch;
+        EXPECT_EQ(meta->shard_count, 1u) << "epoch " << rec.epoch;
         line << "meta epoch=" << meta->epoch << " end=" << meta->end_time
              << " packets=" << meta->packets
              << " rf=" << meta->report_fraction
@@ -310,124 +253,107 @@ void expect_identical(const ShardRun& base, const ShardRun& got,
   EXPECT_EQ(base.doctor_timeline, got.doctor_timeline) << what;
 }
 
-// The acceptance matrix: shards in {1, 2, 4} x threads in {1, 2}, clean.
+// Clean run: byte-identical at every thread count.
 TEST(ShardEquivalence, CleanRunByteIdenticalAcrossShardsAndThreads) {
   TempDir base_dir("clean_base");
-  const ShardRun base = run_sharded(1, 1, {}, base_dir.str());
+  const ShardRun base = run_sharded(1, {}, base_dir.str());
   EXPECT_EQ(base.doctor_shard_count, 1u);
 
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-      TempDir dir("clean_s" + std::to_string(shards) + "_t" +
-                  std::to_string(threads));
-      const ShardRun got = run_sharded(shards, threads, {}, dir.str());
-      expect_identical(base, got,
-                       "shards=" + std::to_string(shards) +
-                           " threads=" + std::to_string(threads));
-      EXPECT_EQ(got.doctor_shard_count, shards);
-    }
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    TempDir dir("clean_t" + std::to_string(threads));
+    expect_identical(base, run_sharded(threads, {}, dir.str()),
+                     "threads=" + std::to_string(threads));
   }
-  // One shard at two threads against the serial baseline, too.
-  TempDir dir("clean_s1_t2");
-  expect_identical(base, run_sharded(1, 2, {}, dir.str()), "shards=1 t=2");
 }
 
 // Transport loss must not disturb the equivalence: the tier sees whatever
-// the transport delivered, in the same order, at every shard count.
+// the transport delivered, in the same order, at every thread count.
 TEST(ShardEquivalence, DropFivePercentByteIdenticalAcrossShards) {
   faults::FaultScenario scenario;
   scenario.drop_rate = 0.15;
   scenario.seed = 77;
 
   TempDir base_dir("drop_base");
-  const ShardRun base = run_sharded(1, 1, scenario, base_dir.str());
+  const ShardRun base = run_sharded(1, scenario, base_dir.str());
   std::size_t dropped = 0;
   for (const EpochResult& e : base.epochs) dropped += e.summaries_dropped;
   EXPECT_GT(dropped, 0u) << "scenario never dropped anything";
 
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-    TempDir dir("drop_s" + std::to_string(shards));
-    expect_identical(base, run_sharded(shards, 2, scenario, dir.str()),
-                     "drop shards=" + std::to_string(shards));
-  }
+  TempDir dir("drop_t2");
+  expect_identical(base, run_sharded(2, scenario, dir.str()), "drop t=2");
 }
 
-// ------------------------------------------------------- shard loss
+// ------------------------------------------------------- tier outage
 
 TEST(ShardEquivalence, ShardCrashDegradesInsteadOfCrashing) {
   faults::FaultScenario scenario;
   faults::ShardCrashWindow w;
-  w.shard = 1;
   w.crash_epoch = 2;
   w.restart_epoch = 4;
   scenario.shard_crashes.push_back(w);
 
-  TempDir dir("crash_s4");
-  const ShardRun got = run_sharded(4, 2, scenario, dir.str());
+  TempDir dir("outage_t2");
+  const ShardRun got = run_sharded(2, scenario, dir.str());
 
   std::size_t lost = 0;
-  bool degraded_epoch = false;
-  for (const EpochResult& e : got.epochs) {
-    lost += e.summaries_lost_shard;
-    ASSERT_EQ(e.shards.size(), 4u);
-    std::size_t accepted = 0, shard_lost = 0;
-    for (std::size_t s = 0; s < e.shards.size(); ++s) {
-      EXPECT_EQ(e.shards[s].shard, s);
-      accepted += e.shards[s].summaries;
-      shard_lost += e.shards[s].summaries_lost;
-      if (s == 1) {
-        // Inside the window the shard is marked down; outside it is not.
-        const bool in_window = e.shards[s].down;
-        if (in_window) {
-          EXPECT_EQ(e.shards[s].summaries, 0u);
-        }
-      } else {
-        EXPECT_FALSE(e.shards[s].down);
-      }
-    }
-    EXPECT_EQ(accepted, e.monitors_reporting + e.summaries_rolled_in);
-    EXPECT_EQ(shard_lost, e.summaries_lost_shard);
-    if (e.summaries_lost_shard > 0) {
-      degraded_epoch = true;
-      // Refused summaries count against the report fraction: thresholds
-      // rescale instead of the epoch crashing or silently pretending.
-      EXPECT_LT(e.report_fraction, 1.0);
-      EXPECT_TRUE(e.degraded());
+  for (std::size_t e = 0; e < got.epochs.size(); ++e) {
+    const EpochResult& r = got.epochs[e];
+    lost += r.summaries_lost_shard;
+    if (w.covers(e)) {
+      // The tier refuses everything: nothing aggregates, nothing alerts,
+      // and thresholds see the loss instead of the epoch crashing.
+      EXPECT_EQ(r.monitors_reporting, 0u) << "epoch " << e;
+      EXPECT_EQ(r.summaries_rolled_in, 0u) << "epoch " << e;
+      EXPECT_GT(r.summaries_lost_shard, 0u) << "epoch " << e;
+      EXPECT_TRUE(r.alerts.empty()) << "epoch " << e;
+      EXPECT_LT(r.report_fraction, 1.0) << "epoch " << e;
+      EXPECT_TRUE(r.degraded()) << "epoch " << e;
+    } else {
+      EXPECT_EQ(r.summaries_lost_shard, 0u) << "epoch " << e;
     }
   }
-  EXPECT_GT(lost, 0u) << "crash window never refused a summary";
-  EXPECT_TRUE(degraded_epoch);
+  EXPECT_GT(lost, 0u) << "outage window never refused a summary";
+
+  // Refused summaries are not persisted: the window's epochs hold only
+  // their commit records.
+  for (const std::string& rec : got.summary_records) {
+    for (std::uint64_t e = w.crash_epoch; e < w.restart_epoch; ++e) {
+      EXPECT_EQ(rec.find(" epoch=" + std::to_string(e) + " stream="),
+                std::string::npos)
+          << rec;
+    }
+  }
 
   // The degraded run is still deterministic across thread counts.
-  TempDir dir_serial("crash_s4_t1");
-  expect_identical(got, run_sharded(4, 1, scenario, dir_serial.str()),
-                   "shard crash threads=1");
+  TempDir dir_serial("outage_t1");
+  expect_identical(got, run_sharded(1, scenario, dir_serial.str()),
+                   "tier outage threads=1");
 }
 
-// ---------------------------------------------- sharded store consumers
+// ------------------------------------------------------ store consumers
 
 TEST(ShardEquivalence, ShardedStoreReplaysLikeSingleEngine) {
   // Replay equivalence is documented feedback-free, so run the live side
   // feedback-free too (store_config idiom from test_store.cpp).
-  auto run_store = [&](std::size_t shards, const std::string& dir) {
+  auto run_store = [&](const std::string& dir) {
     telemetry::Telemetry tel;
-    JaalConfig cfg = shard_config(shards, 2, dir, &tel);
+    JaalConfig cfg = shard_config(2, dir, &tel);
     cfg.engine.feedback_enabled = false;
     JaalController controller(cfg, ruleset());
     trace::BackgroundTraffic gen(trace::trace1_profile(), 11);
     return controller.run(gen, kDuration);
   };
 
-  TempDir dir("replay_s4");
-  const auto live = run_store(4, dir.str());
+  TempDir dir("replay");
+  const auto live = run_store(dir.str());
 
-  JaalConfig cfg = shard_config(4, 1, dir.str(), nullptr);
+  JaalConfig cfg = shard_config(1, dir.str(), nullptr);
   inference::InferenceEngine engine(ruleset(), cfg.engine);
   store::StoreReplayer replayer({dir.str(), cfg.store_epochs_per_shard});
   const auto replayed = replayer.replay(engine, cfg.engine.tau_c_scale);
   ASSERT_EQ(replayed.size(), live.size());
   for (std::size_t i = 0; i < live.size(); ++i) {
-    EXPECT_EQ(replayed[i].shard_count, 4u);
+    EXPECT_EQ(replayed[i].shard_count, 1u);
     ASSERT_EQ(replayed[i].alerts.size(), live[i].alerts.size())
         << "epoch " << i;
     for (std::size_t j = 0; j < live[i].alerts.size(); ++j) {
@@ -463,8 +389,8 @@ std::string digest(const std::string& text) {
 // The byte-identity tests above compare runs of one build with each other,
 // so a change to the ops format that lands on both sides still passes
 // them.  This one pins the bytes themselves: every operational artifact of
-// a faulted single-shard run (flight recorder and SLO on, drops, late
-// summaries rolled forward, a monitor crash and feedback retries) hashed
+// a faulted run (flight recorder and SLO on, drops, late summaries rolled
+// forward, a monitor crash and feedback retries) hashed
 // against digests recorded from the reference implementation.  A
 // deliberate format change re-records them.
 TEST(ShardEquivalence, OpsStreamMatchesPinnedDigest) {
@@ -478,7 +404,7 @@ TEST(ShardEquivalence, OpsStreamMatchesPinnedDigest) {
 
   TempDir dir("pinned");
   const ShardRun run =
-      run_sharded(1, 1, scenario, dir.str(), [](JaalConfig& c) {
+      run_sharded(1, scenario, dir.str(), [](JaalConfig& c) {
         c.observe.flight_recorder = true;
         c.observe.slo = true;
         c.aggregation.late_policy = faults::LatePolicy::kRollForward;

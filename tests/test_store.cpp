@@ -566,6 +566,7 @@ TEST(Store, StoredAlertLinesMatchTheLiveEncoder) {
   EXPECT_EQ(stored, expected);
 }
 
+#ifndef JAAL_TELEMETRY_DISABLED
 TEST(Store, StoreTelemetryCountsAppends) {
   TempDir dir("telemetry");
   telemetry::Telemetry tel;
@@ -586,6 +587,7 @@ TEST(Store, StoreTelemetryCountsAppends) {
   EXPECT_TRUE(saw_records);
   EXPECT_TRUE(saw_bytes);
 }
+#endif  // JAAL_TELEMETRY_DISABLED
 
 }  // namespace
 }  // namespace jaal::store
