@@ -8,9 +8,11 @@
 // floors.  Kernel outputs are checksummed and compared across levels — a
 // determinism violation (any bit difference) fails the bench outright,
 // because the whole design contract is "SIMD changes nothing but time".
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <random>
 
 #include "common.hpp"
@@ -188,6 +190,32 @@ int main() {
         return acc;
       }),
       static_cast<double>(kPointIters), rows);
+
+  // k-means++ D^2 update at the paper's operating point (n = 2000 rows of
+  // U_r, r = 12): one seed_update (distances plus the serial total) per
+  // chosen centre.
+  constexpr std::size_t kSeedRows = 2000;
+  constexpr std::size_t kSeedDims = 12;
+  constexpr int kSeedIters = 400;
+  linalg::Matrix seed_rows(kSeedRows, kSeedDims);
+  for (double& v : seed_rows.data()) v = unit(rng);
+  const linalg::SoaMatrix seed_batch = linalg::SoaMatrix::from_rows(seed_rows);
+  const std::vector<double> unit_weights(kSeedRows, 1.0);
+  std::vector<double> d2(kSeedRows);
+  all_identical &= report(
+      "seed_update",
+      time_levels([&] {
+        std::fill(d2.begin(), d2.end(), std::numeric_limits<double>::max());
+        double acc = 0.0;
+        for (int i = 0; i < kSeedIters; ++i) {
+          acc += simd::seed_update(
+              seed_batch.data(), seed_batch.stride(), kSeedDims,
+              seed_rows.row((i * 7) % kSeedRows).data(), unit_weights.data(),
+              kSeedRows, d2.data());
+        }
+        return acc;
+      }),
+      static_cast<double>(kSeedRows) * kSeedIters, rows);
 
   // End-to-end: the full summarize pipeline (normalize + SVD + k-means) on
   // a realistic traffic batch.  This is the acceptance row: the CI gate

@@ -47,6 +47,7 @@ FLOORS = {
         "kernel_full_summarize": {"speedup": 2.0},
         "kernel_pair_dots": {"speedup": 1.3},
         "kernel_nearest_point": {"speedup": 1.3},
+        "kernel_seed_update": {"speedup": 1.3},
     },
 }
 

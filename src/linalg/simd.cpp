@@ -41,37 +41,53 @@ template <class VI>
 
 // ---------------------------------------------------------------------------
 // nearest_centroids: lanes are points (SoA batch), reduction over fields is
-// serial per lane, so every level is bit-identical to the scalar scan.
+// serial per lane, so every level is bit-identical to the scalar scan.  The
+// runner-up is a pure selection among the same sums: a closer centroid
+// demotes the old best to second, otherwise a smaller sum replaces second.
+
+[[gnu::always_inline]] inline double sq_dist_lane(const double* x,
+                                                  std::size_t stride,
+                                                  std::size_t d,
+                                                  const double* c,
+                                                  std::size_t i) noexcept {
+  double acc = 0.0;
+  for (std::size_t j = 0; j < d; ++j) {
+    const double diff = x[j * stride + i] - c[j];
+    acc += diff * diff;
+  }
+  return acc;
+}
 
 [[gnu::always_inline]] inline void nearest_one(
     const double* x, std::size_t stride, std::size_t d,
     const double* centroids, std::size_t k, std::size_t i,
-    std::size_t* assignment, double* best_dist) noexcept {
+    std::size_t* assignment, double* best_dist, double* second_dist) noexcept {
   double best = std::numeric_limits<double>::max();
+  double second = best;
   std::size_t best_c = 0;
   for (std::size_t c = 0; c < k; ++c) {
-    const double* cen = centroids + c * d;
-    double acc = 0.0;
-    for (std::size_t j = 0; j < d; ++j) {
-      const double diff = x[j * stride + i] - cen[j];
-      acc += diff * diff;
-    }
+    const double acc = sq_dist_lane(x, stride, d, centroids + c * d, i);
     if (acc < best) {
+      second = best;
       best = acc;
       best_c = c;
+    } else if (acc < second) {
+      second = acc;
     }
   }
   assignment[i] = best_c;
   best_dist[i] = best;
+  second_dist[i] = second;
 }
 
 void nearest_centroids_scalar(const double* x, std::size_t stride,
                               std::size_t d, const double* centroids,
                               std::size_t k, std::size_t begin,
                               std::size_t end, std::size_t* assignment,
-                              double* best_dist) noexcept {
+                              double* best_dist, double* second_dist) noexcept {
   for (std::size_t i = begin; i < end; ++i) {
-    nearest_one(x, stride, d, centroids, k, i, assignment, best_dist);
+    nearest_one(x, stride, d, centroids, k, i, assignment, best_dist,
+                second_dist);
   }
 }
 
@@ -80,13 +96,15 @@ template <class VD>
 [[gnu::always_inline]] inline void nearest_centroids_impl(
     const double* x, std::size_t stride, std::size_t d,
     const double* centroids, std::size_t k, std::size_t begin,
-    std::size_t end, std::size_t* assignment, double* best_dist) noexcept {
+    std::size_t end, std::size_t* assignment, double* best_dist,
+    double* second_dist) noexcept {
   constexpr std::size_t kW = sizeof(VD) / sizeof(double);
   using VI = decltype(std::declval<VD>() < std::declval<VD>());
   std::size_t i = begin;
   for (; i + kW <= end; i += kW) {
     VD best;
     broadcast(best, std::numeric_limits<double>::max());
+    VD second = best;
     VI best_c = {};
     for (std::size_t c = 0; c < k; ++c) {
       const double* cen = centroids + c * d;
@@ -102,33 +120,101 @@ template <class VD>
       const VI closer = acc < best;
       VI ci;
       broadcast_i(ci, static_cast<long long>(c));
+      second = closer ? best : (acc < second ? acc : second);
       best = closer ? acc : best;
       best_c = closer ? ci : best_c;
     }
     for (std::size_t l = 0; l < kW; ++l) {
       assignment[i + l] = static_cast<std::size_t>(best_c[l]);
       best_dist[i + l] = best[l];
+      second_dist[i + l] = second[l];
     }
   }
   for (; i < end; ++i) {
-    nearest_one(x, stride, d, centroids, k, i, assignment, best_dist);
+    nearest_one(x, stride, d, centroids, k, i, assignment, best_dist,
+                second_dist);
   }
 }
 
 __attribute__((target("avx2"))) void nearest_centroids_avx2(
     const double* x, std::size_t stride, std::size_t d,
     const double* centroids, std::size_t k, std::size_t begin,
-    std::size_t end, std::size_t* assignment, double* best_dist) noexcept {
+    std::size_t end, std::size_t* assignment, double* best_dist,
+    double* second_dist) noexcept {
   nearest_centroids_impl<v4d>(x, stride, d, centroids, k, begin, end,
-                              assignment, best_dist);
+                              assignment, best_dist, second_dist);
 }
 
 __attribute__((target("avx512f"))) void nearest_centroids_avx512(
     const double* x, std::size_t stride, std::size_t d,
     const double* centroids, std::size_t k, std::size_t begin,
-    std::size_t end, std::size_t* assignment, double* best_dist) noexcept {
+    std::size_t end, std::size_t* assignment, double* best_dist,
+    double* second_dist) noexcept {
   nearest_centroids_impl<v8d>(x, stride, d, centroids, k, begin, end,
-                              assignment, best_dist);
+                              assignment, best_dist, second_dist);
+}
+#endif  // JAAL_SIMD_X86
+
+// ---------------------------------------------------------------------------
+// seed_update: lanes are points; each lane is one nearest_centroids lane
+// against a single centre, folded into d2 with a strict less-than (the
+// std::min of the scalar seeder keeps d2[i] on ties).  The weighted total is
+// a scalar chain in point order at every level.
+
+double seed_update_scalar(const double* x, std::size_t stride, std::size_t d,
+                          const double* c, const double* w, std::size_t n,
+                          double* d2) noexcept {
+  double total = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double acc = sq_dist_lane(x, stride, d, c, i);
+    if (acc < d2[i]) d2[i] = acc;
+    total += d2[i] * w[i];
+  }
+  return total;
+}
+
+#ifdef JAAL_SIMD_X86
+template <class VD>
+[[gnu::always_inline]] inline double seed_update_impl(
+    const double* x, std::size_t stride, std::size_t d, const double* c,
+    const double* w, std::size_t n, double* d2) noexcept {
+  constexpr std::size_t kW = sizeof(VD) / sizeof(double);
+  double total = 0.0;
+  std::size_t i = 0;
+  for (; i + kW <= n; i += kW) {
+    VD acc;
+    broadcast(acc, 0.0);
+    for (std::size_t j = 0; j < d; ++j) {
+      VD xv, cj;
+      std::memcpy(&xv, x + j * stride + i, sizeof xv);
+      broadcast(cj, c[j]);
+      const VD diff = xv - cj;
+      acc += diff * diff;
+    }
+    VD cur;
+    std::memcpy(&cur, d2 + i, sizeof cur);
+    cur = acc < cur ? acc : cur;
+    std::memcpy(d2 + i, &cur, sizeof cur);
+    for (std::size_t l = 0; l < kW; ++l) total += cur[l] * w[i + l];
+  }
+  for (; i < n; ++i) {
+    const double acc = sq_dist_lane(x, stride, d, c, i);
+    if (acc < d2[i]) d2[i] = acc;
+    total += d2[i] * w[i];
+  }
+  return total;
+}
+
+__attribute__((target("avx2"))) double seed_update_avx2(
+    const double* x, std::size_t stride, std::size_t d, const double* c,
+    const double* w, std::size_t n, double* d2) noexcept {
+  return seed_update_impl<v4d>(x, stride, d, c, w, n, d2);
+}
+
+__attribute__((target("avx512f"))) double seed_update_avx512(
+    const double* x, std::size_t stride, std::size_t d, const double* c,
+    const double* w, std::size_t n, double* d2) noexcept {
+  return seed_update_impl<v8d>(x, stride, d, c, w, n, d2);
 }
 #endif  // JAAL_SIMD_X86
 
@@ -440,21 +526,38 @@ void rotate_pair(double* a, double* b, std::size_t n, double cs,
 void nearest_centroids(const double* x, std::size_t stride, std::size_t d,
                        const double* centroids, std::size_t k,
                        std::size_t begin, std::size_t end,
-                       std::size_t* assignment, double* best_dist) noexcept {
+                       std::size_t* assignment, double* best_dist,
+                       double* second_dist) noexcept {
 #ifdef JAAL_SIMD_X86
   switch (active()) {
     case Level::kAvx512:
       return nearest_centroids_avx512(x, stride, d, centroids, k, begin, end,
-                                      assignment, best_dist);
+                                      assignment, best_dist, second_dist);
     case Level::kAvx2:
       return nearest_centroids_avx2(x, stride, d, centroids, k, begin, end,
-                                    assignment, best_dist);
+                                    assignment, best_dist, second_dist);
     case Level::kScalar:
       break;
   }
 #endif
   nearest_centroids_scalar(x, stride, d, centroids, k, begin, end, assignment,
-                           best_dist);
+                           best_dist, second_dist);
+}
+
+double seed_update(const double* x, std::size_t stride, std::size_t d,
+                   const double* c, const double* w, std::size_t n,
+                   double* d2) noexcept {
+#ifdef JAAL_SIMD_X86
+  switch (active()) {
+    case Level::kAvx512:
+      return seed_update_avx512(x, stride, d, c, w, n, d2);
+    case Level::kAvx2:
+      return seed_update_avx2(x, stride, d, c, w, n, d2);
+    case Level::kScalar:
+      break;
+  }
+#endif
+  return seed_update_scalar(x, stride, d, c, w, n, d2);
 }
 
 Nearest nearest_point(const double* dims, std::size_t stride, std::size_t d,

@@ -9,9 +9,9 @@
 // overrides, force_level() pins a level for tests and benches).
 //
 // Determinism contract (see DESIGN.md "SIMD kernels & SoA layout"):
-//  * Per-point kernels (nearest_centroids, nearest_point) reduce over the
-//    p fields serially per lane, and lanes never interact — results are
-//    bit-identical to the scalar path at every dispatch level.
+//  * Per-point kernels (nearest_centroids, seed_update, nearest_point)
+//    reduce over the p fields serially per lane, and lanes never interact —
+//    results are bit-identical to the scalar path at every dispatch level.
 //  * Reduction kernels (dot, pair_dots) use a fixed canonical 4-accumulator
 //    order at every level; the 8-wide level deliberately runs the 4-wide
 //    reduction body because folding 8 lanes to 4 would regroup the sums.
@@ -69,13 +69,30 @@ void rotate_pair(double* a, double* b, std::size_t n, double cs,
 
 /// Nearest-centroid search for points [begin, end) of an SoA batch: column
 /// j of the batch lives at x + j*stride.  `centroids` is row-major k x d.
-/// Fills assignment[i] (first index wins ties, matching the scalar scan)
-/// and best_dist[i] for i in [begin, end).  Lanes are points, so any block
-/// decomposition of [0, n) yields identical bits.
+/// Fills assignment[i] (first index wins ties, matching the scalar scan),
+/// best_dist[i], and second_dist[i]: the smallest distance to any centroid
+/// other than assignment[i] (equal to best_dist[i] when two centroids tie
+/// for nearest, DBL_MAX when k == 1).  The second distance is a selection
+/// among the same per-lane sums, so it is as bit-exact as the first.  Lanes
+/// are points, so any block decomposition of [0, n) yields identical bits.
 void nearest_centroids(const double* x, std::size_t stride, std::size_t d,
                        const double* centroids, std::size_t k,
                        std::size_t begin, std::size_t end,
-                       std::size_t* assignment, double* best_dist) noexcept;
+                       std::size_t* assignment, double* best_dist,
+                       double* second_dist) noexcept;
+
+/// k-means++ D^2 update for points [0, n) of an SoA batch against one new
+/// centre c (length d): d2[i] = min(d2[i], |x_i - c|^2), then returns
+/// sum_i d2[i] * w[i] accumulated serially in point order.  Each lane forms
+/// x[j] - c[j] and sums the squares in j order, the same arithmetic as one
+/// nearest_centroids lane, and the total is one chain of adds in i order at
+/// every level, so every level is bit-identical to the scalar loop.  Fusing
+/// the total lets the vector work of the next points overlap the serial
+/// chain.
+[[nodiscard]] double seed_update(const double* x, std::size_t stride,
+                                 std::size_t d, const double* c,
+                                 const double* w, std::size_t n,
+                                 double* d2) noexcept;
 
 struct Nearest {
   std::size_t index = 0;

@@ -4,6 +4,12 @@
 // uses k-means++ seeding with Lloyd iterations, for its O(log k)
 // competitiveness and fast convergence.  A plain random-seeded Lloyd is also
 // provided for the initialization ablation bench.
+//
+// Lloyd's assignment passes are bounded (Hamerly 2010): a point is rescanned
+// only when its triangle-inequality bounds cannot prove its centroid
+// strictly nearest.  The bounds carry slack, so ties always take the full
+// scan, and results are bit-identical to a full scan every pass (DESIGN.md
+// "Exact bounded k-means").
 #pragma once
 
 #include <cstdint>
@@ -29,12 +35,14 @@ struct KMeansOptions {
   std::size_t max_iterations = 25;
   double tolerance = 1e-7;  ///< Stop when centroids move less than this.
   KMeansInit init = KMeansInit::kPlusPlus;
-  /// Optional execution runtime: the assignment step (nearest-centroid
-  /// search per point — the O(nk) bulk of each Lloyd iteration) fans out
-  /// over the pool.  Results are bit-identical to the serial path: each
-  /// point's nearest centroid is computed independently, and all
-  /// floating-point reductions (inertia, centroid sums) stay serial in
-  /// point order.  Null runs everything on the calling thread.
+  /// Optional execution runtime: each assignment pass fans out over the
+  /// pool in 512-point blocks.  A block checks its points' Hamerly bounds,
+  /// recomputes each point's distance to its own centroid, and rescans the
+  /// points the bounds cannot settle.  Results are bit-identical to the
+  /// serial path: a point's bounds and nearest centroid depend only on that
+  /// point and the centroids, and all floating-point reductions (inertia,
+  /// centroid sums, the seeding totals) stay serial in point order.  Seeding runs on the
+  /// calling thread.  Null runs everything on the calling thread.
   runtime::ThreadPool* pool = nullptr;
 };
 
@@ -56,7 +64,8 @@ struct KMeansResult {
 /// `centroids` (k x d, row-major): fills assignment[i] / best_dist[i] through
 /// the dispatched SIMD kernel, fanning out over `pool` when given.  Each
 /// point is one lane, so the bits are identical across thread counts and
-/// dispatch levels.  Exposed for reuse by the Summarizer's mini-batch path
+/// dispatch levels.  This is the full scan that kmeans()'s bounded passes
+/// reproduce bit for bit; it is exposed for the Summarizer's mini-batch path
 /// (one SoA conversion, many probes).  Throws std::invalid_argument on
 /// dimension or output-size mismatch.
 void assign_to_centroids(const linalg::SoaMatrix& x,

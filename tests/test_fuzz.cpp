@@ -518,5 +518,124 @@ TEST(Fuzz, EpochIndexSidecarNeverChangesPointQueries) {
   fs::remove_all(dir);
 }
 
+/// Every valid record of the log in append order, as text.
+std::vector<std::string> all_records(const store::TimeShardLog& log) {
+  std::vector<std::string> out;
+  log.for_each([&](const store::RecordView& rec) {
+    out.push_back(std::to_string(rec.epoch) + '/' + std::to_string(rec.stream) +
+                  ':' + std::string(rec.payload.begin(), rec.payload.end()));
+    return true;
+  });
+  return out;
+}
+
+std::vector<std::uint8_t> file_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+// A damaged `.jstore` shard header: opening the log either refuses with the
+// documented std::invalid_argument (magic intact or shard not the tail, but
+// a field disagrees) or reads exactly the records it read before — minus the
+// tail shard when its magic no longer matches, the documented torn-roll
+// skip.  Reserved bytes are not validated.  Opening never crashes, and a
+// reader never rewrites or truncates the shard.
+TEST(Fuzz, ShardHeaderMutationRefusesOrReadsSame) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("jaal_fuzz_jstore_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  const store::TimeShardConfig cfg{dir.string(), "h", 8};
+  {
+    store::TimeShardLog log(cfg, /*writable=*/true);
+    std::mt19937_64 rng(18);
+    for (std::uint64_t e = 0; e < 10; ++e) {  // shard 0 = [0, 8), 1 = [8, 10)
+      for (std::uint32_t i = 0; i < 1 + e % 3; ++i) {
+        ASSERT_TRUE(log.append(e, i, store::RecordKind::kAlert,
+                               random_bytes(rng, 1 + rng() % 24)));
+      }
+    }
+  }
+  std::vector<std::string> want_all;
+  {
+    const store::TimeShardLog reader(cfg, /*writable=*/false);
+    want_all = all_records(reader);
+  }
+  ASSERT_EQ(want_all.size(), 19u);
+  std::vector<std::string> want_head;  // shard 0 only
+  for (const auto& rec : want_all) {
+    if (std::stoull(rec) < 8) want_head.push_back(rec);
+  }
+
+  for (const std::uint64_t shard : {0u, 1u}) {
+    const bool tail = shard == 1;
+    const fs::path path =
+        dir / (shard == 0 ? "h.000000.jstore" : "h.000001.jstore");
+    const std::vector<std::uint8_t> valid = file_bytes(path);
+    ASSERT_GT(valid.size(), store::kShardHeaderBytes);
+
+    const auto trial = [&](const std::vector<std::uint8_t>& mutated,
+                           const std::string& what) {
+      {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char*>(mutated.data()),
+                  static_cast<std::streamsize>(mutated.size()));
+      }
+      const auto same = [&](std::size_t from, std::size_t to) {
+        return std::equal(valid.begin() + from, valid.begin() + to,
+                          mutated.begin() + from);
+      };
+      const bool magic_ok = same(0, 8);
+      const bool header_ok = magic_ok && same(8, 32);
+      const bool want_refusal = !header_ok && (magic_ok || !tail);
+      const auto& want = header_ok || !tail ? want_all : want_head;
+
+      bool refused = false;
+      try {
+        const store::TimeShardLog reader(cfg, /*writable=*/false);
+        EXPECT_EQ(all_records(reader), want) << what;
+      } catch (const std::invalid_argument&) {
+        refused = true;
+      }
+      EXPECT_EQ(refused, want_refusal) << what;
+      EXPECT_EQ(file_bytes(path), mutated) << what << ": reader touched it";
+      if (tail) return;  // writers delete a torn tail roll by design
+      refused = false;
+      try {
+        const store::TimeShardLog writer(cfg, /*writable=*/true);
+        EXPECT_EQ(all_records(writer), want) << what << " (writer)";
+      } catch (const std::invalid_argument&) {
+        refused = true;
+      }
+      EXPECT_EQ(refused, want_refusal) << what << " (writer)";
+      EXPECT_EQ(file_bytes(path), mutated) << what << ": writer touched it";
+    };
+
+    const std::string name = "shard " + std::to_string(shard);
+    for (std::size_t at = 0; at < store::kShardHeaderBytes; ++at) {
+      for (int bit = 0; bit < 8; ++bit) {
+        auto mutated = valid;
+        mutated[at] ^= static_cast<std::uint8_t>(1u << bit);
+        trial(mutated, name + " byte " + std::to_string(at) + " bit " +
+                           std::to_string(bit));
+      }
+    }
+    std::mt19937_64 rng(19 + shard);
+    for (int i = 0; i < 300; ++i) {
+      auto mutated = valid;
+      for (std::size_t n = 1 + rng() % 4; n > 0; --n) {
+        mutated[rng() % store::kShardHeaderBytes] =
+            static_cast<std::uint8_t>(rng());
+      }
+      trial(mutated, name + " mutation " + std::to_string(i));
+    }
+    auto zeroed = valid;
+    std::fill_n(zeroed.begin(), store::kShardHeaderBytes, std::uint8_t{0});
+    trial(zeroed, name + " zeroed header");
+    trial(valid, name + " restored");
+  }
+  fs::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace jaal

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <random>
 
 #include "linalg/soa.hpp"
@@ -145,18 +146,22 @@ TEST(SimdKernels, NearestCentroidsBitIdenticalAcrossLevels) {
       ForcedLevel pin(Level::kScalar);
       std::vector<std::size_t> assign_want(n);
       std::vector<double> dist_want(n);
+      std::vector<double> second_want(n);
       nearest_centroids(x.data(), x.stride(), d, centroids.data().data(), k,
-                        0, n, assign_want.data(), dist_want.data());
+                        0, n, assign_want.data(), dist_want.data(),
+                        second_want.data());
       for (const Level level : available_levels()) {
         force_level(level);
         std::vector<std::size_t> assign(n);
         std::vector<double> dist(n);
+        std::vector<double> second(n);
         nearest_centroids(x.data(), x.stride(), d, centroids.data().data(), k,
-                          0, n, assign.data(), dist.data());
+                          0, n, assign.data(), dist.data(), second.data());
         EXPECT_EQ(assign_want, assign)
             << "n=" << n << " k=" << k << " level=" << level_name(level);
         for (std::size_t i = 0; i < n; ++i) {
           EXPECT_TRUE(bit_equal(dist_want[i], dist[i])) << "i=" << i;
+          EXPECT_TRUE(bit_equal(second_want[i], second[i])) << "i=" << i;
         }
       }
     }
@@ -165,7 +170,7 @@ TEST(SimdKernels, NearestCentroidsBitIdenticalAcrossLevels) {
 
 TEST(SimdKernels, NearestCentroidsFirstIndexWinsTies) {
   // Two identical centroids: the scalar scan picks the first; every level
-  // must agree.
+  // must agree, and the runner-up distance equals the best one.
   const std::size_t d = 4, n = 9, k = 3;
   Matrix rows(n, d);
   for (std::size_t i = 0; i < n; ++i) {
@@ -177,10 +182,103 @@ TEST(SimdKernels, NearestCentroidsFirstIndexWinsTies) {
     ForcedLevel pin(level);
     std::vector<std::size_t> assign(n, 99);
     std::vector<double> dist(n);
+    std::vector<double> second(n);
     nearest_centroids(x.data(), x.stride(), d, centroids.data().data(), k, 0,
-                      n, assign.data(), dist.data());
+                      n, assign.data(), dist.data(), second.data());
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(assign[i], 0u) << "level=" << level_name(level);
+      EXPECT_TRUE(bit_equal(dist[i], 1.0)) << "level=" << level_name(level);
+      EXPECT_TRUE(bit_equal(second[i], 1.0)) << "level=" << level_name(level);
+    }
+  }
+
+  // Duplicates of the nearest centroid at a later index, and a distinct
+  // runner-up before it: the first copy wins and the second output is the
+  // duplicate's (equal) distance, not the farther centroid's.  With one
+  // centroid there is no runner-up and the second output stays DBL_MAX.
+  Matrix mixed(4, d);
+  for (std::size_t j = 0; j < d; ++j) {
+    mixed(0, j) = 2.0;   // distance^2 4 * 1.5^2 = 9
+    mixed(1, j) = 0.25;  // nearest: 4 * 0.25^2 = 0.25
+    mixed(2, j) = 1.5;   // 4
+    mixed(3, j) = 0.25;  // duplicate of the nearest
+  }
+  for (const Level level : available_levels()) {
+    ForcedLevel pin(level);
+    std::vector<std::size_t> assign(n, 99);
+    std::vector<double> dist(n);
+    std::vector<double> second(n);
+    nearest_centroids(x.data(), x.stride(), d, mixed.data().data(), 4, 0, n,
+                      assign.data(), dist.data(), second.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(assign[i], 1u) << "level=" << level_name(level);
+      EXPECT_TRUE(bit_equal(dist[i], 0.25)) << "level=" << level_name(level);
+      EXPECT_TRUE(bit_equal(second[i], 0.25)) << "level=" << level_name(level);
+    }
+    // Without the duplicate the runner-up is centroid 2.
+    nearest_centroids(x.data(), x.stride(), d, mixed.data().data(), 3, 0, n,
+                      assign.data(), dist.data(), second.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(assign[i], 1u) << "level=" << level_name(level);
+      EXPECT_TRUE(bit_equal(second[i], 4.0)) << "level=" << level_name(level);
+    }
+    nearest_centroids(x.data(), x.stride(), d, mixed.data().data(), 1, 0, n,
+                      assign.data(), dist.data(), second.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(assign[i], 0u) << "level=" << level_name(level);
+      EXPECT_EQ(second[i], std::numeric_limits<double>::max());
+    }
+  }
+}
+
+TEST(SimdKernels, SeedUpdateBitIdenticalAcrossLevels) {
+  // Against the scalar seeder's own loop: d2[i] = min(d2[i], |x_i - c|^2)
+  // over row-major rows, squares summed in field order, and the weighted
+  // total summed in point order.
+  const std::size_t d = 12;
+  for (const std::size_t n : kSizes) {
+    Matrix rows(n, d);
+    std::mt19937_64 rng(n * 31 + 7);
+    std::uniform_real_distribution<double> unit(-1.0, 1.0);
+    for (double& v : rows.data()) v = unit(rng);
+    // Repeat a row so a centre lands on a duplicate (distance exactly 0).
+    if (n > 2) {
+      for (std::size_t j = 0; j < d; ++j) rows(n - 1, j) = rows(0, j);
+    }
+    std::vector<double> w(n);
+    for (std::size_t i = 0; i < n; ++i) w[i] = static_cast<double>(1 + i % 4);
+    const SoaMatrix x = SoaMatrix::from_rows(rows);
+    const std::size_t centres[] = {0, n / 2, n - 1, 0};
+    std::vector<double> want(n, std::numeric_limits<double>::max());
+    std::vector<double> want_total;
+    for (const std::size_t c : centres) {
+      const auto centre = rows.row(c);
+      double total = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        double sum = 0.0;
+        for (std::size_t j = 0; j < d; ++j) {
+          const double diff = rows(i, j) - centre[j];
+          sum += diff * diff;
+        }
+        want[i] = std::min(want[i], sum);
+        total += want[i] * w[i];
+      }
+      want_total.push_back(total);
+    }
+    for (const Level level : available_levels()) {
+      ForcedLevel pin(level);
+      std::vector<double> got(n, std::numeric_limits<double>::max());
+      for (std::size_t s = 0; s < std::size(centres); ++s) {
+        const double total = seed_update(x.data(), x.stride(), d,
+                                         rows.row(centres[s]).data(),
+                                         w.data(), n, got.data());
+        EXPECT_TRUE(bit_equal(want_total[s], total))
+            << "n=" << n << " centre " << s << " level=" << level_name(level);
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_TRUE(bit_equal(want[i], got[i]))
+            << "n=" << n << " i=" << i << " level=" << level_name(level);
+      }
     }
   }
 }
