@@ -10,6 +10,13 @@
 // Compiled with -ffp-contract=off (see src/CMakeLists.txt): fused
 // multiply-adds would let one dispatch level contract a*b+c where another
 // does not, breaking the bit-identity contract between levels.
+//
+// Codegen rule: never build a vector lane by lane inside a hot loop.  Splat
+// a scalar with GCC's vector-scalar operators (`xv - c[j]`, `cs * av`) and
+// step index vectors with `+= 1`.  gcc 12 at -O2 folds a lane-by-lane splat
+// into one broadcast, but -O3 (Release) turned each one into 8 masked
+// vbroadcastsd inside the innermost loop and made the k-means kernels ~3x
+// slower.  Vector-scalar forms give the same loop at both levels.
 
 #if (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
@@ -23,21 +30,6 @@ namespace {
 typedef double v4d __attribute__((vector_size(32)));
 typedef double v8d __attribute__((vector_size(64)));
 #endif
-
-// Broadcasts fill an out-parameter because returning a vector type from a
-// function compiled without AVX (this TU's baseline) changes the psABI.
-// Zero vectors are `= {}`, except nearest_centroids' accumulator: there gcc
-// 12 spills far less with the broadcast form (the AVX-512 kmeans_assign
-// kernel ran ~15% slower with `= {}`).
-template <class VD>
-[[gnu::always_inline]] inline void broadcast(VD& v, double x) noexcept {
-  for (std::size_t l = 0; l < sizeof(VD) / sizeof(double); ++l) v[l] = x;
-}
-
-template <class VI>
-[[gnu::always_inline]] inline void broadcast_i(VI& v, long long x) noexcept {
-  for (std::size_t l = 0; l < sizeof(VI) / sizeof(long long); ++l) v[l] = x;
-}
 
 // ---------------------------------------------------------------------------
 // nearest_centroids: lanes are points (SoA batch), reduction over fields is
@@ -102,24 +94,20 @@ template <class VD>
   using VI = decltype(std::declval<VD>() < std::declval<VD>());
   std::size_t i = begin;
   for (; i + kW <= end; i += kW) {
-    VD best;
-    broadcast(best, std::numeric_limits<double>::max());
+    VD best = VD{} + std::numeric_limits<double>::max();
     VD second = best;
     VI best_c = {};
-    for (std::size_t c = 0; c < k; ++c) {
+    VI ci = {};
+    for (std::size_t c = 0; c < k; ++c, ci += 1) {
       const double* cen = centroids + c * d;
-      VD acc;
-      broadcast(acc, 0.0);
+      VD acc = {};
       for (std::size_t j = 0; j < d; ++j) {
-        VD xv, cj;
+        VD xv;
         std::memcpy(&xv, x + j * stride + i, sizeof xv);
-        broadcast(cj, cen[j]);
-        const VD diff = xv - cj;
+        const VD diff = xv - cen[j];
         acc += diff * diff;
       }
       const VI closer = acc < best;
-      VI ci;
-      broadcast_i(ci, static_cast<long long>(c));
       second = closer ? best : (acc < second ? acc : second);
       best = closer ? acc : best;
       best_c = closer ? ci : best_c;
@@ -182,20 +170,20 @@ template <class VD>
   double total = 0.0;
   std::size_t i = 0;
   for (; i + kW <= n; i += kW) {
-    VD acc;
-    broadcast(acc, 0.0);
+    VD acc = {};
     for (std::size_t j = 0; j < d; ++j) {
-      VD xv, cj;
+      VD xv;
       std::memcpy(&xv, x + j * stride + i, sizeof xv);
-      broadcast(cj, c[j]);
-      const VD diff = xv - cj;
+      const VD diff = xv - c[j];
       acc += diff * diff;
     }
-    VD cur;
+    VD cur, wv;
     std::memcpy(&cur, d2 + i, sizeof cur);
+    std::memcpy(&wv, w + i, sizeof wv);
     cur = acc < cur ? acc : cur;
     std::memcpy(d2 + i, &cur, sizeof cur);
-    for (std::size_t l = 0; l < kW; ++l) total += cur[l] * w[i + l];
+    const VD weighted = cur * wv;
+    for (std::size_t l = 0; l < kW; ++l) total += weighted[l];
   }
   for (; i < n; ++i) {
     const double acc = sq_dist_lane(x, stride, d, c, i);
@@ -219,9 +207,10 @@ __attribute__((target("avx512f"))) double seed_update_avx512(
 #endif  // JAAL_SIMD_X86
 
 // ---------------------------------------------------------------------------
-// nearest_point: lanes are centroids (dimension-major storage); the arg-min
-// extracts lanes in ascending centroid order so ties resolve exactly like
-// the scalar first-index-wins scan.
+// nearest_point: lanes are centroids (dimension-major storage).  Each lane
+// keeps its own first-index-wins minimum; the final pick takes the smallest
+// sum and, among equal sums, the smallest index, which is exactly the
+// centroid the scalar first-index-wins scan returns.
 
 Nearest nearest_point_scalar(const double* dims, std::size_t stride,
                              std::size_t d, std::size_t k,
@@ -248,23 +237,31 @@ template <class VD>
     const double* dims, std::size_t stride, std::size_t d, std::size_t k,
     const double* v) noexcept {
   constexpr std::size_t kW = sizeof(VD) / sizeof(double);
+  using VI = decltype(std::declval<VD>() < std::declval<VD>());
   Nearest out;
   out.dist = std::numeric_limits<double>::max();
+  VD best = VD{} + out.dist;
+  VI best_c = {};
+  VI ci = {};
+  for (std::size_t l = 0; l < kW; ++l) ci[l] = static_cast<long long>(l);
   std::size_t c = 0;
-  for (; c + kW <= k; c += kW) {
+  for (; c + kW <= k; c += kW, ci += static_cast<long long>(kW)) {
     VD acc = {};
     for (std::size_t j = 0; j < d; ++j) {
-      VD vj, cv;
+      VD cv;
       std::memcpy(&cv, dims + j * stride + c, sizeof cv);
-      broadcast(vj, v[j]);
-      const VD diff = vj - cv;
+      const VD diff = v[j] - cv;
       acc += diff * diff;
     }
-    for (std::size_t l = 0; l < kW; ++l) {
-      if (acc[l] < out.dist) {
-        out.dist = acc[l];
-        out.index = c + l;
-      }
+    const VI closer = acc < best;
+    best = closer ? acc : best;
+    best_c = closer ? ci : best_c;
+  }
+  for (std::size_t l = 0; l < kW; ++l) {
+    const auto index = static_cast<std::size_t>(best_c[l]);
+    if (best[l] < out.dist || (best[l] == out.dist && index < out.index)) {
+      out.dist = best[l];
+      out.index = index;
     }
   }
   for (; c < k; ++c) {
@@ -403,16 +400,13 @@ template <class VD>
                                                     std::size_t n, double cs,
                                                     double sn) noexcept {
   constexpr std::size_t kW = sizeof(VD) / sizeof(double);
-  VD csv, snv;
-  broadcast(csv, cs);
-  broadcast(snv, sn);
   std::size_t i = 0;
   for (; i + kW <= n; i += kW) {
     VD av, bv;
     std::memcpy(&av, a + i, sizeof av);
     std::memcpy(&bv, b + i, sizeof bv);
-    const VD ar = csv * av - snv * bv;
-    const VD br = snv * av + csv * bv;
+    const VD ar = cs * av - sn * bv;
+    const VD br = sn * av + cs * bv;
     std::memcpy(a + i, &ar, sizeof ar);
     std::memcpy(b + i, &br, sizeof br);
   }

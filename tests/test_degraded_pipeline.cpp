@@ -94,14 +94,6 @@ FaultedRun run_faulted(std::size_t threads,
   return out;
 }
 
-std::uint64_t counter(const telemetry::MetricsSnapshot& snapshot,
-                      const std::string& name) {
-  for (const auto& e : snapshot.entries) {
-    if (e.name == name) return e.counter;
-  }
-  return 0;
-}
-
 // One of two monitors crashes for epoch 1: that epoch must still produce a
 // well-formed aggregate from the surviving monitor, report half confidence,
 // and count the ingress the crashed monitor never observed.
@@ -139,6 +131,14 @@ TEST(DegradedPipeline, CrashedMonitorYieldsPartialAggregate) {
 }
 
 #ifndef JAAL_TELEMETRY_DISABLED
+
+std::uint64_t counter(const telemetry::MetricsSnapshot& snapshot,
+                      const std::string& name) {
+  for (const auto& e : snapshot.entries) {
+    if (e.name == name) return e.counter;
+  }
+  return 0;
+}
 
 TEST(DegradedPipeline, TelemetryCountersMatchEpochAccounting) {
   faults::FaultScenario scenario;

@@ -307,6 +307,32 @@ TEST(SimdKernels, NearestPointBitIdenticalAcrossLevels) {
   }
 }
 
+// Equal nearest sums in different lanes (2, 3, 9), in one lane (3, 11) and
+// in the scalar tail (35): every level must return the first index, 2.
+TEST(SimdKernels, NearestPointTiesPickFirstIndex) {
+  const std::size_t d = 18;
+  const std::size_t k = 37;
+  Matrix centroids(k, d);
+  std::mt19937_64 rng(5);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (double& v : centroids.data()) v = unit(rng);
+  const auto q = random_vec(d, 77);
+  for (const std::size_t c : {9, 11, 2, 3, 35}) {
+    std::copy(q.begin(), q.end(), centroids.row(c).begin());
+  }
+  const SoaMatrix dims = SoaMatrix::from_rows(centroids);
+  std::vector<double> v = q;
+  v[0] += 1e-3;
+
+  ForcedLevel pin(Level::kScalar);
+  for (const Level level : available_levels()) {
+    force_level(level);
+    const Nearest got = nearest_point(dims.data(), dims.stride(), d, k,
+                                      v.data());
+    EXPECT_EQ(got.index, 2u) << "level=" << level_name(level);
+  }
+}
+
 TEST(SimdKernels, TruncatedSvdIdenticalAcrossLevels) {
   Matrix a(37, 9);
   std::mt19937_64 rng(4242);
