@@ -12,6 +12,9 @@
 //  * Per-point kernels (nearest_centroids, seed_update, nearest_point)
 //    reduce over the p fields serially per lane, and lanes never interact —
 //    results are bit-identical to the scalar path at every dispatch level.
+//    nearest_centroids and seed_update share one lane (the same
+//    subtraction, squares summed in the same order) and one select, so a
+//    point's seeding state is what a full scan against the seeds returns.
 //  * Reduction kernels (dot, pair_dots) use a fixed canonical 4-accumulator
 //    order at every level; the 8-wide level deliberately runs the 4-wide
 //    reduction body because folding 8 lanes to 4 would regroup the sums.
@@ -82,17 +85,24 @@ void nearest_centroids(const double* x, std::size_t stride, std::size_t d,
                        double* second_dist) noexcept;
 
 /// k-means++ D^2 update for points [0, n) of an SoA batch against one new
-/// centre c (length d): d2[i] = min(d2[i], |x_i - c|^2), then returns
-/// sum_i d2[i] * w[i] accumulated serially in point order.  Each lane forms
-/// x[j] - c[j] and sums the squares in j order, the same arithmetic as one
-/// nearest_centroids lane, and the total is one chain of adds in i order at
-/// every level, so every level is bit-identical to the scalar loop.  Fusing
-/// the total lets the vector work of the next points overlap the serial
-/// chain.
+/// centre c (length d), the seed numbered c_index: folds |x_i - c|^2 into
+/// the point's running (d2[i], nearest[i], second[i]) with nearest_centroids'
+/// select, then returns sum_i d2[i] * w[i] accumulated serially in point
+/// order.  Each lane forms x[j] - c[j] and sums the squares in j order, the
+/// same arithmetic as one nearest_centroids lane, and the test is a strict
+/// less-than, so the earliest centre keeps a tie.  Starting from d2 = second
+/// = DBL_MAX and nearest = 0, k updates with the seeds in order leave
+/// exactly the assignment, best_dist and second_dist nearest_centroids
+/// returns against those k rows.  The total is one chain of adds in i order
+/// at every level, so every level is bit-identical to the scalar loop.
+/// Fusing the total lets the vector work of the next points overlap the
+/// serial chain.
 [[nodiscard]] double seed_update(const double* x, std::size_t stride,
                                  std::size_t d, const double* c,
-                                 const double* w, std::size_t n,
-                                 double* d2) noexcept;
+                                 std::size_t c_index, const double* w,
+                                 std::size_t n, double* d2,
+                                 std::size_t* nearest,
+                                 double* second) noexcept;
 
 struct Nearest {
   std::size_t index = 0;

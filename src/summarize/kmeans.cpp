@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "linalg/simd.hpp"
 #include "runtime/thread_pool.hpp"
@@ -60,24 +61,61 @@ void for_each_block(std::size_t n, runtime::ThreadPool* pool, Body&& body) {
   return acc;
 }
 
+/// Seeds plus the result of a full nearest-centroid scan against them:
+/// nearest[i], d2[i] and second[i] are the assignment, best_dist and
+/// second_dist that nearest_centroids returns for the seed rows.
+/// seed_update builds them while it seeds, so Lloyd's first assignment
+/// pass is already done when seeding ends.
+struct Seeding {
+  Seeding(std::size_t n, std::size_t k)
+      : nearest(n, 0),
+        d2(n, std::numeric_limits<double>::max()),
+        second(n, std::numeric_limits<double>::max()) {
+    seeds.reserve(k);
+  }
+
+  /// Appends row `row` of x as the next seed and folds it into every
+  /// point's state; returns sum_i d2[i] * w[i] over the seeds so far.
+  double add(const linalg::Matrix& x, const linalg::SoaMatrix& xs,
+             std::span<const double> w, std::size_t row) {
+    seeds.push_back(row);
+    return linalg::simd::seed_update(xs.data(), xs.stride(), xs.cols(),
+                                     x.row(row).data(), seeds.size() - 1,
+                                     w.data(), xs.rows(), d2.data(),
+                                     nearest.data(), second.data());
+  }
+
+  std::vector<std::size_t> seeds;
+  std::vector<std::size_t> nearest;
+  std::vector<double> d2;
+  std::vector<double> second;
+};
+
 /// Exact nearest-centroid assignment with Hamerly's bounds (Hamerly 2010).
 /// Every point keeps a lower bound on its distance to any centroid other
 /// than its own; after a centroid update the bound drops by the largest
 /// drift among those others.  A pass recomputes each point's distance to its
 /// own centroid exactly (that is the returned best_dist) and rescans only
 /// the points whose bounds cannot prove that centroid strictly nearest.  The
-/// bounds start at -inf, so the first pass rescans every point.  The prune
+/// first pass is the seeding scan itself (the centroids are still the seed
+/// rows), and the bounds start from its runner-up distances.  The prune
 /// test carries relative and absolute slack, so a tie or near tie always
 /// takes the full first-index-wins scan: the output is bit-identical to
 /// assign_to_centroids().
 class BoundedAssigner {
  public:
-  BoundedAssigner(const linalg::SoaMatrix& xs, runtime::ThreadPool* pool)
+  BoundedAssigner(const linalg::SoaMatrix& xs, runtime::ThreadPool* pool,
+                  Seeding seeding)
       : xs_(xs),
         pool_(pool),
-        lower_(xs.rows(), -std::numeric_limits<double>::infinity()),
+        lower_(xs.rows()),
+        first_assignment_(std::move(seeding.nearest)),
+        first_dist_(std::move(seeding.d2)),
         pack_(((xs.rows() + kAssignBlock - 1) / kAssignBlock) * kAssignBlock *
               xs.cols()) {
+    for (std::size_t i = 0; i < xs.rows(); ++i) {
+      lower_[i] = std::sqrt(seeding.second[i]) * (1.0 - kBoundSlack);
+    }
     // Centroids are means of points, so every distance and drift the bounds
     // track is at most the bounding-box diagonal; bound arithmetic rounds
     // off a few ulps of that per pass.
@@ -109,6 +147,13 @@ class BoundedAssigner {
   void assign(const linalg::Matrix& centroids,
               std::vector<std::size_t>& assignment,
               std::vector<double>& best_dist) {
+    if (!first_assignment_.empty()) {
+      // The centroids are still the seeds: hand out the seeding scan.
+      assignment = std::move(first_assignment_);
+      best_dist = std::move(first_dist_);
+      first_assignment_.clear();
+      return;
+    }
     for_each_block(xs_.rows(), pool_,
                    [&](std::size_t b, std::size_t begin, std::size_t end) {
                      assign_block(b, begin, end, centroids, assignment,
@@ -154,6 +199,9 @@ class BoundedAssigner {
   const linalg::SoaMatrix& xs_;
   runtime::ThreadPool* pool_;
   std::vector<double> lower_;  ///< Per point: bound on any other centroid.
+  /// The seeding scan, until the first assign() hands it out.
+  std::vector<std::size_t> first_assignment_;
+  std::vector<double> first_dist_;
   std::vector<double> pack_;   ///< Per block: SoA copy of its rescans.
   double margin_ = 0.0;        ///< Absolute slack of the prune test.
   double max_drift_ = 0.0;
@@ -165,68 +213,64 @@ class BoundedAssigner {
 /// probability proportional to w[i] x squared distance to the closest
 /// centre so far (plain k-means++ with unit weights).  The distance update
 /// and the weighted total are one dispatched kernel; the total and the pick
-/// stay serial in point order.
-std::vector<std::size_t> seed_d2(const linalg::Matrix& x,
-                                 const linalg::SoaMatrix& xs,
-                                 std::span<const double> w, std::size_t first,
-                                 std::size_t k, std::mt19937_64& rng) {
+/// stay serial in point order.  The last seed gets its update too, with no
+/// pick, so the returned state is the full scan against all k seeds.
+Seeding seed_d2(const linalg::Matrix& x, const linalg::SoaMatrix& xs,
+                std::span<const double> w, std::size_t first, std::size_t k,
+                std::mt19937_64& rng) {
   const std::size_t n = x.rows();
-  std::vector<std::size_t> chosen;
-  chosen.reserve(k);
-  chosen.push_back(first);
-
-  std::vector<double> d2(n, std::numeric_limits<double>::max());
+  Seeding seeding(n, k);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
-  while (chosen.size() < k) {
-    const double total = linalg::simd::seed_update(
-        xs.data(), xs.stride(), xs.cols(), x.row(chosen.back()).data(),
-        w.data(), n, d2.data());
+  double total = seeding.add(x, xs, w, first);
+  while (seeding.seeds.size() < k) {
+    std::size_t pick = n - 1;
     if (total <= 0.0) {
       // All remaining points coincide with a centroid; pick arbitrarily.
-      chosen.push_back(rng() % n);
-      continue;
-    }
-    double target = unit(rng) * total;
-    std::size_t pick = n - 1;
-    for (std::size_t i = 0; i < n; ++i) {
-      target -= d2[i] * w[i];
-      if (target <= 0.0) {
-        pick = i;
-        break;
+      pick = rng() % n;
+    } else {
+      double target = unit(rng) * total;
+      for (std::size_t i = 0; i < n; ++i) {
+        target -= seeding.d2[i] * w[i];
+        if (target <= 0.0) {
+          pick = i;
+          break;
+        }
       }
     }
-    chosen.push_back(pick);
+    total = seeding.add(x, xs, w, pick);
   }
-  return chosen;
+  return seeding;
 }
 
-std::vector<std::size_t> seed_random(const linalg::Matrix& x, std::size_t k,
-                                     std::mt19937_64& rng) {
-  std::vector<std::size_t> chosen;
-  chosen.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) chosen.push_back(rng() % x.rows());
-  return chosen;
+Seeding seed_random(const linalg::Matrix& x, const linalg::SoaMatrix& xs,
+                    std::span<const double> w, std::size_t k,
+                    std::mt19937_64& rng) {
+  Seeding seeding(x.rows(), k);
+  for (std::size_t i = 0; i < k; ++i) {
+    (void)seeding.add(x, xs, w, rng() % x.rows());
+  }
+  return seeding;
 }
 
 /// The one Lloyd loop behind kmeans() and weighted_kmeans().  Row i counts
 /// `weights[i]` times (`w` is the same as doubles); unit weights reproduce
 /// the unweighted sums bit for bit, since x * 1.0 and += 1 are exact.  The
 /// assignment step is the bounded pass; inertia, counts and centroid sums
-/// stay serial in point order.  With `final_pass`, one more assignment makes
-/// assignment, counts and inertia describe the returned centroids; without
-/// it they describe the last iteration's pre-update centroids.
+/// stay serial in point order.  The first assignment is the seeding scan.
+/// With `final_pass`, one more assignment makes assignment, counts and
+/// inertia describe the returned centroids; without it they describe the
+/// last iteration's pre-update centroids.
 KMeansResult lloyd(const linalg::Matrix& x, const linalg::SoaMatrix& xs,
                    std::span<const std::uint64_t> weights,
-                   std::span<const double> w,
-                   std::span<const std::size_t> seeds,
+                   std::span<const double> w, Seeding seeding,
                    const KMeansOptions& opts, bool final_pass) {
   const std::size_t n = x.rows();
   const std::size_t d = x.cols();
-  const std::size_t k = seeds.size();
+  const std::size_t k = seeding.seeds.size();
   KMeansResult res;
   res.centroids = linalg::Matrix(k, d);
   for (std::size_t c = 0; c < k; ++c) {
-    const auto src = x.row(seeds[c]);
+    const auto src = x.row(seeding.seeds[c]);
     std::copy(src.begin(), src.end(), res.centroids.row(c).begin());
   }
   res.assignment.assign(n, 0);
@@ -234,7 +278,7 @@ KMeansResult lloyd(const linalg::Matrix& x, const linalg::SoaMatrix& xs,
   std::vector<double> best_dist(n, 0.0);
   std::vector<double> drift(k, 0.0);
   linalg::Matrix sums(k, d);
-  BoundedAssigner assigner(xs, opts.pool);
+  BoundedAssigner assigner(xs, opts.pool, std::move(seeding));
 
   const auto tally = [&](bool with_sums) {
     res.inertia = 0.0;
@@ -334,10 +378,11 @@ KMeansResult kmeans(const linalg::Matrix& x, std::size_t k,
   const linalg::SoaMatrix xs = linalg::SoaMatrix::from_rows(x);
   const std::vector<std::uint64_t> unit_counts(n, 1);
   const std::vector<double> unit(n, 1.0);
-  const auto seeds = opts.init == KMeansInit::kPlusPlus
-                         ? seed_d2(x, xs, unit, rng() % n, k, rng)
-                         : seed_random(x, k, rng);
-  return lloyd(x, xs, unit_counts, unit, seeds, opts, /*final_pass=*/true);
+  Seeding seeding = opts.init == KMeansInit::kPlusPlus
+                        ? seed_d2(x, xs, unit, rng() % n, k, rng)
+                        : seed_random(x, xs, unit, k, rng);
+  return lloyd(x, xs, unit_counts, unit, std::move(seeding), opts,
+               /*final_pass=*/true);
 }
 
 KMeansResult weighted_kmeans(const linalg::Matrix& x,
@@ -379,8 +424,8 @@ KMeansResult weighted_kmeans(const linalg::Matrix& x,
     }
   }
   const linalg::SoaMatrix xs = linalg::SoaMatrix::from_rows(x);
-  const auto seeds = seed_d2(x, xs, w, first, k, rng);
-  return lloyd(x, xs, weights, w, seeds, opts, /*final_pass=*/false);
+  return lloyd(x, xs, weights, w, seed_d2(x, xs, w, first, k, rng), opts,
+               /*final_pass=*/false);
 }
 
 }  // namespace jaal::summarize

@@ -8,8 +8,11 @@
 // Lloyd's assignment passes are bounded (Hamerly 2010): a point is rescanned
 // only when its triangle-inequality bounds cannot prove its centroid
 // strictly nearest.  The bounds carry slack, so ties always take the full
-// scan, and results are bit-identical to a full scan every pass (DESIGN.md
-// "Exact bounded k-means").
+// scan, and results are bit-identical to a full scan every pass.  The first
+// pass is never run as such: seeding already measures every point against
+// every seed and keeps each point's nearest seed and runner-up distance,
+// which is exactly that scan, and Lloyd starts from it (DESIGN.md "Exact
+// bounded k-means").
 #pragma once
 
 #include <cstdint>

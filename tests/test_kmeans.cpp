@@ -370,6 +370,62 @@ TEST(KMeans, BoundedLloydMatchesReference) {
   linalg::simd::force_level(before);
 }
 
+TEST(KMeans, SeedingScanIsTheFirstPass) {
+  // Lloyd starts from the assignment seeding leaves behind, and its bounds
+  // from seeding's runner-up distances.  Capped runs isolate that start:
+  // with no iteration the final pass is the seeding scan itself, and one or
+  // two iterations run the first bounded passes off seeding's bounds.
+  // Coincident seeds (the flood) and lattice rows make exact ties, which the
+  // earliest seed must win as in the reference's full scan.
+  struct Case {
+    std::string name;
+    linalg::Matrix x;
+    std::size_t k;
+    KMeansInit init = KMeansInit::kPlusPlus;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"trace1 n=600 k=120", trace1_u_rows(600, 31), 120});
+  cases.push_back({"trace1 n=300 k=40 random init", trace1_u_rows(300, 32),
+                   40, KMeansInit::kRandom});
+  cases.push_back({"syn flood n=400 distinct=12 k=30", flood_u_rows(400, 12),
+                   30});
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    const std::string tag = " seed=" + std::to_string(seed);
+    cases.push_back({"lattice" + tag, lattice_rows(200, seed), 5 + seed});
+    cases.push_back({"lattice random init" + tag, lattice_rows(200, seed), 9,
+                     KMeansInit::kRandom});
+  }
+
+  const linalg::simd::Level before = linalg::simd::active();
+  for (const Case& c : cases) {
+    const std::size_t n = c.x.rows();
+    std::vector<std::uint64_t> weights(n);
+    for (std::size_t i = 0; i < n; ++i) weights[i] = 1 + (i * 7) % 3;
+    for (const std::size_t iterations : {0, 1, 2}) {
+      KMeansOptions opts;
+      opts.init = c.init;
+      opts.max_iterations = iterations;
+      std::mt19937_64 ref_rng(c.k);
+      const KMeansResult want = reference::kmeans(c.x, c.k, ref_rng, opts);
+      std::mt19937_64 ref_wrng(c.k + 1);
+      const KMeansResult want_w =
+          reference::weighted_kmeans(c.x, weights, c.k, ref_wrng, opts);
+      for (const auto level : available_levels()) {
+        linalg::simd::force_level(level);
+        const std::string label =
+            c.name + " max_iterations=" + std::to_string(iterations) +
+            " level=" + std::string(linalg::simd::level_name(level));
+        std::mt19937_64 rng(c.k);
+        expect_same(want, kmeans(c.x, c.k, rng, opts), label);
+        std::mt19937_64 wrng(c.k + 1);
+        expect_same(want_w, weighted_kmeans(c.x, weights, c.k, wrng, opts),
+                    label + " weighted");
+      }
+    }
+  }
+  linalg::simd::force_level(before);
+}
+
 TEST(KMeans, ValidatesArguments) {
   std::mt19937_64 rng(1);
   EXPECT_THROW((void)kmeans(linalg::Matrix{}, 2, rng), std::invalid_argument);

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <string>
 
 #include "linalg/soa.hpp"
 #include "linalg/svd.hpp"
@@ -268,16 +269,75 @@ TEST(SimdKernels, SeedUpdateBitIdenticalAcrossLevels) {
     for (const Level level : available_levels()) {
       ForcedLevel pin(level);
       std::vector<double> got(n, std::numeric_limits<double>::max());
+      std::vector<std::size_t> nearest(n, 0);
+      std::vector<double> second(n, std::numeric_limits<double>::max());
       for (std::size_t s = 0; s < std::size(centres); ++s) {
-        const double total = seed_update(x.data(), x.stride(), d,
-                                         rows.row(centres[s]).data(),
-                                         w.data(), n, got.data());
+        const double total = seed_update(
+            x.data(), x.stride(), d, rows.row(centres[s]).data(), s, w.data(),
+            n, got.data(), nearest.data(), second.data());
         EXPECT_TRUE(bit_equal(want_total[s], total))
             << "n=" << n << " centre " << s << " level=" << level_name(level);
       }
       for (std::size_t i = 0; i < n; ++i) {
         EXPECT_TRUE(bit_equal(want[i], got[i]))
             << "n=" << n << " i=" << i << " level=" << level_name(level);
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, SeedUpdateTracksNearestAndRunnerUp) {
+  // One seed_update per seed row, in seed order, leaves the state a full
+  // nearest_centroids scan against those rows returns: k-means seeding
+  // hands Lloyd its first assignment pass.  Repeated seeds and identical
+  // rows make exact ties, which the earliest seed must win.
+  const std::size_t d = 12;
+  for (const std::size_t n : kSizes) {
+    for (const bool tied : {false, true}) {
+      Matrix rows(n, d);
+      std::mt19937_64 rng(n * 13 + (tied ? 1 : 0));
+      std::uniform_real_distribution<double> unit(-1.0, 1.0);
+      for (double& v : rows.data()) v = tied ? 0.5 : unit(rng);
+      const SoaMatrix x = SoaMatrix::from_rows(rows);
+      const std::vector<double> w(n, 1.0);
+      for (const std::size_t k : {1ul, 2ul, 6ul}) {
+        // Every third seed repeats the seed two before it.
+        std::vector<std::size_t> seeds;
+        for (std::size_t c = 0; c < k; ++c) {
+          seeds.push_back(c % 3 == 2 ? seeds[c - 2] : (c * 5 + 1) % n);
+        }
+        Matrix centroids(k, d);
+        for (std::size_t c = 0; c < k; ++c) {
+          const auto src = rows.row(seeds[c]);
+          std::copy(src.begin(), src.end(), centroids.row(c).begin());
+        }
+        for (const Level level : available_levels()) {
+          ForcedLevel pin(level);
+          std::vector<std::size_t> want_nearest(n);
+          std::vector<double> want_best(n);
+          std::vector<double> want_second(n);
+          nearest_centroids(x.data(), x.stride(), d, centroids.data().data(),
+                            k, 0, n, want_nearest.data(), want_best.data(),
+                            want_second.data());
+          std::vector<double> d2(n, std::numeric_limits<double>::max());
+          std::vector<std::size_t> nearest(n, 0);
+          std::vector<double> second(n, std::numeric_limits<double>::max());
+          for (std::size_t c = 0; c < k; ++c) {
+            (void)seed_update(x.data(), x.stride(), d,
+                              rows.row(seeds[c]).data(), c, w.data(), n,
+                              d2.data(), nearest.data(), second.data());
+          }
+          const std::string label = "n=" + std::to_string(n) +
+                                    " k=" + std::to_string(k) +
+                                    (tied ? " tied" : "") +
+                                    " level=" + std::string(level_name(level));
+          EXPECT_EQ(want_nearest, nearest) << label;
+          for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_TRUE(bit_equal(want_best[i], d2[i])) << label << " i=" << i;
+            EXPECT_TRUE(bit_equal(want_second[i], second[i]))
+                << label << " i=" << i;
+          }
+        }
       }
     }
   }
