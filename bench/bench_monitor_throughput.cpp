@@ -100,23 +100,6 @@ void BM_FullSummarizeSimd(benchmark::State& state) {
 BENCHMARK(BM_FullSummarizeScalar)->Arg(1000)->Arg(2000);
 BENCHMARK(BM_FullSummarizeSimd)->Arg(1000)->Arg(2000);
 
-void BM_FullSummarizeMiniBatch(benchmark::State& state) {
-  const auto packets = batch(static_cast<std::size_t>(state.range(0)));
-  summarize::SummarizerConfig cfg;
-  cfg.batch_size = packets.size();
-  cfg.min_batch = 1;
-  cfg.rank = 12;
-  cfg.centroids = packets.size() / 5;
-  cfg.cluster_backend = summarize::ClusterBackend::kMiniBatch;
-  summarize::Summarizer summarizer(cfg);
-  (void)summarizer.summarize(packets);  // seed centroids
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(summarizer.summarize(packets));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_FullSummarizeMiniBatch)->Arg(1000)->Arg(2000);
-
 void BM_SerializeSummary(benchmark::State& state) {
   const auto packets = batch(1000);
   summarize::SummarizerConfig cfg;

@@ -117,8 +117,6 @@ int main() {
   const linalg::SoaMatrix batch = linalg::SoaMatrix::from_rows(batch_rows);
   linalg::Matrix centroids(kCentroids, kDims);
   for (double& v : centroids.data()) v = unit(rng);
-  const linalg::SoaMatrix centroids_dim_major =
-      linalg::SoaMatrix::from_rows(centroids);
 
   std::vector<std::vector<std::pair<std::string, double>>> rows;
   bool all_identical = true;
@@ -175,21 +173,6 @@ int main() {
         return acc;
       }),
       static_cast<double>(kBatch) * kAssignIters, rows);
-
-  constexpr int kPointIters = 20000;
-  all_identical &= report(
-      "nearest_point",
-      time_levels([&] {
-        double acc = 0.0;
-        for (int i = 0; i < kPointIters; ++i) {
-          const simd::Nearest n = simd::nearest_point(
-              centroids_dim_major.data(), centroids_dim_major.stride(), kDims,
-              kCentroids, batch_rows.row(i % kBatch).data());
-          acc += n.dist + static_cast<double>(n.index);
-        }
-        return acc;
-      }),
-      static_cast<double>(kPointIters), rows);
 
   // k-means++ D^2 update at the paper's operating point (n = 2000 rows of
   // U_r, r = 12): one seed_update (distances, the nearest seed and the

@@ -46,7 +46,6 @@ FLOORS = {
         "kernel_kmeans_assign": {"speedup": 2.0},
         "kernel_full_summarize": {"speedup": 2.0},
         "kernel_pair_dots": {"speedup": 1.3},
-        "kernel_nearest_point": {"speedup": 1.3},
         "kernel_seed_update": {"speedup": 1.3},
     },
 }

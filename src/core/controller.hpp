@@ -92,8 +92,7 @@ struct JaalConfig : DeploymentConfig {
   /// commit record per epoch.  A controller constructed over an existing
   /// store resumes at the epoch after the last committed one (torn shard
   /// tails and uncommitted epochs are truncated on open); subsequent
-  /// epochs are byte-identical to an uninterrupted run with the default
-  /// stateless backends (kJacobi + kLloyd) and the default
+  /// epochs are byte-identical to an uninterrupted run under the default
   /// LatePolicy::kDiscard.  Under kRollForward, late summaries still
   /// awaiting roll-forward at the moment of the crash live only in memory
   /// and are not replayed, so the first resumed epoch aggregates without

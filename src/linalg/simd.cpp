@@ -240,91 +240,6 @@ __attribute__((target("avx512f"))) double seed_update_avx512(
 #endif  // JAAL_SIMD_X86
 
 // ---------------------------------------------------------------------------
-// nearest_point: lanes are centroids (dimension-major storage).  Each lane
-// keeps its own first-index-wins minimum; the final pick takes the smallest
-// sum and, among equal sums, the smallest index, which is exactly the
-// centroid the scalar first-index-wins scan returns.
-
-Nearest nearest_point_scalar(const double* dims, std::size_t stride,
-                             std::size_t d, std::size_t k,
-                             const double* v) noexcept {
-  Nearest out;
-  out.dist = std::numeric_limits<double>::max();
-  for (std::size_t c = 0; c < k; ++c) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j < d; ++j) {
-      const double diff = v[j] - dims[j * stride + c];
-      acc += diff * diff;
-    }
-    if (acc < out.dist) {
-      out.dist = acc;
-      out.index = c;
-    }
-  }
-  return out;
-}
-
-#ifdef JAAL_SIMD_X86
-template <class VD>
-[[gnu::always_inline]] inline Nearest nearest_point_impl(
-    const double* dims, std::size_t stride, std::size_t d, std::size_t k,
-    const double* v) noexcept {
-  constexpr std::size_t kW = sizeof(VD) / sizeof(double);
-  using VI = decltype(std::declval<VD>() < std::declval<VD>());
-  Nearest out;
-  out.dist = std::numeric_limits<double>::max();
-  VD best = VD{} + out.dist;
-  VI best_c = {};
-  VI ci = {};
-  for (std::size_t l = 0; l < kW; ++l) ci[l] = static_cast<long long>(l);
-  std::size_t c = 0;
-  for (; c + kW <= k; c += kW, ci += static_cast<long long>(kW)) {
-    VD acc = {};
-    for (std::size_t j = 0; j < d; ++j) {
-      VD cv;
-      std::memcpy(&cv, dims + j * stride + c, sizeof cv);
-      const VD diff = v[j] - cv;
-      acc += diff * diff;
-    }
-    const VI closer = acc < best;
-    best = closer ? acc : best;
-    best_c = closer ? ci : best_c;
-  }
-  for (std::size_t l = 0; l < kW; ++l) {
-    const auto index = static_cast<std::size_t>(best_c[l]);
-    if (best[l] < out.dist || (best[l] == out.dist && index < out.index)) {
-      out.dist = best[l];
-      out.index = index;
-    }
-  }
-  for (; c < k; ++c) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j < d; ++j) {
-      const double diff = v[j] - dims[j * stride + c];
-      acc += diff * diff;
-    }
-    if (acc < out.dist) {
-      out.dist = acc;
-      out.index = c;
-    }
-  }
-  return out;
-}
-
-__attribute__((target("avx2"))) Nearest nearest_point_avx2(
-    const double* dims, std::size_t stride, std::size_t d, std::size_t k,
-    const double* v) noexcept {
-  return nearest_point_impl<v4d>(dims, stride, d, k, v);
-}
-
-__attribute__((target("avx512f"))) Nearest nearest_point_avx512(
-    const double* dims, std::size_t stride, std::size_t d, std::size_t k,
-    const double* v) noexcept {
-  return nearest_point_impl<v8d>(dims, stride, d, k, v);
-}
-#endif  // JAAL_SIMD_X86
-
-// ---------------------------------------------------------------------------
 // Reductions: canonical 4-accumulator order at EVERY level.  Virtual lane
 // l accumulates elements i with i % 4 == l in ascending i; the final
 // combine is (l0 + l1) + (l2 + l3).  The scalar body below IS the
@@ -589,21 +504,6 @@ double seed_update(const double* x, std::size_t stride, std::size_t d,
 #endif
   return seed_update_scalar(x, stride, d, c, c_index, w, n, d2, nearest,
                             second);
-}
-
-Nearest nearest_point(const double* dims, std::size_t stride, std::size_t d,
-                      std::size_t k, const double* v) noexcept {
-#ifdef JAAL_SIMD_X86
-  switch (active()) {
-    case Level::kAvx512:
-      return nearest_point_avx512(dims, stride, d, k, v);
-    case Level::kAvx2:
-      return nearest_point_avx2(dims, stride, d, k, v);
-    case Level::kScalar:
-      break;
-  }
-#endif
-  return nearest_point_scalar(dims, stride, d, k, v);
 }
 
 }  // namespace jaal::linalg::simd

@@ -9,9 +9,9 @@
 // overrides, force_level() pins a level for tests and benches).
 //
 // Determinism contract (see DESIGN.md "SIMD kernels & SoA layout"):
-//  * Per-point kernels (nearest_centroids, seed_update, nearest_point)
-//    reduce over the p fields serially per lane, and lanes never interact —
-//    results are bit-identical to the scalar path at every dispatch level.
+//  * Per-point kernels (nearest_centroids, seed_update) reduce over the p
+//    fields serially per lane, and lanes never interact — results are
+//    bit-identical to the scalar path at every dispatch level.
 //    nearest_centroids and seed_update share one lane (the same
 //    subtraction, squares summed in the same order) and one select, so a
 //    point's seeding state is what a full scan against the seeds returns.
@@ -103,18 +103,5 @@ void nearest_centroids(const double* x, std::size_t stride, std::size_t d,
                                  std::size_t n, double* d2,
                                  std::size_t* nearest,
                                  double* second) noexcept;
-
-struct Nearest {
-  std::size_t index = 0;
-  double dist = 0.0;
-};
-
-/// Nearest centroid for ONE point v (length d) against centroids stored
-/// dimension-major: coordinate j of centroid c lives at dims[j*stride + c].
-/// Lanes are centroids; the arg-min scan is first-index-wins like the
-/// scalar loop.  This is the streaming mini-batch inner loop.
-[[nodiscard]] Nearest nearest_point(const double* dims, std::size_t stride,
-                                    std::size_t d, std::size_t k,
-                                    const double* v) noexcept;
 
 }  // namespace jaal::linalg::simd

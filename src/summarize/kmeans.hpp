@@ -68,9 +68,9 @@ struct KMeansResult {
 /// the dispatched SIMD kernel, fanning out over `pool` when given.  Each
 /// point is one lane, so the bits are identical across thread counts and
 /// dispatch levels.  This is the full scan that kmeans()'s bounded passes
-/// reproduce bit for bit; it is exposed for the Summarizer's mini-batch path
-/// (one SoA conversion, many probes).  Throws std::invalid_argument on
-/// dimension or output-size mismatch.
+/// reproduce bit for bit, kept as the reference the bounded passes are
+/// tested against.  Throws std::invalid_argument on dimension or output-size
+/// mismatch.
 void assign_to_centroids(const linalg::SoaMatrix& x,
                          const linalg::Matrix& centroids,
                          std::span<std::size_t> assignment,

@@ -34,7 +34,9 @@ Summarizer::Summarizer(const SummarizerConfig& cfg, MonitorId monitor)
   if (cfg_.centroids == 0) {
     throw std::invalid_argument("Summarizer: k must be positive");
   }
-  if (cfg_.batch_size == 0 || cfg_.min_batch > cfg_.batch_size) {
+  // min_batch == 0 would let an idle monitor summarize an empty buffer,
+  // which the SVD rejects; the per-epoch path must not throw.
+  if (cfg_.min_batch == 0 || cfg_.min_batch > cfg_.batch_size) {
     throw std::invalid_argument("Summarizer: bad batch sizing");
   }
 }
@@ -108,50 +110,14 @@ SummarizeOutput Summarizer::summarize(
   KMeansOptions km_opts = cfg_.kmeans;
   km_opts.pool = pool_.get();
 
-  // Mini-batch clustering pass: stream the batch rows through the warm
-  // clusterer (one nearest-centroid update each), then assign the whole
-  // batch against the post-update centroid snapshot so the summary carries
-  // exact per-epoch counts and the monitor gets a packet->centroid map.
-  // Centroid positions persist across epochs — that warm start is the
-  // point — so flush_epoch() is never called here.
-  const auto run_minibatch = [&](const linalg::Matrix& points) {
-    const std::size_t n = points.rows();
-    const std::size_t d = points.cols();
-    if (!minibatch_ || minibatch_->dims() != d ||
-        minibatch_->k() != cfg_.centroids) {
-      minibatch_.emplace(cfg_.centroids, d, cfg_.seed);
-    }
-    for (std::size_t i = 0; i < n; ++i) minibatch_->add(points.row(i));
-    const std::size_t live = minibatch_->seeded();
-    KMeansResult km;
-    km.iterations = 1;
-    km.centroids = linalg::Matrix(live, d);
-    for (std::size_t c = 0; c < live; ++c) {
-      const auto src = minibatch_->centroids().row(c);
-      std::copy(src.begin(), src.end(), km.centroids.row(c).begin());
-    }
-    km.assignment.assign(n, 0);
-    km.counts.assign(live, 0);
-    std::vector<double> best_dist(n, 0.0);
-    assign_to_centroids(linalg::SoaMatrix::from_rows(points), km.centroids,
-                        km.assignment, best_dist, km_opts.pool);
-    for (std::size_t i = 0; i < n; ++i) {
-      km.inertia += best_dist[i];
-      ++km.counts[km.assignment[i]];
-    }
-    return km;
-  };
-
   // Step 2 (§4.3): packets-mode vector quantization, instrumented the same
-  // way for both summary formats and both backends.
+  // way for both summary formats.
   const auto run_kmeans = [&](const linalg::Matrix& points) {
     telemetry::Span span = tel_ != nullptr
                                ? tel_->tracer.span("kmeans", parent, monitor_)
                                : telemetry::Span{};
     const auto start = std::chrono::steady_clock::now();
-    KMeansResult km = cfg_.cluster_backend == ClusterBackend::kMiniBatch
-                          ? run_minibatch(points)
-                          : kmeans(points, cfg_.centroids, rng_, km_opts);
+    KMeansResult km = kmeans(points, cfg_.centroids, rng_, km_opts);
     if (tel_ != nullptr) {
       kmeans_ms_->observe(ms_since(start));
       kmeans_iterations_->observe(static_cast<double>(km.iterations));

@@ -14,7 +14,6 @@
 #include "observe/drift.hpp"
 #include "runtime/thread_pool.hpp"
 #include "summarize/kmeans.hpp"
-#include "summarize/minibatch.hpp"
 #include "summarize/normalize.hpp"
 #include "summarize/summary.hpp"
 #include "telemetry/telemetry.hpp"
@@ -27,17 +26,6 @@ enum class SummaryFormat : std::uint8_t {
   kSplit,     ///< Force S2.
 };
 
-/// Packets-mode (§4.3) vector quantization backend.
-enum class ClusterBackend : std::uint8_t {
-  /// k-means++ seeding + Lloyd iterations, from scratch per batch.
-  kLloyd,
-  /// Streaming Sculley mini-batch clusterer persisted across epochs: each
-  /// batch row updates its nearest centroid once, then the batch is
-  /// assigned against the resulting (warm) centroids.  No per-epoch
-  /// re-seeding spike; quality slightly below full Lloyd.
-  kMiniBatch,
-};
-
 struct SummarizerConfig {
   std::size_t batch_size = 1000;   ///< n: packets per batch.
   std::size_t min_batch = 600;     ///< n_min: below this, skip summarizing.
@@ -45,7 +33,6 @@ struct SummarizerConfig {
   std::size_t centroids = 200;     ///< k: representative packets.
   SummaryFormat format = SummaryFormat::kAuto;
   KMeansOptions kmeans;
-  ClusterBackend cluster_backend = ClusterBackend::kLloyd;
   std::uint64_t seed = 42;
   /// Emit per-batch FidelityStats (SVD energy retained, k-means inertia,
   /// reconstruction error) for the drift monitors.  Costs one O(np) pass
@@ -68,7 +55,7 @@ struct SummarizeOutput {
 class Summarizer {
  public:
   /// Throws std::invalid_argument on degenerate configs (zero rank/k,
-  /// rank > p, min_batch > batch_size).
+  /// rank > p, min_batch == 0, min_batch > batch_size).
   explicit Summarizer(const SummarizerConfig& cfg, MonitorId monitor = 0);
 
   /// Summarizes one batch.  Throws std::invalid_argument if fewer than
@@ -86,9 +73,8 @@ class Summarizer {
   /// the same summaries as one that ran from epoch 0 (the same purity rule
   /// the fault scenarios follow).  The controller calls this before every
   /// flush; direct users who never call it keep the single continuous
-  /// stream seeded at construction.  Note the warm kMiniBatch clustering
-  /// backend carries cross-epoch centroids that this does not reset —
-  /// restart byte-identity holds for the stateless default (kLloyd).
+  /// stream seeded at construction.  The summarizer keeps no other state
+  /// across batches, so restart byte-identity holds for every config.
   void begin_epoch(std::uint64_t epoch) noexcept;
 
   [[nodiscard]] const SummarizerConfig& config() const noexcept { return cfg_; }
@@ -115,10 +101,6 @@ class Summarizer {
   SummarizerConfig cfg_;
   MonitorId monitor_;
   std::mt19937_64 rng_;
-  /// Warm state for ClusterBackend::kMiniBatch (lazily constructed;
-  /// re-seeded if the clustered dimensionality changes, e.g. a format
-  /// switch between U_r rows and reconstructed packet rows).
-  std::optional<MiniBatchClusterer> minibatch_;
   std::shared_ptr<runtime::ThreadPool> pool_;
   telemetry::Telemetry* tel_ = nullptr;
   telemetry::Histogram* svd_ms_ = nullptr;

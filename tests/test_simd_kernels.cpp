@@ -16,7 +16,6 @@
 #include "linalg/svd.hpp"
 #include "runtime/thread_pool.hpp"
 #include "summarize/kmeans.hpp"
-#include "summarize/minibatch.hpp"
 #include "summarize/summarizer.hpp"
 #include "summarize/summary.hpp"
 #include "trace/background.hpp"
@@ -343,56 +342,6 @@ TEST(SimdKernels, SeedUpdateTracksNearestAndRunnerUp) {
   }
 }
 
-TEST(SimdKernels, NearestPointBitIdenticalAcrossLevels) {
-  const std::size_t d = 18;
-  for (const std::size_t k : kSizes) {
-    Matrix centroids(k, d);
-    std::mt19937_64 rng(k * 7 + 1);
-    std::uniform_real_distribution<double> unit(0.0, 1.0);
-    for (double& v : centroids.data()) v = unit(rng);
-    const SoaMatrix dims = SoaMatrix::from_rows(centroids);
-    const auto v = random_vec(d, k + 5);
-
-    ForcedLevel pin(Level::kScalar);
-    const Nearest want = nearest_point(dims.data(), dims.stride(), d, k,
-                                       v.data());
-    for (const Level level : available_levels()) {
-      force_level(level);
-      const Nearest got = nearest_point(dims.data(), dims.stride(), d, k,
-                                        v.data());
-      EXPECT_EQ(want.index, got.index)
-          << "k=" << k << " level=" << level_name(level);
-      EXPECT_TRUE(bit_equal(want.dist, got.dist)) << "k=" << k;
-    }
-  }
-}
-
-// Equal nearest sums in different lanes (2, 3, 9), in one lane (3, 11) and
-// in the scalar tail (35): every level must return the first index, 2.
-TEST(SimdKernels, NearestPointTiesPickFirstIndex) {
-  const std::size_t d = 18;
-  const std::size_t k = 37;
-  Matrix centroids(k, d);
-  std::mt19937_64 rng(5);
-  std::uniform_real_distribution<double> unit(0.0, 1.0);
-  for (double& v : centroids.data()) v = unit(rng);
-  const auto q = random_vec(d, 77);
-  for (const std::size_t c : {9, 11, 2, 3, 35}) {
-    std::copy(q.begin(), q.end(), centroids.row(c).begin());
-  }
-  const SoaMatrix dims = SoaMatrix::from_rows(centroids);
-  std::vector<double> v = q;
-  v[0] += 1e-3;
-
-  ForcedLevel pin(Level::kScalar);
-  for (const Level level : available_levels()) {
-    force_level(level);
-    const Nearest got = nearest_point(dims.data(), dims.stride(), d, k,
-                                      v.data());
-    EXPECT_EQ(got.index, 2u) << "level=" << level_name(level);
-  }
-}
-
 TEST(SimdKernels, TruncatedSvdIdenticalAcrossLevels) {
   Matrix a(37, 9);
   std::mt19937_64 rng(4242);
@@ -468,33 +417,6 @@ TEST(SimdKernels, SummarizerByteIdenticalAcrossLevelsAndThreads) {
           << "level=" << level_name(level) << " threads=" << threads;
       EXPECT_EQ(summarize::serialize(out.summary), ref_bytes)
           << "level=" << level_name(level) << " threads=" << threads;
-    }
-  }
-}
-
-TEST(SimdKernels, MiniBatchNearestMatchesScalarScan) {
-  const std::size_t d = 18, k = 33;
-  summarize::MiniBatchClusterer reference(k, d, 77);
-  std::mt19937_64 rng(8);
-  std::uniform_real_distribution<double> unit(0.0, 1.0);
-  std::vector<std::vector<double>> stream(k + 200,
-                                          std::vector<double>(d, 0.0));
-  for (auto& v : stream) {
-    for (double& x : v) x = unit(rng);
-  }
-  {
-    ForcedLevel pin(Level::kScalar);
-    for (const auto& v : stream) reference.add(v);
-  }
-  for (const Level level : available_levels()) {
-    ForcedLevel pin(level);
-    summarize::MiniBatchClusterer mb(k, d, 77);
-    for (const auto& v : stream) mb.add(v);
-    EXPECT_EQ(reference.counts(), mb.counts()) << level_name(level);
-    for (std::size_t i = 0; i < reference.centroids().data().size(); ++i) {
-      ASSERT_TRUE(bit_equal(reference.centroids().data()[i],
-                            mb.centroids().data()[i]))
-          << "level=" << level_name(level) << " i=" << i;
     }
   }
 }

@@ -35,6 +35,9 @@ TEST(Summarizer, ValidatesConfig) {
   bad = config();
   bad.min_batch = bad.batch_size + 1;
   EXPECT_THROW(Summarizer{bad}, std::invalid_argument);
+  bad = config();
+  bad.min_batch = 0;
+  EXPECT_THROW(Summarizer{bad}, std::invalid_argument);
 }
 
 TEST(Summarizer, RejectsBatchBelowMinimum) {
@@ -148,36 +151,6 @@ TEST(Summarizer, TinyRankStillWorks) {
   Summarizer s(config(600, 1, 10));
   const auto out = s.summarize(batch(600));
   EXPECT_EQ(out.assignment.size(), 600u);
-}
-
-TEST(Summarizer, MiniBatchBackendWarmsAcrossEpochs) {
-  trace::BackgroundTraffic gen(trace::trace1_profile(), 6);
-  summarize::SummarizerConfig cfg;
-  cfg.batch_size = 700;
-  cfg.min_batch = 350;
-  cfg.rank = 12;
-  cfg.centroids = 48;
-  cfg.cluster_backend = summarize::ClusterBackend::kMiniBatch;
-  summarize::Summarizer a(cfg);
-  summarize::Summarizer b(cfg);
-  double first_inertia = 0.0;
-  double last_inertia = 0.0;
-  for (int epoch = 0; epoch < 4; ++epoch) {
-    const auto packets = trace::take(gen, 700);
-    const auto oa = a.summarize(packets);
-    const auto ob = b.summarize(packets);
-    // Deterministic across instances...
-    EXPECT_EQ(oa.assignment, ob.assignment) << "epoch=" << epoch;
-    EXPECT_EQ(summarize::serialize(oa.summary),
-              summarize::serialize(ob.summary));
-    // ...and structurally sound: every packet maps to a live centroid.
-    ASSERT_TRUE(oa.fidelity.has_value());
-    if (epoch == 0) first_inertia = oa.fidelity->kmeans_inertia;
-    last_inertia = oa.fidelity->kmeans_inertia;
-  }
-  // Warm centroids must not be catastrophically worse than the first
-  // epoch's (they should be in the same ballpark or better).
-  EXPECT_LT(last_inertia, first_inertia * 3.0 + 1e-9);
 }
 
 }  // namespace
