@@ -1,7 +1,9 @@
 #include "inference/aggregate.hpp"
 
+#include <algorithm>
 #include <random>
 #include <stdexcept>
+#include <utility>
 
 #include "summarize/kmeans.hpp"
 
@@ -50,46 +52,75 @@ std::uint64_t AggregatedSummary::total_packets() const noexcept {
   return total;
 }
 
+void AggregatedSummary::clear() noexcept {
+  centroids.resize(0, 0);
+  counts.clear();
+  origin.clear();
+  local_index.clear();
+}
+
 void Aggregator::add(const summarize::MonitorSummary& summary) {
-  summarize::CombinedSummary combined;
   if (const auto* c = std::get_if<summarize::CombinedSummary>(&summary)) {
-    combined = *c;
-  } else {
-    combined = std::get<summarize::SplitSummary>(summary).reconstruct();
+    c->check_invariants();
+    const auto src = c->centroids.data();
+    std::copy(src.begin(), src.end(),
+              append_rows(c->monitor, c->counts, c->centroids.cols()));
+    return;
   }
-  combined.check_invariants();
-  if (!pending_.empty() &&
-      pending_.front().centroids.cols() != combined.centroids.cols()) {
+  const auto& s = std::get<summarize::SplitSummary>(summary);
+  s.check_invariants();
+  const std::size_t cols = s.vt.cols();
+  double* const rows = append_rows(s.monitor, s.counts, cols);
+  // SplitSummary::reconstruct's arithmetic, row by row: fold sigma into
+  // U~_r, then the i-k-j product with its zero skip onto zeroed rows, so
+  // every row has the bits of reconstruct().centroids.
+  for (std::size_t i = 0; i < s.counts.size(); ++i) {
+    double* const out = rows + i * cols;
+    for (std::size_t c = 0; c < s.sigma.size(); ++c) {
+      const double a = s.u_centroids(i, c) * s.sigma[c];
+      if (a == 0.0) continue;
+      const double* const v = s.vt.data().data() + c * cols;
+      for (std::size_t j = 0; j < cols; ++j) out[j] += a * v[j];
+    }
+  }
+}
+
+double* Aggregator::append_rows(summarize::MonitorId monitor,
+                                const std::vector<std::uint64_t>& counts,
+                                std::size_t cols) {
+  if (added_ > 0 && next_.centroids.cols() != cols) {
     throw std::invalid_argument("Aggregator: field-width mismatch");
   }
-  pending_.push_back(std::move(combined));
+  const std::size_t first = next_.rows();
+  next_.centroids.resize(first + counts.size(), cols);
+  next_.counts.insert(next_.counts.end(), counts.begin(), counts.end());
+  next_.origin.insert(next_.origin.end(), counts.size(), monitor);
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    next_.local_index.push_back(i);
+  }
   ++added_;
+  return next_.centroids.data().data() + first * cols;
+}
+
+void Aggregator::take(AggregatedSummary& out) {
+  std::swap(out, next_);
+  clear();
 }
 
 AggregatedSummary Aggregator::take() {
-  AggregatedSummary agg;
-  std::size_t total_rows = 0;
-  for (const auto& s : pending_) total_rows += s.centroids.rows();
-  const std::size_t cols =
-      pending_.empty() ? 0 : pending_.front().centroids.cols();
-  agg.centroids = linalg::Matrix(total_rows, cols);
-  agg.counts.reserve(total_rows);
-  agg.origin.reserve(total_rows);
-  agg.local_index.reserve(total_rows);
+  AggregatedSummary out;
+  take(out);
+  const std::size_t rows = out.rows();
+  next_.centroids.reserve(out.centroids.data().size());
+  next_.counts.reserve(rows);
+  next_.origin.reserve(rows);
+  next_.local_index.reserve(rows);
+  return out;
+}
 
-  std::size_t row = 0;
-  for (const auto& s : pending_) {
-    for (std::size_t i = 0; i < s.centroids.rows(); ++i, ++row) {
-      const auto src = s.centroids.row(i);
-      std::copy(src.begin(), src.end(), agg.centroids.row(row).begin());
-      agg.counts.push_back(s.counts[i]);
-      agg.origin.push_back(s.monitor);
-      agg.local_index.push_back(i);
-    }
-  }
-  pending_.clear();
+void Aggregator::clear() noexcept {
+  next_.clear();
   added_ = 0;
-  return agg;
 }
 
 }  // namespace jaal::inference

@@ -48,6 +48,8 @@ struct AggregatedSummary {
   [[nodiscard]] bool empty() const noexcept { return counts.empty(); }
   /// Total packets represented across all monitors.
   [[nodiscard]] std::uint64_t total_packets() const noexcept;
+  /// Drops every row (0 x 0 centroids) but keeps the buffers' capacity.
+  void clear() noexcept;
 };
 
 /// Second-level reduction for very large deployments: the aggregate has up
@@ -67,18 +69,38 @@ inline constexpr summarize::MonitorId kNoOrigin =
 
 class Aggregator {
  public:
-  /// Appends one monitor summary (reconstructing S2 into S1 form).
+  /// Appends one monitor summary.  A split summary is reconstructed
+  /// (U~_r * diag(sigma) * V_r^T, bit-identical to SplitSummary::reconstruct)
+  /// straight into the epoch's row buffer; a combined one is copied there.
   /// Throws std::invalid_argument if the summary's field width differs from
-  /// previously added summaries.
+  /// previously added summaries, and std::logic_error on a summary whose
+  /// own dimensions disagree; either way the pending epoch is unchanged.
   void add(const summarize::MonitorSummary& summary);
 
   [[nodiscard]] std::size_t summaries_added() const noexcept { return added_; }
 
-  /// Builds the aggregate and resets the collector for the next epoch.
+  /// Hands this epoch's aggregate to `out` by swapping buffers: `out`'s
+  /// previous contents are dropped and its storage becomes the next epoch's
+  /// row buffer, so a caller that keeps one aggregate across epochs
+  /// allocates nothing once the epochs stop growing.  Resets the collector.
+  void take(AggregatedSummary& out);
+
+  /// By-value form of take(out): returns the aggregate's own buffers and
+  /// reserves the next epoch's at this epoch's size, so a by-value caller
+  /// pays one allocation per vector per epoch, not a regrowth per add.
   [[nodiscard]] AggregatedSummary take();
 
+  /// Drops the summaries added since the last take, keeping the storage.
+  void clear() noexcept;
+
  private:
-  std::vector<summarize::CombinedSummary> pending_;
+  /// Width check, then room for `counts.size()` zeroed rows plus their
+  /// bookkeeping; returns the first new row.
+  double* append_rows(summarize::MonitorId monitor,
+                      const std::vector<std::uint64_t>& counts,
+                      std::size_t cols);
+
+  AggregatedSummary next_;  ///< The epoch being collected.
   std::size_t added_ = 0;
 };
 

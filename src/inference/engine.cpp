@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "packet/wire.hpp"
@@ -40,7 +41,9 @@ InferenceEngine::InferenceEngine(std::vector<rules::Rule> rules,
     throw std::invalid_argument("InferenceEngine: empty rule set");
   }
   auto check = [](const ThresholdPair& t) {
-    if (t.tau_d2 < t.tau_d1 || t.tau_d1 < 0.0) {
+    // Written so NaN fails: a NaN threshold would break the nesting of the
+    // strict matched set in the loose one.
+    if (!(t.tau_d1 >= 0.0 && t.tau_d2 >= t.tau_d1)) {
       throw std::invalid_argument(
           "InferenceEngine: need 0 <= tau_d1 <= tau_d2");
     }
@@ -89,11 +92,12 @@ ThresholdPair InferenceEngine::thresholds_for(std::uint32_t sid) const {
 }
 
 void InferenceEngine::set_report_fraction(double fraction) noexcept {
-  report_fraction_ = std::clamp(fraction, 1e-9, 1.0);
+  report_fraction_ =
+      std::isnan(fraction) ? 1.0 : std::clamp(fraction, 1e-9, 1.0);
 }
 
 void InferenceEngine::set_caution(double caution) noexcept {
-  caution_ = std::clamp(caution, 0.0, 1.0);
+  caution_ = std::isnan(caution) ? 0.0 : std::clamp(caution, 0.0, 1.0);
 }
 
 std::uint64_t InferenceEngine::scaled_tau_c(const rules::Question& q) const {
@@ -104,28 +108,27 @@ std::uint64_t InferenceEngine::scaled_tau_c(const rules::Question& q) const {
   const double fraction =
       aggregation_.scale_thresholds_by_report_fraction ? report_fraction_
                                                        : 1.0;
-  const double t =
-      static_cast<double>(q.tau_c) * config_.tau_c_scale * fraction;
-  return std::max<std::uint64_t>(1, static_cast<std::uint64_t>(std::ceil(t)));
+  const double t = std::ceil(static_cast<double>(q.tau_c) *
+                             config_.tau_c_scale * fraction);
+  // Casting NaN or anything outside [0, 2^64) to uint64_t is undefined.
+  if (!(t < 0x1p64)) return std::numeric_limits<std::uint64_t>::max();
+  if (t < 1.0) return 1;
+  return static_cast<std::uint64_t>(t);
 }
 
 std::vector<QuestionMatch> InferenceEngine::match(
     const AggregatedSummary& aggregate) const {
-  // Algorithm 1 per question (strict + loose thresholds) is read-only on
-  // the aggregate and independent across questions, so it fans out over the
-  // pool.  Matched rows depend only on tau_d (the distance threshold); the
-  // alert flag additionally compares the count sum against scaled_tau_c.
+  // Algorithm 1 per question (strict + loose thresholds, one scoring scan)
+  // is read-only on the aggregate and independent across questions, so it
+  // fans out over the pool.  Matched rows depend only on tau_d (the
+  // distance threshold); the alert flag additionally compares the count sum
+  // against scaled_tau_c.
   std::vector<QuestionMatch> matches(questions_.size());
-  // Rows narrower than the field space (a corrupt or foreign stored summary
-  // reaching replay) cannot be scored: nothing matches, and no distance is
-  // read past the end of a row.
-  if (aggregate.centroids.cols() < packet::kFieldCount) return matches;
   const auto match_one = [&](std::size_t qi) {
     const rules::Question& q = questions_[qi];
     const ThresholdPair th = thresholds_for(q.sid);
-    const std::uint64_t tau_c = scaled_tau_c(q);
-    matches[qi] = {estimate_similarity(q, aggregate, th.tau_d1, tau_c),
-                   estimate_similarity(q, aggregate, th.tau_d2, tau_c)};
+    matches[qi] =
+        match_question(q, aggregate, th.tau_d1, th.tau_d2, scaled_tau_c(q));
   };
   if (pool_ && questions_.size() > 1) {
     pool_->parallel_for(0, questions_.size(), match_one, 1);

@@ -124,13 +124,6 @@ struct RawFetch {
 using RawPacketFetcher = std::function<RawFetch(
     summarize::MonitorId, const std::vector<std::size_t>& centroid_indices)>;
 
-/// One question's Algorithm 1 result at both thresholds — the unit of work
-/// the matching phase produces and the decision phase consumes.
-struct QuestionMatch {
-  SimilarityResult strict;  ///< tau_d1 (low FPR).
-  SimilarityResult loose;   ///< tau_d2 (high TPR).
-};
-
 struct InferenceStats {
   std::uint64_t feedback_requests = 0;   ///< Case-3 occurrences.
   std::uint64_t feedback_fallbacks = 0;  ///< Retrieval failed; summary-only.
@@ -146,7 +139,8 @@ class InferenceEngine {
   /// the raw-matching semantics for feedback.  `aggregation` governs the
   /// report-fraction threshold scaling (see AggregationPolicy); the default
   /// is the historical behavior.  Throws on empty rules, threshold pairs
-  /// with tau_d2 < tau_d1, or an invalid aggregation policy.
+  /// that are not 0 <= tau_d1 <= tau_d2 (NaN included; tau_d2 may be +inf),
+  /// or an invalid aggregation policy.
   InferenceEngine(std::vector<rules::Rule> rules, EngineConfig config,
                   AggregationPolicy aggregation = {});
 
@@ -160,10 +154,11 @@ class InferenceEngine {
       const AggregatedSummary& aggregate, const RawPacketFetcher& fetch,
       const telemetry::SpanContext& parent = {});
 
-  /// Matching phase alone: Algorithm 1 per question (strict + loose), one
-  /// QuestionMatch per question in question order.  Read-only on engine
-  /// state; fans out over the attached pool.  Kept apart from decide() as
-  /// the seam a matching process boundary would cut along.
+  /// Matching phase alone: Algorithm 1 per question (strict + loose from
+  /// one scoring scan, see match_question), one QuestionMatch per question
+  /// in question order.  Read-only on engine state; fans out over the
+  /// attached pool.  Kept apart from decide() as the seam a matching
+  /// process boundary would cut along.
   [[nodiscard]] std::vector<QuestionMatch> match(
       const AggregatedSummary& aggregate) const;
 
@@ -204,7 +199,8 @@ class InferenceEngine {
   /// would silently miss — and every alert raised carries it as
   /// Alert::confidence so downstream consumers can re-raise their own bar.
   /// Values are clamped to (0, 1]; 1.0 restores the exact full-epoch
-  /// behavior.  Never throws (per-epoch hot path).
+  /// behavior, and NaN (say, from a corrupt stored EpochMeta) reads as 1.0.
+  /// Never throws (per-epoch hot path).
   void set_report_fraction(double fraction) noexcept;
   [[nodiscard]] double report_fraction() const noexcept {
     return report_fraction_;
@@ -213,8 +209,8 @@ class InferenceEngine {
   /// Observability hook: the current drift caution signal (fraction of
   /// monitors whose summary fidelity is drifting, clamped to [0, 1]).  The
   /// engine stamps it on alerts and provenance but never changes a decision
-  /// because of it — operators decide what a cautious epoch means.  Never
-  /// throws (per-epoch hot path).
+  /// because of it — operators decide what a cautious epoch means.  NaN
+  /// reads as 0.0.  Never throws (per-epoch hot path).
   void set_caution(double caution) noexcept;
   [[nodiscard]] double caution() const noexcept { return caution_; }
 
@@ -231,7 +227,9 @@ class InferenceEngine {
   void set_telemetry(telemetry::Telemetry* tel);
 
   /// The count threshold in effect for a question right now (tau_c scaled
-  /// by tau_c_scale and — policy permitting — the report fraction).
+  /// by tau_c_scale and — policy permitting — the report fraction, rounded
+  /// up, at least 1).  A product of 2^64 or more, or NaN from a NaN
+  /// tau_c_scale, saturates at UINT64_MAX: the rule cannot fire.
   [[nodiscard]] std::uint64_t scaled_tau_c(const rules::Question& q) const;
 
  private:

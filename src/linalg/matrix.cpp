@@ -49,6 +49,12 @@ std::span<const double> Matrix::row(std::size_t r) const {
   return {data_.data() + r * cols_, cols_};
 }
 
+void Matrix::resize(std::size_t rows, std::size_t cols) {
+  data_.resize(rows * cols, 0.0);
+  rows_ = rows;
+  cols_ = cols;
+}
+
 Matrix Matrix::transposed() const {
   Matrix t(cols_, rows_);
   for (std::size_t r = 0; r < rows_; ++r) {

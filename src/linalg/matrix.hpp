@@ -48,6 +48,13 @@ class Matrix {
   [[nodiscard]] std::span<double> row(std::size_t r);
   [[nodiscard]] std::span<const double> row(std::size_t r) const;
 
+  /// Reshapes to rows x cols over the same storage: the first min(old, new)
+  /// row-major elements keep their values, new ones are zero, and capacity
+  /// is kept, so shrinking and regrowing within it never allocates.
+  void resize(std::size_t rows, std::size_t cols);
+  /// Reserves storage for `elements` entries; the shape is unchanged.
+  void reserve(std::size_t elements) { data_.reserve(elements); }
+
   /// Underlying row-major storage.
   [[nodiscard]] std::span<const double> data() const noexcept { return data_; }
   [[nodiscard]] std::span<double> data() noexcept { return data_; }

@@ -23,8 +23,10 @@ InferenceTier::InferenceTier(const ShardingConfig& /*sharding*/,
 void InferenceTier::begin_epoch(std::uint64_t epoch) {
   epoch_ = epoch;
   aggregated_ = false;
-  aggregate_ = {};
-  aggregator_ = {};
+  // Drop the previous epoch's rows and any unaggregated summaries; both
+  // keep their buffers for this epoch.
+  aggregate_.clear();
+  aggregator_.clear();
   down_ = false;
   for (const faults::ShardCrashWindow& w : outages_) {
     down_ = down_ || w.covers(epoch);
@@ -40,7 +42,7 @@ bool InferenceTier::add_summary(const summarize::MonitorSummary& summary) {
 
 const inference::AggregatedSummary& InferenceTier::aggregate_epoch() {
   aggregated_ = true;
-  aggregate_ = aggregator_.take();
+  aggregator_.take(aggregate_);
   return aggregate_;
 }
 

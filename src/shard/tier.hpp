@@ -44,7 +44,8 @@ class InferenceTier final {
                 const inference::AggregationPolicy& aggregation = {},
                 std::vector<faults::ShardCrashWindow> outages = {});
 
-  /// Opens an epoch: drops the previous epoch's summaries and aggregate and
+  /// Opens an epoch: drops the previous epoch's summaries and aggregate
+  /// (their buffers are reused, so steady-state epochs allocate no rows) and
   /// evaluates the outage windows.
   void begin_epoch(std::uint64_t epoch);
 

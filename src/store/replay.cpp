@@ -12,7 +12,10 @@ std::vector<ReplayEpoch> StoreReplayer::replay(
   std::vector<ReplayEpoch> epochs;
   // Summaries of an epoch precede its EpochMeta in the log, so one pass
   // suffices: collect until the commit record closes the epoch.
+  // One aggregate recycled across epochs: take() swaps its buffers with the
+  // aggregator's, so steady-state epochs allocate no rows.
   inference::Aggregator aggregator;
+  inference::AggregatedSummary aggregate;
   store_.summaries_log().for_each([&](const RecordView& rec) {
     if (rec.kind == RecordKind::kSummary) {
       // Aggregation order is append order — the live controller's order
@@ -26,7 +29,7 @@ std::vector<ReplayEpoch> StoreReplayer::replay(
       // CRC-valid but malformed commit record: the epoch is unreplayable.
       // Discard its pending summaries so they cannot leak into the next
       // epoch's aggregate.
-      if (aggregator.summaries_added() > 0) (void)aggregator.take();
+      aggregator.clear();
       return true;
     }
     ReplayEpoch out;
@@ -43,7 +46,7 @@ std::vector<ReplayEpoch> StoreReplayer::replay(
     engine.set_report_fraction(meta->report_fraction);
     engine.set_caution(meta->caution);
     if (aggregator.summaries_added() > 0) {
-      const inference::AggregatedSummary aggregate = aggregator.take();
+      aggregator.take(aggregate);
       out.alerts = engine.infer(aggregate, /*fetch=*/nullptr);
     }
     epochs.push_back(std::move(out));

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <random>
 #include <stdexcept>
 
 namespace jaal::inference {
@@ -124,6 +126,133 @@ TEST(Aggregator, RejectsBrokenInvariants) {
   bad.counts.pop_back();
   Aggregator agg;
   EXPECT_THROW(agg.add(MonitorSummary{bad}), std::logic_error);
+}
+
+/// Random split summary; some U~ cells are zero (the reconstruction's skip)
+/// and some V^T cells are -0.0 (a row built by assignment instead of
+/// accumulation onto zero would keep the sign).
+SplitSummary random_split(summarize::MonitorId id, std::size_t k,
+                          std::size_t r, std::size_t p, std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> u(-1.0, 1.0);
+  SplitSummary s;
+  s.monitor = id;
+  s.u_centroids = linalg::Matrix(k, r);
+  for (double& v : s.u_centroids.data()) v = rng() % 5 == 0 ? 0.0 : u(rng);
+  for (std::size_t c = 0; c < r; ++c) s.sigma.push_back(1.0 + u(rng));
+  s.vt = linalg::Matrix(r, p);
+  for (double& v : s.vt.data()) v = rng() % 7 == 0 ? -0.0 : u(rng);
+  for (std::size_t i = 0; i < k; ++i) s.counts.push_back(1 + rng() % 90);
+  return s;
+}
+
+/// What the epoch's aggregate must hold: every summary in combined form
+/// (split ones through SplitSummary::reconstruct), rows concatenated in
+/// order, compared bit for bit.
+void expect_aggregate_of(const AggregatedSummary& a,
+                         const std::vector<MonitorSummary>& epoch) {
+  std::size_t row = 0;
+  for (const MonitorSummary& s : epoch) {
+    const CombinedSummary c =
+        std::holds_alternative<CombinedSummary>(s)
+            ? std::get<CombinedSummary>(s)
+            : std::get<SplitSummary>(s).reconstruct();
+    ASSERT_EQ(a.centroids.cols(), c.centroids.cols());
+    for (std::size_t i = 0; i < c.centroids.rows(); ++i, ++row) {
+      ASSERT_LT(row, a.rows());
+      const auto want = c.centroids.row(i);
+      const auto got = a.centroids.row(row);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size_bytes()), 0)
+          << "row " << row;
+      EXPECT_EQ(a.counts[row], c.counts[i]);
+      EXPECT_EQ(a.origin[row], c.monitor);
+      EXPECT_EQ(a.local_index[row], i);
+    }
+  }
+  EXPECT_EQ(a.rows(), row);
+  EXPECT_EQ(a.centroids.rows(), row);
+  if (epoch.empty()) {
+    EXPECT_EQ(a.centroids.cols(), 0u);
+  }
+}
+
+TEST(Aggregator, RecycledTakeMatchesReconstructAcrossEpochs) {
+  std::mt19937_64 rng(11);
+  constexpr std::size_t p = 18;
+  // Epochs that grow, shrink, empty out and mix the two formats.
+  const std::vector<std::vector<MonitorSummary>> epochs = {
+      {random_split(0, 400, 12, p, rng), combined(1, 50, p, 0.3)},
+      {combined(2, 3, p, 0.7)},
+      {random_split(3, 10, 4, p, rng), random_split(4, 200, 12, p, rng),
+       combined(5, 100, p, 0.1), random_split(6, 5, 1, p, rng)},
+      {},
+      {random_split(7, 1, 12, p, rng)},
+      {random_split(8, 400, 12, p, rng), random_split(9, 400, 12, p, rng)},
+  };
+  Aggregator recycling;
+  Aggregator by_value;
+  AggregatedSummary kept;
+  for (std::size_t e = 0; e < epochs.size(); ++e) {
+    SCOPED_TRACE(testing::Message() << "epoch " << e);
+    for (const MonitorSummary& s : epochs[e]) {
+      recycling.add(s);
+      by_value.add(s);
+    }
+    recycling.take(kept);
+    expect_aggregate_of(kept, epochs[e]);
+    const AggregatedSummary fresh = by_value.take();
+    expect_aggregate_of(fresh, epochs[e]);
+    EXPECT_EQ(recycling.summaries_added(), 0u);
+  }
+}
+
+TEST(Aggregator, SteadyEpochsReuseTheSameBuffers) {
+  std::mt19937_64 rng(5);
+  const MonitorSummary s = random_split(0, 64, 6, 18, rng);
+  Aggregator agg;
+  AggregatedSummary kept;
+  std::vector<const double*> buffers;
+  for (int e = 0; e < 4; ++e) {
+    agg.add(s);
+    agg.add(s);
+    agg.take(kept);
+    expect_aggregate_of(kept, {s, s});
+    buffers.push_back(kept.centroids.data().data());
+  }
+  // Two row buffers alternate between the caller and the aggregator.
+  EXPECT_EQ(buffers[2], buffers[0]);
+  EXPECT_EQ(buffers[3], buffers[1]);
+}
+
+TEST(Aggregator, RejectedSummaryLeavesTheEpochIntact) {
+  std::mt19937_64 rng(9);
+  const MonitorSummary first = random_split(0, 30, 5, 18, rng);
+  const MonitorSummary second = combined(1, 7, 18, 0.4);
+  Aggregator agg;
+  AggregatedSummary kept;
+  agg.add(MonitorSummary{combined(9, 4, 18, 0.2)});
+  agg.take(kept);  // the buffers now hold a previous epoch
+  agg.add(first);
+  EXPECT_THROW(agg.add(MonitorSummary{combined(2, 3, 12, 0.0)}),
+               std::invalid_argument);
+  EXPECT_THROW(agg.add(random_split(3, 6, 2, 12, rng)), std::invalid_argument);
+  SplitSummary broken = random_split(4, 6, 2, 18, rng);
+  broken.counts.pop_back();
+  EXPECT_THROW(agg.add(MonitorSummary{broken}), std::logic_error);
+  agg.add(second);
+  EXPECT_EQ(agg.summaries_added(), 2u);
+  agg.take(kept);
+  expect_aggregate_of(kept, {first, second});
+}
+
+TEST(Aggregator, ClearDropsPendingSummaries) {
+  Aggregator agg;
+  agg.add(MonitorSummary{combined(0, 5, 18, 0.5)});
+  agg.clear();
+  EXPECT_EQ(agg.summaries_added(), 0u);
+  // A narrower summary is welcome again: the width went with the epoch.
+  agg.add(MonitorSummary{combined(1, 2, 4, 0.5)});
+  const AggregatedSummary a = agg.take();
+  expect_aggregate_of(a, {MonitorSummary{combined(1, 2, 4, 0.5)}});
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <memory>
+#include <random>
+
 #include "core/experiment.hpp"
 
 namespace jaal::inference {
@@ -279,6 +283,93 @@ TEST(Engine, NarrowRowsNeverMatch) {
     EXPECT_TRUE(m.loose.matched_rows.empty());
   }
   EXPECT_TRUE(engine.infer(agg, nullptr).empty());
+}
+
+TEST(Engine, RejectsNanThresholds) {
+  // NaN fails every comparison, so an ordering check written as "reject if
+  // inverted" would wave it through; the strict set then need not nest.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const ThresholdPair bad : {ThresholdPair{kNaN, 0.05},
+                                  ThresholdPair{0.02, kNaN},
+                                  ThresholdPair{kNaN, kNaN}}) {
+    EngineConfig by_default;
+    by_default.default_thresholds = bad;
+    EXPECT_THROW(InferenceEngine(flood_ruleset(), by_default),
+                 std::invalid_argument);
+    EngineConfig by_rule;
+    by_rule.per_rule[1] = bad;
+    EXPECT_THROW(InferenceEngine(flood_ruleset(), by_rule),
+                 std::invalid_argument);
+  }
+  EngineConfig open_ended;
+  open_ended.default_thresholds = {0.02,
+                                   std::numeric_limits<double>::infinity()};
+  EXPECT_NO_THROW(InferenceEngine(flood_ruleset(), open_ended));
+}
+
+TEST(Engine, NonFiniteKnobsTakeDocumentedValues) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+  InferenceEngine engine(flood_ruleset(), EngineConfig{});
+  engine.set_report_fraction(kNaN);
+  EXPECT_EQ(engine.report_fraction(), 1.0);
+  engine.set_caution(kNaN);
+  EXPECT_EQ(engine.caution(), 0.0);
+
+  const rules::Question& q = engine.questions().front();  // tau_c 100
+  engine.set_tau_c_scale(0.5);
+  EXPECT_EQ(engine.scaled_tau_c(q), 50u);
+  engine.set_tau_c_scale(-3.0);
+  EXPECT_EQ(engine.scaled_tau_c(q), 1u);
+  // Out of uint64_t range, or NaN: saturate, so the rule cannot fire.
+  engine.set_tau_c_scale(1e300);
+  EXPECT_EQ(engine.scaled_tau_c(q), kNever);
+  engine.set_tau_c_scale(std::numeric_limits<double>::infinity());
+  EXPECT_EQ(engine.scaled_tau_c(q), kNever);
+  engine.set_tau_c_scale(kNaN);
+  EXPECT_EQ(engine.scaled_tau_c(q), kNever);
+  // Just inside the range the product converts exactly; just past it, it
+  // saturates.
+  engine.set_tau_c_scale(0x1p57);
+  EXPECT_EQ(engine.scaled_tau_c(q), std::uint64_t{100} << 57);
+  engine.set_tau_c_scale(0x1p58);
+  EXPECT_EQ(engine.scaled_tau_c(q), kNever);
+}
+
+TEST(Engine, PooledMatchEqualsSerial) {
+  // match() scores the rules on the pool; every rule's strict and loose
+  // results must equal the serial pass's, bit for bit.
+  InferenceEngine engine(
+      rules::parse_rules(rules::default_ruleset_text(),
+                         core::evaluation_rule_vars()),
+      EngineConfig{});
+  std::mt19937_64 rng(3);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  AggregatedSummary agg;
+  agg.centroids = linalg::Matrix(2000, packet::kFieldCount);
+  for (double& v : agg.centroids.data()) v = unit(rng);
+  for (std::size_t i = 0; i < agg.centroids.rows(); ++i) {
+    agg.counts.push_back(1 + rng() % 20);
+    agg.origin.push_back(static_cast<summarize::MonitorId>(i % 8));
+    agg.local_index.push_back(i / 8);
+  }
+  const std::vector<QuestionMatch> serial = engine.match(agg);
+  engine.set_pool(std::make_shared<runtime::ThreadPool>(3));
+  const std::vector<QuestionMatch> pooled = engine.match(agg);
+  ASSERT_EQ(pooled.size(), serial.size());
+  std::size_t matched = 0;
+  for (std::size_t qi = 0; qi < serial.size(); ++qi) {
+    for (const auto& [got, want] :
+         {std::pair{&pooled[qi].strict, &serial[qi].strict},
+          std::pair{&pooled[qi].loose, &serial[qi].loose}}) {
+      EXPECT_EQ(got->alert, want->alert);
+      EXPECT_EQ(got->matched_count, want->matched_count);
+      EXPECT_EQ(got->matched_rows, want->matched_rows);
+      EXPECT_EQ(got->matched_distances, want->matched_distances);
+      matched += want->matched_rows.size();
+    }
+  }
+  EXPECT_GT(matched, 0u);  // the comparison saw matches, not only misses
 }
 
 }  // namespace

@@ -67,6 +67,46 @@ TEST(InferenceTier, RejectsShardFaultWindowsOutOfRange) {
   EXPECT_NO_THROW(shard::InferenceTier({}, ruleset(), {}, {}, {w}));
 }
 
+TEST(InferenceTier, EpochAfterAFullOneStartsEmpty) {
+  // The tier recycles its aggregate's buffers across epochs; an epoch that
+  // aggregates nothing must still expose an empty aggregate, not the rows
+  // of the epoch before.
+  faults::ShardCrashWindow outage;
+  outage.crash_epoch = 3;
+  outage.restart_epoch = 4;
+  shard::InferenceTier tier({}, ruleset(), {}, {}, {outage});
+  summarize::CombinedSummary full;
+  full.centroids = linalg::Matrix(40, packet::kFieldCount);
+  for (double& v : full.centroids.data()) v = 0.5;
+  full.counts.assign(40, 1000);
+  const auto expect_empty = [&] {
+    const inference::AggregatedSummary& agg = tier.aggregate_epoch();
+    EXPECT_TRUE(agg.empty());
+    EXPECT_EQ(agg.centroids.rows(), 0u);
+    EXPECT_TRUE(agg.origin.empty());
+    EXPECT_TRUE(agg.local_index.empty());
+    EXPECT_TRUE(tier.infer_epoch(nullptr).empty());
+  };
+
+  tier.begin_epoch(1);
+  ASSERT_TRUE(tier.add_summary(full));
+  EXPECT_EQ(tier.aggregate_epoch().rows(), 40u);
+  tier.begin_epoch(2);  // no summaries arrive
+  expect_empty();
+
+  tier.begin_epoch(1);
+  ASSERT_TRUE(tier.add_summary(full));
+  (void)tier.infer_epoch(nullptr);  // aggregates implicitly
+  tier.begin_epoch(3);  // the tier is down: the summary is refused
+  EXPECT_FALSE(tier.add_summary(full));
+  expect_empty();
+
+  tier.begin_epoch(4);
+  ASSERT_TRUE(tier.add_summary(full));  // never aggregated...
+  tier.begin_epoch(5);                   // ...so dropped here
+  expect_empty();
+}
+
 // ------------------------------------------------- epoch-meta codec
 
 TEST(EpochMetaCodec, SingleShardEncodingIsThePreShardingFormat) {

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -459,6 +460,69 @@ TEST(Store, ReplayDropsEpochWithMalformedMeta) {
   EXPECT_EQ(replayed[1].epoch, 2u);
   // Without the discard, epoch 1's orphaned summary would inflate this.
   EXPECT_EQ(replayed[1].summaries, 1u);
+}
+
+TEST(Store, ReplayReadsNonFiniteMetaAsDocumented) {
+  // The meta decoder accepts any bits, so a CRC-valid commit record may
+  // carry a NaN report fraction or caution, or a packet count so large the
+  // scaled count threshold leaves uint64_t.  Replay must turn those into
+  // the engine's documented values, not an undefined conversion.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const auto ruleset = rules::parse_rules(rules::default_ruleset_text(),
+                                          core::evaluation_rule_vars());
+  // One centroid sitting exactly on the first rule's question, heavy
+  // enough to fire it at the nominal volume.
+  summarize::CombinedSummary hit;
+  hit.monitor = 1;
+  hit.centroids = linalg::Matrix(1, packet::kFieldCount);
+  const rules::Question q = rules::translate(ruleset.front());
+  for (std::size_t j = 0; j < packet::kFieldCount; ++j) {
+    hit.centroids(0, j) = q.q[j] == rules::kWildcard ? 0.0 : q.q[j];
+  }
+  hit.counts = {1000};
+
+  TempDir dir("nanmeta");
+  {
+    TimeShardLog log({dir.str(), "summaries", 64}, /*writable=*/true);
+    const auto bytes = summarize::serialize(summarize::MonitorSummary{hit},
+                                            summarize::WirePrecision::kFloat64);
+    const EpochMeta metas[] = {{0, 2.0, 2000, kNaN, kNaN},
+                               {1, 4.0, 2000, 1.0, 0.0},
+                               {2, 6.0, kMax, 1.0, 0.0}};
+    for (const EpochMeta& m : metas) {
+      ASSERT_TRUE(log.append(m.epoch, 1, RecordKind::kSummary, bytes));
+      ASSERT_TRUE(log.append(m.epoch, 0, RecordKind::kEpochMeta,
+                             encode_epoch_meta(m)));
+    }
+  }
+  const StoreReplayer replayer({dir.str(), 64});
+
+  // NaN fraction reads as 1.0 and NaN caution as 0.0: epoch 0 decides
+  // exactly like the clean epoch 1.
+  inference::InferenceEngine engine(ruleset, inference::EngineConfig{});
+  const auto replayed = replayer.replay(engine, 1.0);
+  ASSERT_EQ(replayed.size(), 3u);
+  EXPECT_TRUE(std::isnan(replayed[0].report_fraction));  // as stored
+  ASSERT_FALSE(replayed[1].alerts.empty());
+  ASSERT_EQ(replayed[0].alerts.size(), replayed[1].alerts.size());
+  for (std::size_t i = 0; i < replayed[0].alerts.size(); ++i) {
+    const inference::Alert& a = replayed[0].alerts[i];
+    EXPECT_EQ(a.sid, replayed[1].alerts[i].sid);
+    EXPECT_EQ(a.matched_packets, replayed[1].alerts[i].matched_packets);
+    EXPECT_EQ(a.confidence, 1.0);
+    EXPECT_EQ(a.caution, 0.0);
+  }
+
+  // A packet count past any sensible volume: under a large configured
+  // scale the threshold saturates and no rule can fire.
+  inference::InferenceEngine scaled(ruleset, inference::EngineConfig{});
+  const auto saturated = replayer.replay(scaled, 1e6);
+  ASSERT_EQ(saturated.size(), 3u);
+  EXPECT_TRUE(saturated[2].alerts.empty());
+  for (const rules::Question& question : scaled.questions()) {
+    EXPECT_EQ(scaled.scaled_tau_c(question), kMax);  // epoch 2's knobs
+  }
 }
 
 TEST(Store, AlertAndProvenanceLinesRoundTrip) {
