@@ -22,7 +22,7 @@
 //   $ ./jaal_doctor --json               # health JSONL on stdout (CI)
 //   $ ./jaal_doctor --store DIR          # offline diagnosis from a store
 //   $ ./jaal_doctor --store DIR --json   # offline timeline JSONL on stdout
-//   $ ./jaal_doctor --store DIR --epoch N  # point query via the epoch index
+//   $ ./jaal_doctor --store DIR --epoch N  # one epoch's meta, events, alerts
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -188,7 +188,7 @@ DoctorRun run_deployment(std::size_t threads, const std::string& store_dir) {
                          ? doctor.flight_recorder()->dumps_taken()
                          : 0;
   out.provenance_jsonl = observe::to_jsonl(records);
-  return out;  // ~JaalController finalizes the store (sidecar indexes land)
+  return out;  // ~JaalController finalizes the store (shards truncated)
 }
 
 /// Offline replay of one store directory, using the doctor deployment's
@@ -210,10 +210,67 @@ std::uint64_t counter_value(const telemetry::Telemetry& tel,
   return 0;
 }
 
+std::string events_text(const std::vector<observe::FlightEvent>& batch) {
+  std::string out;
+  for (const observe::FlightEvent& ev : batch) {
+    out += observe::to_json(ev) + '\n';
+  }
+  return out;
+}
+
+/// The acceptance bar for point queries: for every committed epoch,
+/// epoch_meta_at, events_at and each_alert_line_in_epoch must return what
+/// the whole-log walks (each_epoch_meta, each_flight_events,
+/// each_alert_line) give for that epoch.  Returns the first disagreement,
+/// empty when every epoch agrees.
+std::string check_point_queries(const store::DeploymentStore& ro) {
+  std::map<std::uint64_t, std::vector<std::uint8_t>> metas;
+  ro.each_epoch_meta([&](const store::EpochMeta& m) {
+    metas.emplace(m.epoch, store::encode_epoch_meta(m));
+    return true;
+  });
+  std::map<std::uint64_t, std::string> events;
+  ro.each_flight_events(
+      [&](std::uint64_t epoch, const std::vector<observe::FlightEvent>& b) {
+        events.emplace(epoch, events_text(b));
+        return true;
+      });
+  const auto alert_text = [](std::uint32_t sid, std::string_view line) {
+    return std::to_string(sid) + ' ' + std::string(line) + '\n';
+  };
+  std::map<std::uint64_t, std::string> alerts;
+  ro.each_alert_line(
+      [&](std::uint64_t epoch, std::uint32_t sid, std::string_view line) {
+        alerts[epoch] += alert_text(sid, line);
+        return true;
+      });
+  if (metas.empty()) return "store holds no committed epoch";
+  for (const auto& [epoch, meta] : metas) {
+    const std::string at = " at epoch " + std::to_string(epoch);
+    const auto point_meta = ro.epoch_meta_at(epoch);
+    if (!point_meta || store::encode_epoch_meta(*point_meta) != meta) {
+      return "epoch_meta_at disagrees with each_epoch_meta" + at;
+    }
+    if (events_text(ro.events_at(epoch)) != events[epoch]) {
+      return "events_at disagrees with each_flight_events" + at;
+    }
+    std::string lines;
+    ro.each_alert_line_in_epoch(
+        epoch, [&](std::uint32_t sid, std::string_view line) {
+          lines += alert_text(sid, line);
+          return true;
+        });
+    if (lines != alerts[epoch]) {
+      return "each_alert_line_in_epoch disagrees with each_alert_line" + at;
+    }
+  }
+  return {};
+}
+
 /// Offline mode: reconstruct the timeline/diagnosis from `dir` alone.
-/// `epoch_query` < 0 means "whole timeline"; otherwise answer a point query
-/// for that epoch through the secondary index and verify (via the
-/// jaal_store_* telemetry) that the index, not a shard scan, answered it.
+/// `epoch_query` < 0 means "whole timeline"; otherwise answer point queries
+/// for that epoch, report the record bytes they visited, and check every
+/// committed epoch's point queries against the whole-log walks.
 int run_store_mode(const std::string& dir, long long epoch_query, bool json) {
   telemetry::Telemetry tel;
   if (epoch_query >= 0) {
@@ -242,26 +299,14 @@ int run_store_mode(const std::string& dir, long long epoch_query, bool json) {
                                               line.data());
                                   return true;
                                 });
-    // The acceptance bar for the sidecar index: the point queries above
-    // must have been answered by index seeks, never a full shard scan.
-    const std::uint64_t hits =
-        counter_value(tel, "jaal_store_index_point_queries_total");
-    const std::uint64_t fallbacks =
-        counter_value(tel, "jaal_store_index_fallback_scans_total");
-    std::fprintf(stderr,
-                 "index: %llu point queries answered, %llu fallback scans, "
-                 "%llu bytes visited\n",
-                 static_cast<unsigned long long>(hits),
-                 static_cast<unsigned long long>(fallbacks),
+    std::fprintf(stderr, "point query: %llu bytes visited\n",
                  static_cast<unsigned long long>(
                      counter_value(tel, "jaal_store_scan_bytes_total")));
-#ifndef JAAL_TELEMETRY_DISABLED
-    // (A telemetry-off build compiles the counters out: nothing to check.)
-    if (hits == 0 || fallbacks != 0) {
-      std::fprintf(stderr, "FAIL: point query fell back to a shard scan\n");
+    const std::string error = check_point_queries(ro);
+    if (!error.empty()) {
+      std::fprintf(stderr, "FAIL: %s\n", error.c_str());
       return 1;
     }
-#endif
     return 0;
   }
 
@@ -445,28 +490,10 @@ int main(int argc, char** argv) {
       fail("persisted timeline differs across runs / thread counts");
     }
 
-    // Point queries must be served by the sidecar epoch index, not scans.
-    {
-      telemetry::Telemetry point_tel;
-      const store::DeploymentStore ro(
-          store::StoreConfig{"jaal_doctor_store.1", 64},
-          /*writable=*/false, &point_tel);
-      const std::uint64_t probe = diag.epochs / 2;
-      const bool have_meta = ro.epoch_meta_at(probe).has_value();
-      const bool have_events = !ro.events_at(probe).empty();
-      if (!have_meta || !have_events) {
-        fail("point query missed a committed epoch");
-      }
-#ifndef JAAL_TELEMETRY_DISABLED
-      // The counters are compiled out of a telemetry-off build.
-      if (counter_value(point_tel, "jaal_store_index_point_queries_total") ==
-              0 ||
-          counter_value(point_tel, "jaal_store_index_fallback_scans_total") !=
-              0) {
-        fail("--epoch point query fell back to a shard scan");
-      }
-#endif
-    }
+    const std::string point_error = check_point_queries(
+        store::DeploymentStore(store::StoreConfig{"jaal_doctor_store.1", 64},
+                               /*writable=*/false));
+    if (!point_error.empty()) fail(point_error.c_str());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "FAIL: store round trip: %s\n", e.what());
     ok = false;

@@ -41,17 +41,6 @@ double ms_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Walks records in [kShardHeaderBytes, limit) of a mapped shard, invoking
-/// fn for each; returns false when fn asked to stop.
-bool iterate_shard(std::span<const std::uint8_t> bytes,
-                   const std::function<bool(const RecordView&)>& fn) {
-  std::size_t offset = kShardHeaderBytes;
-  while (auto rec = next_record(bytes, offset)) {
-    if (!fn(*rec)) return false;
-  }
-  return true;
-}
-
 /// True when the shard's magic fully landed on disk.  A shard whose magic
 /// is intact was completely rolled by *some* build — its header fields are
 /// authoritative, never torn noise.
@@ -87,9 +76,6 @@ TimeShardLog::TimeShardLog(TimeShardConfig cfg, bool writable,
     tel_rolls_ = &m.counter("jaal_store_shards_rolled_total");
     tel_torn_bytes_ = &m.counter("jaal_store_torn_bytes_truncated_total");
     tel_scan_bytes_ = &m.counter("jaal_store_scan_bytes_total");
-    tel_index_hits_ = &m.counter("jaal_store_index_point_queries_total");
-    tel_index_fallbacks_ =
-        &m.counter("jaal_store_index_fallback_scans_total");
     tel_msync_ms_ = &m.histogram("jaal_store_msync_ms");
   }
   std::error_code ec;
@@ -163,13 +149,6 @@ std::string TimeShardLog::shard_path(std::uint64_t index) const {
   return cfg_.dir + "/" + cfg_.prefix + name;
 }
 
-std::string TimeShardLog::index_path(std::uint64_t index) const {
-  char name[64];
-  std::snprintf(name, sizeof(name), ".%06llu.jidx",
-                static_cast<unsigned long long>(index));
-  return cfg_.dir + "/" + cfg_.prefix + name;
-}
-
 bool TimeShardLog::header_ok(const FlatMmap& map,
                              std::uint64_t index) const noexcept {
   if (map.size() < kShardHeaderBytes) return false;
@@ -179,14 +158,6 @@ bool TimeShardLog::header_ok(const FlatMmap& map,
          get_u32_at(h + 12) == kRecordSchemaHash &&
          get_u64_at(h + 16) == index * cfg_.epochs_per_shard &&
          get_u64_at(h + 24) == cfg_.epochs_per_shard;
-}
-
-std::size_t TimeShardLog::walk_end(const FlatMmap& map) const noexcept {
-  const std::span<const std::uint8_t> bytes(map.data(), map.size());
-  std::size_t offset = kShardHeaderBytes;
-  while (next_record(bytes, offset)) {
-  }
-  return offset;
 }
 
 bool TimeShardLog::open_tail_for_write() {
@@ -212,24 +183,14 @@ bool TimeShardLog::open_tail_for_write() {
       shard_indices_.pop_back();
       continue;
     }
-    const std::size_t end = walk_end(tail_);
+    // One walk finds the torn tail and resumes the epoch-ordering guard.
+    const std::span<const std::uint8_t> bytes(tail_.data(), tail_.size());
+    std::size_t end = kShardHeaderBytes;
+    while (auto rec = next_record(bytes, end)) last_append_epoch_ = rec->epoch;
     torn_bytes_ += data_extent(tail_, end) - end;
     if (!tail_.truncate_to(end)) return false;
     tail_used_ = end;
     tail_index_ = idx;
-    // Resume the epoch-ordering guard and the in-memory epoch index from
-    // the surviving records.
-    tail_offsets_.clear();
-    const std::span<const std::uint8_t> bytes(tail_.data(), tail_used_);
-    std::size_t offset = kShardHeaderBytes;
-    std::size_t prev = offset;
-    while (auto rec = next_record(bytes, offset)) {
-      if (tail_offsets_.empty() || tail_offsets_.back().epoch != rec->epoch) {
-        tail_offsets_.push_back({rec->epoch, prev});
-      }
-      last_append_epoch_ = rec->epoch;
-      prev = offset;
-    }
     return true;
   }
   return true;  // empty log; the first append creates shard 0+.
@@ -251,7 +212,6 @@ bool TimeShardLog::roll_to(std::uint64_t index) {
   put_u64_at(h + 24, cfg_.epochs_per_shard);
   tail_used_ = kShardHeaderBytes;
   tail_index_ = index;
-  tail_offsets_.clear();
   shard_indices_.push_back(index);
   return true;
 }
@@ -285,9 +245,6 @@ bool TimeShardLog::append(std::uint64_t epoch, std::uint32_t stream,
       fail();
       return false;
     }
-  }
-  if (tail_offsets_.empty() || tail_offsets_.back().epoch != epoch) {
-    tail_offsets_.push_back({epoch, tail_used_});
   }
   RecordHeader h;
   h.payload_len = static_cast<std::uint32_t>(payload.size());
@@ -323,7 +280,6 @@ void TimeShardLog::finalize() {
   const auto start = std::chrono::steady_clock::now();
   (void)tail_.truncate_to(tail_used_);
   (void)sync();
-  write_sidecar();
   finalize_ms_accum_ += ms_since(start);
   ++finalizes_;
 }
@@ -339,42 +295,31 @@ bool TimeShardLog::truncate_after_epoch(std::optional<std::uint64_t> epoch) {
     if (tail_.is_open() && tail_index_ == idx) tail_.close();
     std::error_code ec;
     fs::remove(shard_path(idx), ec);
-    fs::remove(index_path(idx), ec);
     shard_indices_.pop_back();
   }
   if (shard_indices_.empty()) {
     tail_.close();
     tail_used_ = 0;
-    tail_offsets_.clear();
     last_append_epoch_.reset();
     return true;
   }
   // The boundary shard may still hold records past the epoch: cut at the
-  // first one.  Its sidecar describes the pre-cut bytes — drop it (a new
-  // one lands at the next finalize).
+  // first one (or at its torn tail, where the walk ends).
   const std::uint64_t idx = shard_indices_.back();
-  {
-    std::error_code ec;
-    fs::remove(index_path(idx), ec);
-  }
   if (!tail_.is_open() || tail_index_ != idx) {
     if (!tail_.open(shard_path(idx), true) || !header_ok(tail_, idx)) {
       fail();
       return false;
     }
-    tail_used_ = walk_end(tail_);
+    tail_used_ = tail_.size();
     tail_index_ = idx;
   }
   const std::span<const std::uint8_t> bytes(tail_.data(), tail_used_);
   std::size_t offset = kShardHeaderBytes;
   std::size_t cut = offset;
   std::optional<std::uint64_t> last;
-  tail_offsets_.clear();
   while (auto rec = next_record(bytes, offset)) {
     if (rec->epoch > *epoch) break;
-    if (tail_offsets_.empty() || tail_offsets_.back().epoch != rec->epoch) {
-      tail_offsets_.push_back({rec->epoch, cut});
-    }
     cut = offset;
     last = rec->epoch;
   }
@@ -387,148 +332,33 @@ bool TimeShardLog::truncate_after_epoch(std::optional<std::uint64_t> epoch) {
   return true;
 }
 
-void TimeShardLog::for_each(
+bool TimeShardLog::walk_shard(
+    std::uint64_t index,
     const std::function<bool(const RecordView&)>& fn) const {
-  const auto counted = [&](const RecordView& rec) {
-    if (tel_scan_bytes_ != nullptr) {
-      tel_scan_bytes_->add(kRecordHeaderBytes + rec.payload.size());
-    }
-    return fn(rec);
-  };
-  for (const std::uint64_t idx : shard_indices_) {
-    if (writable_ && tail_.is_open() && idx == tail_index_) {
-      if (!iterate_shard({tail_.data(), tail_used_}, counted)) return;
-      continue;
-    }
-    FlatMmap map;
-    if (!map.open(shard_path(idx), false)) return;
-    if (!header_ok(map, idx)) return;  // torn roll: nothing valid follows
-    if (!iterate_shard({map.data(), map.size()}, counted)) return;
-  }
-}
-
-void TimeShardLog::write_sidecar() const {
-  if (!writable_ || !tail_.is_open()) return;
-  std::vector<std::uint8_t> buf(kIndexHeaderBytes);
-  std::memcpy(buf.data(), kIndexMagic, sizeof(kIndexMagic));
-  put_u32_at(buf.data() + 8, kIndexFormatVersion);
-  put_u32_at(buf.data() + 12, kRecordSchemaHash);
-  put_u64_at(buf.data() + 16, tail_index_ * cfg_.epochs_per_shard);
-  put_u64_at(buf.data() + 24, tail_used_);
-  put_u64_at(buf.data() + 32, tail_offsets_.size());
-  for (const EpochOffset& eo : tail_offsets_) {
-    const std::size_t at = buf.size();
-    buf.resize(at + 16);
-    put_u64_at(buf.data() + at, eo.epoch);
-    put_u64_at(buf.data() + at + 8, eo.offset);
-  }
-  const std::uint32_t crc = crc32({buf.data(), buf.size()});
-  const std::size_t at = buf.size();
-  buf.resize(at + 4);
-  put_u32_at(buf.data() + at, crc);
-  // Best-effort: a failed or torn sidecar write only costs point queries
-  // their shortcut (the CRC/staleness checks reject it and the walk takes
-  // over), so nothing here flips failed().
-  std::FILE* f = std::fopen(index_path(tail_index_).c_str(), "wb");
-  if (f == nullptr) return;
-  (void)std::fwrite(buf.data(), 1, buf.size(), f);
-  (void)std::fclose(f);
-}
-
-std::optional<std::vector<TimeShardLog::EpochOffset>>
-TimeShardLog::load_sidecar(std::uint64_t index,
-                           std::uint64_t expected_data_end) const {
   FlatMmap map;
-  if (!map.open(index_path(index), false)) return std::nullopt;
-  if (map.size() < kIndexHeaderBytes + 4) return std::nullopt;
-  const std::uint8_t* d = map.data();
-  if (std::memcmp(d, kIndexMagic, sizeof(kIndexMagic)) != 0 ||
-      get_u32_at(d + 8) != kIndexFormatVersion ||
-      get_u32_at(d + 12) != kRecordSchemaHash ||
-      get_u64_at(d + 16) != index * cfg_.epochs_per_shard ||
-      get_u64_at(d + 24) != expected_data_end) {
-    return std::nullopt;
+  std::span<const std::uint8_t> bytes;
+  if (writable_ && tail_.is_open() && index == tail_index_) {
+    bytes = {tail_.data(), tail_used_};
+  } else {
+    if (!map.open(shard_path(index), false)) return false;
+    if (!header_ok(map, index)) return false;  // torn roll
+    bytes = {map.data(), map.size()};
   }
-  const std::uint64_t count = get_u64_at(d + 32);
-  // Bound the count by the file before multiplying: a crafted count whose
-  // byte size wraps around 2^64 would otherwise pass the size check.
-  if (count > (map.size() - kIndexHeaderBytes - 4) / 16) return std::nullopt;
-  const std::uint64_t body = kIndexHeaderBytes + count * 16;
-  if (map.size() != body + 4) return std::nullopt;
-  if (crc32({d, static_cast<std::size_t>(body)}) !=
-      get_u32_at(d + body)) {
-    return std::nullopt;
-  }
-  std::vector<EpochOffset> out;
-  out.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    EpochOffset eo;
-    eo.epoch = get_u64_at(d + kIndexHeaderBytes + i * 16);
-    eo.offset = get_u64_at(d + kIndexHeaderBytes + i * 16 + 8);
-    if (!out.empty() && eo.epoch <= out.back().epoch) return std::nullopt;
-    out.push_back(eo);
-  }
-  return out;
-}
-
-bool TimeShardLog::confirm_run(std::span<const std::uint8_t> bytes,
-                               const std::vector<EpochOffset>& offsets,
-                               std::size_t i,
-                               std::vector<RecordView>* out) const {
-  const EpochOffset& entry = offsets[i];
-  const bool last = i + 1 == offsets.size();
-  const std::uint64_t end = last ? bytes.size() : offsets[i + 1].offset;
-  if (entry.offset < kShardHeaderBytes || entry.offset >= end ||
-      end > bytes.size()) {
-    return false;
-  }
-  std::size_t offset = static_cast<std::size_t>(entry.offset);
-  while (offset < end) {
-    const std::size_t before = offset;
-    const auto rec = next_record(bytes, offset);
-    if (!rec || rec->epoch != entry.epoch) return false;
-    if (tel_scan_bytes_ != nullptr) tel_scan_bytes_->add(offset - before);
-    if (out != nullptr) out->push_back(*rec);
-  }
-  if (offset != end) return false;
-  if (last) return true;
-  // The run must really end here: the next record opens the next entry's
-  // epoch rather than continuing this one.
-  const auto next = next_record(bytes, offset);
-  return next && next->epoch == offsets[i + 1].epoch;
-}
-
-bool TimeShardLog::query_with_index(
-    std::span<const std::uint8_t> bytes,
-    const std::vector<EpochOffset>& offsets, std::uint64_t epoch,
-    const std::function<bool(const RecordView&)>& fn) const {
-  // The index is believed only where the records confirm it: the entries
-  // on either side of `epoch` must each start a run of their epoch's
-  // records that ends exactly at the next entry (the first entry right
-  // after the header).  That proves where `epoch`'s records are — or, with
-  // no entry of its own, that it has none — without reading the rest of
-  // the shard, and no callback runs before the proof is complete.
-  const auto it = std::lower_bound(
-      offsets.begin(), offsets.end(), epoch,
-      [](const EpochOffset& eo, std::uint64_t e) { return eo.epoch < e; });
-  const auto at = static_cast<std::size_t>(it - offsets.begin());
-  const bool present = it != offsets.end() && it->epoch == epoch;
-  if (at == 0) {
-    const std::uint64_t first =
-        offsets.empty() ? bytes.size() : offsets.front().offset;
-    if (first != kShardHeaderBytes) return false;
-  } else if (!confirm_run(bytes, offsets, at - 1, nullptr)) {
-    return false;
-  }
-  std::vector<RecordView> records;
-  if (at < offsets.size() &&
-      !confirm_run(bytes, offsets, at, present ? &records : nullptr)) {
-    return false;
-  }
-  for (const RecordView& rec : records) {
-    if (!fn(rec)) break;
+  std::size_t offset = kShardHeaderBytes;
+  while (auto rec = next_record(bytes, offset)) {
+    if (tel_scan_bytes_ != nullptr) {
+      tel_scan_bytes_->add(kRecordHeaderBytes + rec->payload.size());
+    }
+    if (!fn(*rec)) return false;
   }
   return true;
+}
+
+void TimeShardLog::for_each(
+    const std::function<bool(const RecordView&)>& fn) const {
+  for (const std::uint64_t idx : shard_indices_) {
+    if (!walk_shard(idx, fn)) return;
+  }
 }
 
 void TimeShardLog::for_each_in_epoch(
@@ -539,38 +369,9 @@ void TimeShardLog::for_each_in_epoch(
                           index)) {
     return;
   }
-  // The writer's own tail is served from the in-memory index, which append
-  // and truncate keep exact.
-  if (writable_ && tail_.is_open() && index == tail_index_) {
-    if (tel_index_hits_ != nullptr) tel_index_hits_->add(1);
-    (void)query_with_index({tail_.data(), tail_used_}, tail_offsets_, epoch,
-                           fn);
-    return;
-  }
-  FlatMmap map;
-  if (!map.open(shard_path(index), false)) return;
-  if (!header_ok(map, index)) return;
-  const std::span<const std::uint8_t> bytes(map.data(), map.size());
-  // The sidecar must describe exactly the bytes on disk.  A sidecar is only
-  // written by finalize(), which truncates the shard to its exact data
-  // length first — so a valid sidecar's data_end equals the file size, and
-  // any later append (a reopened writer pre-grows the mapping) or truncate
-  // changes the size and unmasks the sidecar as stale.  (A zero-scan would
-  // not work here: a record may legitimately end in zero bytes.)
-  if (const auto offsets = load_sidecar(index, map.size())) {
-    if (query_with_index(bytes, *offsets, epoch, fn)) {
-      if (tel_index_hits_ != nullptr) tel_index_hits_->add(1);
-      return;
-    }
-  }
-  if (tel_index_fallbacks_ != nullptr) tel_index_fallbacks_->add(1);
-  iterate_shard(bytes, [&](const RecordView& rec) {
-    if (tel_scan_bytes_ != nullptr) {
-      tel_scan_bytes_->add(kRecordHeaderBytes + rec.payload.size());
-    }
+  (void)walk_shard(index, [&](const RecordView& rec) {
     if (rec.epoch > epoch) return false;
-    if (rec.epoch < epoch) return true;
-    return fn(rec);
+    return rec.epoch < epoch || fn(rec);
   });
 }
 

@@ -45,30 +45,6 @@ inline constexpr std::uint32_t kShardFormatVersion = 1;
 inline constexpr char kShardMagic[8] = {'J', 'S', 'T', 'O', 'R', 'E',
                                         '1', '\0'};
 
-/// Sidecar epoch index (`<shard>.jidx`), written when a shard is finalized:
-/// a sparse secondary index over the typed epoch frame-header field, so a
-/// point query seeks straight to an epoch's first record instead of walking
-/// the shard.  Layout (little-endian):
-///   [0,8)   magic "JIDX1\0\0\0"
-///   [8,12)  format version (kIndexFormatVersion)
-///   [12,16) record schema hash (kRecordSchemaHash)
-///   [16,24) shard first epoch
-///   [24,32) data end: shard byte length the index describes.  finalize()
-///           truncates the shard to exactly this length before writing the
-///           sidecar, so validity is data_end == file size — a shard that
-///           grew or shrank since (crash between append and finalize,
-///           truncate_after_epoch) fails this check and falls back to a walk
-///   [32,40) entry count
-///   then count x (epoch u64, offset u64), ascending by epoch,
-///   then CRC-32 (u32) over all preceding bytes.
-/// The index is advisory: a point query re-validates the entries around its
-/// epoch against the record framing, and any mismatch falls back to the
-/// authoritative walk.
-inline constexpr std::size_t kIndexHeaderBytes = 40;
-inline constexpr std::uint32_t kIndexFormatVersion = 1;
-inline constexpr char kIndexMagic[8] = {'J', 'I', 'D', 'X', '1',
-                                        '\0', '\0', '\0'};
-
 struct TimeShardConfig {
   std::string dir;     ///< Directory holding the shards (created if absent).
   std::string prefix;  ///< Shard file stem, e.g. "summaries".
@@ -114,13 +90,9 @@ class TimeShardLog {
   void for_each(const std::function<bool(const RecordView&)>& fn) const;
 
   /// Point query: every valid record of exactly `epoch`, in append order.
-  /// Seeks through the shard's sidecar index (or the writer's in-memory
-  /// tail index) when available and valid — O(records in the epoch and
-  /// its neighbours) bytes visited instead of O(shard); falls back to a
-  /// full shard walk otherwise.  Telemetry:
-  /// jaal_store_index_point_queries_total counts indexed answers,
-  /// jaal_store_index_fallback_scans_total counts fallbacks,
-  /// jaal_store_scan_bytes_total counts bytes visited either way.
+  /// Walks the one shard that can hold the epoch (the writer's tail from
+  /// its mapping) and stops at the first record past it, so it visits at
+  /// most one shard's bytes (jaal_store_scan_bytes_total counts them).
   void for_each_in_epoch(
       std::uint64_t epoch,
       const std::function<bool(const RecordView&)>& fn) const;
@@ -142,7 +114,7 @@ class TimeShardLog {
     return records_appended_;
   }
 
-  /// Wall time spent in finalize() (shard roll truncate+msync+sidecar)
+  /// Wall time spent in finalize() (shard roll truncate + msync)
   /// since the last take, with the number of finalizes — consumed by the
   /// store's per-epoch 'index_finalize' profiling span.  Resets on read.
   [[nodiscard]] std::pair<double, std::uint64_t> take_finalize_stats()
@@ -157,40 +129,16 @@ class TimeShardLog {
   [[nodiscard]] const TimeShardConfig& config() const noexcept { return cfg_; }
 
  private:
-  /// (first epoch, byte offset of its first record) — the sidecar payload.
-  struct EpochOffset {
-    std::uint64_t epoch = 0;
-    std::uint64_t offset = 0;
-  };
-
   [[nodiscard]] std::string shard_path(std::uint64_t index) const;
-  [[nodiscard]] std::string index_path(std::uint64_t index) const;
   /// Validates a mapped shard's header against this log's config.
   [[nodiscard]] bool header_ok(const FlatMmap& map,
                                std::uint64_t index) const noexcept;
   [[nodiscard]] bool open_tail_for_write();
   [[nodiscard]] bool roll_to(std::uint64_t index);
-  /// Walks frames from the header to the torn tail; returns end offset.
-  [[nodiscard]] std::size_t walk_end(const FlatMmap& map) const noexcept;
-  /// Writes the tail shard's sidecar index (best-effort: failure leaves
-  /// point queries on the fallback path, never the log).
-  void write_sidecar() const;
-  /// Loads and validates a shard's sidecar against the bytes it describes.
-  [[nodiscard]] std::optional<std::vector<EpochOffset>> load_sidecar(
-      std::uint64_t index, std::uint64_t expected_data_end) const;
-  /// Serves a point query over one mapped shard from `offsets`; returns
-  /// false, before calling `fn`, when the records contradict the index
-  /// (caller falls back to a walk).
-  [[nodiscard]] bool query_with_index(
-      std::span<const std::uint8_t> bytes,
-      const std::vector<EpochOffset>& offsets, std::uint64_t epoch,
-      const std::function<bool(const RecordView&)>& fn) const;
-  /// True when offsets[i]'s records all carry its epoch and run exactly to
-  /// the next entry (the data end for the last); appends them to `out`.
-  [[nodiscard]] bool confirm_run(std::span<const std::uint8_t> bytes,
-                                 const std::vector<EpochOffset>& offsets,
-                                 std::size_t i,
-                                 std::vector<RecordView>* out) const;
+  /// Walks shard `index` (the writer's tail from its mapping), counting
+  /// scanned bytes; false when `fn` stopped or the shard is unreadable.
+  bool walk_shard(std::uint64_t index,
+                  const std::function<bool(const RecordView&)>& fn) const;
   void fail() noexcept { failed_ = true; }
 
   TimeShardConfig cfg_;
@@ -200,9 +148,6 @@ class TimeShardLog {
   FlatMmap tail_;            ///< Writable mapping of the last shard.
   std::size_t tail_used_ = 0;
   std::uint64_t tail_index_ = 0;  ///< Shard index of tail_ (when open).
-  /// In-memory epoch index of the tail shard (ascending; source of the
-  /// sidecar written at finalize).
-  std::vector<EpochOffset> tail_offsets_;
   std::uint64_t torn_bytes_ = 0;
   std::uint64_t records_appended_ = 0;
   double finalize_ms_accum_ = 0.0;
@@ -214,8 +159,6 @@ class TimeShardLog {
   telemetry::Counter* tel_rolls_ = nullptr;
   telemetry::Counter* tel_torn_bytes_ = nullptr;
   telemetry::Counter* tel_scan_bytes_ = nullptr;
-  telemetry::Counter* tel_index_hits_ = nullptr;
-  telemetry::Counter* tel_index_fallbacks_ = nullptr;
   telemetry::Histogram* tel_msync_ms_ = nullptr;
 };
 

@@ -180,8 +180,9 @@ void DeploymentStore::commit_epoch(const EpochMeta& meta) {
       last_committed_ = meta.epoch;
     }
   }
-  // Shard rolls (truncate + msync + sidecar index) since the last commit,
-  // including one the commit append itself may have triggered.
+  // Shard rolls (truncate + msync) since the last commit, including one the
+  // commit append itself may have triggered.  The span keeps its pinned
+  // name 'index_finalize' (profile stage 14).
   double fin_ms = 0.0;
   std::uint64_t fins = 0;
   for (TimeShardLog* log :
@@ -328,9 +329,9 @@ std::vector<observe::FlightEvent> DeploymentStore::events_at(
   if (!visible(epoch)) return out;
   ops_->for_each_in_epoch(epoch, [&](const RecordView& rec) {
     if (rec.kind != RecordKind::kEvents) return true;
-    if (auto events = decode_flight_events(rec.payload)) {
-      out = std::move(*events);
-    }
+    auto events = decode_flight_events(rec.payload);
+    if (!events) refuse_ops_payload("kEvents");
+    out = std::move(*events);
     return false;
   });
   return out;

@@ -163,8 +163,8 @@ class DeploymentStore {
                                const std::vector<observe::FlightEvent>&)>&
           fn) const;
 
-  // ---- point queries (secondary epoch index; see TimeShardLog
-  //      for_each_in_epoch for the index/fallback semantics) ----
+  // ---- point queries (each walks the one shard holding the epoch; see
+  //      TimeShardLog::for_each_in_epoch) ----
 
   /// The commit record of one epoch; nullopt when the epoch is not
   /// committed.
@@ -174,7 +174,8 @@ class DeploymentStore {
   /// each_metrics_delta on a refused payload.
   [[nodiscard]] std::optional<telemetry::MetricsSnapshot> metrics_delta_at(
       std::uint64_t epoch) const;
-  /// The flight events of one epoch (empty when absent).
+  /// The flight events of one epoch (empty when absent).  Throws like
+  /// each_flight_events on a refused payload.
   [[nodiscard]] std::vector<observe::FlightEvent> events_at(
       std::uint64_t epoch) const;
   /// Alert JSON lines of one epoch.

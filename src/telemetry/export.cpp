@@ -173,11 +173,6 @@ constexpr HelpEntry kMetricHelp[] = {
      "Remaining latency error budget in permille (wall-clock derived)."},
     {"jaal_store_bytes_written_total",
      "Bytes appended to the deployment store."},
-    {"jaal_store_index_fallback_scans_total",
-     "Point queries that fell back to a full shard walk (missing or stale "
-     "sidecar index)."},
-    {"jaal_store_index_point_queries_total",
-     "Epoch point queries answered through the sidecar index."},
     {"jaal_store_msync_ms",
      "Wall-clock latency of store msync calls."},
     {"jaal_store_records_total",

@@ -369,155 +369,6 @@ TEST(Fuzz, RecordFrameWalkStopsAtCorruption) {
   }
 }
 
-// ------------------------------------------------------ epoch-index sidecar
-
-/// Every record of `epoch` through the point query, as "<stream>:<payload>".
-std::vector<std::string> epoch_records(const store::TimeShardLog& log,
-                                       std::uint64_t epoch) {
-  std::vector<std::string> out;
-  log.for_each_in_epoch(epoch, [&](const store::RecordView& rec) {
-    EXPECT_EQ(rec.epoch, epoch);
-    out.push_back(std::to_string(rec.stream) + ':' +
-                  std::string(rec.payload.begin(), rec.payload.end()));
-    return true;
-  });
-  return out;
-}
-
-void put_le(std::vector<std::uint8_t>& bytes, std::size_t at,
-            std::uint64_t value, std::size_t width) {
-  for (std::size_t i = 0; i < width; ++i) {
-    bytes[at + i] = static_cast<std::uint8_t>(value >> (8 * i));
-  }
-}
-
-/// Re-signs a sidecar: its last four bytes become the CRC-32 of the rest.
-void recompute_crc(std::vector<std::uint8_t>& bytes) {
-  const std::size_t body = bytes.size() - 4;
-  put_le(bytes, body, store::crc32({bytes.data(), body}), 4);
-}
-
-// A `.jidx` sidecar is advisory: whatever a damaged or crafted one says —
-// even with a matching CRC — a point query returns exactly the records a
-// walk of the shard returns, and never crashes.
-TEST(Fuzz, EpochIndexSidecarNeverChangesPointQueries) {
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() /
-                       ("jaal_fuzz_jidx_" + std::to_string(::getpid()));
-  fs::remove_all(dir);
-  const store::TimeShardConfig cfg{dir.string(), "t", 8};
-  constexpr std::uint64_t kEpochs = 10;  // shard 0 = [0, 8), shard 1 = [8, 10)
-  {
-    // 0-3 records per epoch (epochs 2 and 5 empty), so the index has runs
-    // of different lengths and gaps to lie about.
-    store::TimeShardLog log(cfg, /*writable=*/true);
-    std::mt19937_64 rng(16);
-    for (std::uint64_t e = 0; e < kEpochs; ++e) {
-      const std::uint64_t n = (e == 2 || e == 5) ? 0 : 1 + (e + 1) % 3;
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const auto payload = random_bytes(rng, 1 + rng() % 24);
-        ASSERT_TRUE(log.append(e, i, store::RecordKind::kAlert, payload));
-      }
-    }
-  }
-  const fs::path sidecar = dir / "t.000000.jidx";
-  std::vector<std::uint8_t> valid;
-  {
-    std::ifstream in(sidecar, std::ios::binary);
-    valid.assign(std::istreambuf_iterator<char>(in), {});
-  }
-  ASSERT_EQ(valid.size(), store::kIndexHeaderBytes + 6 * 16 + 4);
-
-  // The reference: with no sidecar, every point query walks the shard.
-  fs::remove(sidecar);
-  std::vector<std::vector<std::string>> walked;
-  {
-    const store::TimeShardLog reader(cfg, /*writable=*/false);
-    for (std::uint64_t e = 0; e < kEpochs; ++e) {
-      walked.push_back(epoch_records(reader, e));
-    }
-  }
-  ASSERT_EQ(walked[4].size(), 3u);
-
-  const auto expect_walk = [&](const std::vector<std::uint8_t>& bytes,
-                               const std::string& what) {
-    {
-      std::ofstream out(sidecar, std::ios::binary | std::ios::trunc);
-      out.write(reinterpret_cast<const char*>(bytes.data()),
-                static_cast<std::streamsize>(bytes.size()));
-    }
-    telemetry::Telemetry tel;
-    const store::TimeShardLog reader(cfg, /*writable=*/false, &tel);
-    for (std::uint64_t e = 0; e < kEpochs; ++e) {
-      EXPECT_EQ(epoch_records(reader, e), walked[e]) << what << " epoch " << e;
-    }
-    return tel.metrics.snapshot();
-  };
-
-  // The genuine sidecar answers every shard-0 query without a walk.
-  const auto metrics = expect_walk(valid, "valid");
-#ifndef JAAL_TELEMETRY_DISABLED
-  for (const auto& m : metrics.entries) {
-    if (m.name == "jaal_store_index_fallback_scans_total") {
-      EXPECT_EQ(m.counter, 0u);
-    }
-  }
-#endif
-
-  // An entry count whose byte size wraps around 2^64: 2^60 + 1 entries
-  // "fit" in a 60-byte file whose CRC matches.
-  auto wrapped = valid;
-  wrapped.resize(store::kIndexHeaderBytes + 16 + 4);
-  put_le(wrapped, 32, (std::uint64_t{1} << 60) + 1, 8);
-  recompute_crc(wrapped);
-  (void)expect_walk(wrapped, "wrapped count");
-
-  // Every single-field lie: each entry's epoch replaced by every epoch of
-  // the log, and its offset by every record boundary of the shard.
-  std::vector<std::uint64_t> boundaries;
-  {
-    std::ifstream in(dir / "t.000000.jstore", std::ios::binary);
-    const std::vector<std::uint8_t> shard(std::istreambuf_iterator<char>(in),
-                                          {});
-    std::size_t offset = store::kShardHeaderBytes;
-    boundaries.push_back(offset);
-    while (store::next_record(shard, offset)) boundaries.push_back(offset);
-  }
-  ASSERT_EQ(boundaries.size(), 16u);  // 15 records
-  for (std::size_t entry = 0; entry < 6; ++entry) {
-    const std::size_t at = store::kIndexHeaderBytes + entry * 16;
-    for (std::uint64_t e = 0; e < kEpochs; ++e) {
-      auto lie = valid;
-      put_le(lie, at, e, 8);
-      recompute_crc(lie);
-      (void)expect_walk(lie, "entry " + std::to_string(entry) + " epoch " +
-                                 std::to_string(e));
-    }
-    for (const std::uint64_t b : boundaries) {
-      auto lie = valid;
-      put_le(lie, at + 8, b, 8);
-      recompute_crc(lie);
-      (void)expect_walk(lie, "entry " + std::to_string(entry) + " offset " +
-                                 std::to_string(b));
-    }
-  }
-
-  // Random damage, re-signed so the CRC cannot catch it.
-  std::mt19937_64 rng(17);
-  for (int i = 0; i < 1000; ++i) {
-    auto mutated = valid;
-    for (std::size_t n = 1 + rng() % 3; n > 0; --n) {
-      mutated[rng() % (mutated.size() - 4)] = static_cast<std::uint8_t>(rng());
-    }
-    if (rng() % 8 == 0) {
-      mutated.resize(store::kIndexHeaderBytes + 4 + rng() % (6 * 16));
-    }
-    recompute_crc(mutated);
-    (void)expect_walk(mutated, "mutation " + std::to_string(i));
-  }
-  fs::remove_all(dir);
-}
-
 /// Every valid record of the log in append order, as text.
 std::vector<std::string> all_records(const store::TimeShardLog& log) {
   std::vector<std::string> out;

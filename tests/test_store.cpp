@@ -338,6 +338,129 @@ TEST(TimeShard, TruncateAfterEpochCutsShardsAndRecords) {
   EXPECT_FALSE(log.last_epoch().has_value());
 }
 
+/// Every record of `epoch` through the point query, as "<stream>:<payload>".
+std::vector<std::string> point_query(const TimeShardLog& log,
+                                     std::uint64_t epoch) {
+  std::vector<std::string> out;
+  log.for_each_in_epoch(epoch, [&](const RecordView& r) {
+    EXPECT_EQ(r.epoch, epoch);
+    out.push_back(std::to_string(r.stream) + ':' +
+                  std::string(r.payload.begin(), r.payload.end()));
+    return true;
+  });
+  return out;
+}
+
+/// The same records through a whole-log walk filtered to `epoch`.
+std::vector<std::string> filtered_walk(const TimeShardLog& log,
+                                       std::uint64_t epoch) {
+  std::vector<std::string> out;
+  log.for_each([&](const RecordView& r) {
+    if (r.epoch == epoch) {
+      out.push_back(std::to_string(r.stream) + ':' +
+                    std::string(r.payload.begin(), r.payload.end()));
+    }
+    return true;
+  });
+  return out;
+}
+
+TEST(TimeShard, PointQueryMatchesFilteredWalk) {
+  TempDir dir("pointquery");
+  const TimeShardConfig cfg{dir.str(), "t", 8};
+  constexpr std::uint64_t kEpochs = 10;  // shard 0 = [0, 8), shard 1 = [8, 10)
+  const auto append_epochs = [](TimeShardLog& log, std::uint64_t from) {
+    // 0-3 records per epoch; epochs 2 and 5 are empty.
+    for (std::uint64_t e = from; e < kEpochs; ++e) {
+      const std::uint64_t n = (e == 2 || e == 5) ? 0 : 1 + (e + 1) % 3;
+      for (std::uint32_t i = 0; i < n; ++i) {
+        std::string text = "e";  // "e<epoch>r<index>"
+        text += std::to_string(e) + 'r' + std::to_string(i);
+        ASSERT_TRUE(log.append(e, i, RecordKind::kAlert, bytes_of(text)));
+      }
+    }
+  };
+  // Every epoch of both shards and past the end (10-15 inside shard 1, 16+
+  // in a shard that does not exist); returns the point-query answers.
+  const auto check = [](const TimeShardLog& log, const std::string& what) {
+    std::vector<std::vector<std::string>> answers;
+    for (std::uint64_t e = 0; e < 2 * kEpochs; ++e) {
+      answers.push_back(point_query(log, e));
+      EXPECT_EQ(answers.back(), filtered_walk(log, e)) << what << " epoch "
+                                                       << e;
+    }
+    return answers;
+  };
+
+  std::vector<std::vector<std::string>> reference;
+  {
+    TimeShardLog writer(cfg, /*writable=*/true);
+    append_epochs(writer, 0);
+    ASSERT_EQ(writer.shard_paths().size(), 2u);
+    reference = check(writer, "writer tail");
+    ASSERT_EQ(reference[4].size(), 3u);
+    ASSERT_TRUE(reference[2].empty());
+    ASSERT_TRUE(reference[kEpochs].empty());
+
+    ASSERT_TRUE(writer.truncate_after_epoch(8));  // cut inside shard 1
+    const auto cut8 = check(writer, "after truncate_after_epoch(8)");
+    EXPECT_EQ(cut8[8], reference[8]);
+    EXPECT_TRUE(cut8[9].empty());
+    ASSERT_TRUE(writer.truncate_after_epoch(3));  // shard 1 gone, 0 cut
+    const auto cut3 = check(writer, "after truncate_after_epoch(3)");
+    EXPECT_EQ(cut3[3], reference[3]);
+    EXPECT_TRUE(cut3[4].empty());
+    append_epochs(writer, 4);
+    EXPECT_EQ(check(writer, "re-appended tail"), reference);
+  }
+  EXPECT_EQ(check(TimeShardLog(cfg, /*writable=*/false), "reader"),
+            reference);
+
+  // Torn tail: garbage after the last frame of shard 1.
+  const fs::path tail = dir.path / "t.000001.jstore";
+  {
+    std::ofstream f(tail, std::ios::binary | std::ios::app);
+    f << "garbage bytes from a torn write";
+  }
+  EXPECT_EQ(check(TimeShardLog(cfg, /*writable=*/false), "torn reader"),
+            reference);
+  {
+    TimeShardLog recovered(cfg, /*writable=*/true);
+    ASSERT_GT(recovered.torn_bytes_truncated(), 0u);
+    EXPECT_EQ(check(recovered, "recovered writer"), reference);
+  }
+
+  // A leftover `.jidx` file from an older build is ignored.
+  {
+    std::ofstream f(dir.path / "t.000000.jidx", std::ios::binary);
+    f << "JIDX1" << std::string(3, '\0') << "not an index at all";
+  }
+  EXPECT_EQ(check(TimeShardLog(cfg, /*writable=*/false), "stray .jidx"),
+            reference);
+  {
+    TimeShardLog writer(cfg, /*writable=*/true);
+    EXPECT_EQ(check(writer, "writer beside stray .jidx"), reference);
+  }
+
+#ifndef JAAL_TELEMETRY_DISABLED
+  // A point query walks only its own shard, up to the first record past
+  // its epoch.
+  telemetry::Telemetry tel;
+  const TimeShardLog reader(cfg, /*writable=*/false, &tel);
+  const auto scanned = [&] {
+    for (const auto& e : tel.metrics.snapshot().entries) {
+      if (e.name == "jaal_store_scan_bytes_total") return e.counter;
+    }
+    return std::uint64_t{0};
+  };
+  (void)point_query(reader, 8);  // "e8r0", then "e9r0" ends the walk
+  EXPECT_EQ(scanned(), 2 * (kRecordHeaderBytes + 4));
+  (void)point_query(reader, 9);
+  EXPECT_EQ(scanned(), 2 * (kRecordHeaderBytes + 4) +
+                           fs::file_size(tail) - kShardHeaderBytes);
+#endif  // JAAL_TELEMETRY_DISABLED
+}
+
 // ------------------------------------------------------- deployment store
 
 TEST(Store, EpochMetaRoundTrips) {

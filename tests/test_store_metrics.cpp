@@ -375,6 +375,7 @@ TEST(StoreMetrics, RefusesEventsPayloadFromNewerSchema) {
             return true;
           }),
       std::runtime_error);
+  EXPECT_THROW((void)reader.events_at(0), std::runtime_error);
 }
 
 }  // namespace
