@@ -208,9 +208,7 @@ int main() {
               static_cast<unsigned long long>(comm.summary_bytes),
               static_cast<unsigned long long>(comm.feedback_bytes),
               100.0 * comm.overhead_ratio());
-  print_histogram_row(snap, "jaal_summarize_svd_ms", "svd ms");
   print_histogram_row(snap, "jaal_summarize_svd_sweeps", "svd sweeps");
-  print_histogram_row(snap, "jaal_summarize_kmeans_ms", "kmeans ms");
   print_histogram_row(snap, "jaal_summarize_kmeans_iterations",
                       "kmeans iterations");
   std::printf("  inference: %.0f questions (%.0f matched), %.0f alerts, "

@@ -123,8 +123,8 @@ EpochResult JaalController::close_epoch(double now) {
   tier_.begin_epoch(epoch);
 
   const telemetry::SpanContext summarize_ctx = rec_.begin("summarize");
-  std::vector<std::optional<summarize::MonitorSummary>> slots = rec_.timed(
-      "flush_epoch", [&] { return flush_monitors(epoch, summarize_ctx); });
+  std::vector<std::optional<summarize::MonitorSummary>> slots =
+      flush_monitors(epoch, summarize_ctx);
 
   // Drift monitoring: feed each flushed monitor's summary fidelity to the
   // health ledger, serially in monitor order (determinism), *before*
@@ -264,8 +264,7 @@ void JaalController::infer(EpochResult& result) {
                         static_cast<double>(result.packets) / 2000.0);
   tier_.set_report_fraction(result.report_fraction);
   const telemetry::SpanContext infer_ctx = rec_.begin("infer");
-  result.alerts =
-      rec_.timed("infer", [&] { return tier_.infer_epoch(fetch, infer_ctx); });
+  result.alerts = tier_.infer_epoch(fetch, infer_ctx);
   rec_.attr("alerts", static_cast<double>(result.alerts.size()));
   rec_.end();
   rec_.postprocessed(result);

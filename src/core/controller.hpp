@@ -224,8 +224,8 @@ class JaalController {
     return store_.get();
   }
 
-  /// Runtime counters (tasks, queue high-water, per-stage latency); nullopt
-  /// when running serial.
+  /// Runtime counters (tasks, queue high-water); nullopt when running
+  /// serial.  Per-stage time is in EpochResult::profile.
   [[nodiscard]] std::optional<runtime::RuntimeStatsSnapshot> runtime_stats()
       const;
 

@@ -1,8 +1,7 @@
 #include "core/epoch_recorder.hpp"
 
-#include <algorithm>
-
 #include "core/controller.hpp"
+#include "runtime/runtime_stats.hpp"
 #include "store/store.hpp"
 #include "telemetry/profile.hpp"
 
@@ -11,7 +10,6 @@ namespace jaal::core {
 EpochRecorder::EpochRecorder(const JaalConfig& cfg,
                              runtime::RuntimeStats* pool_stats)
     : tel_(cfg.telemetry),
-      pool_stats_(pool_stats),
       monitor_count_(cfg.monitor_count),
       profiling_(cfg.telemetry != nullptr && cfg.observe.profile),
       store_ops_(!cfg.store_dir.empty() && cfg.store_metrics) {
@@ -25,7 +23,7 @@ EpochRecorder::EpochRecorder(const JaalConfig& cfg,
   if (tel_ == nullptr) return;
   // One stats system: the pool's runtime counters land in the same registry
   // (and the same exports) as every other jaal metric.
-  if (pool_stats_ != nullptr) pool_stats_->bind(&tel_->metrics);
+  if (pool_stats != nullptr) pool_stats->bind(&tel_->metrics);
   auto& m = tel_->metrics;
   degraded_epochs_ = &m.counter("jaal_faults_degraded_epochs_total");
   rolled_forward_ = &m.counter("jaal_faults_summaries_rolled_forward_total");
@@ -280,9 +278,7 @@ void EpochRecorder::end_epoch(EpochResult& result) {
                                    st.name + "\"}");
       profile_stage_.emplace_back(st.name, h);
     }
-    // Exclusive self-time can go negative when siblings overlap on the pool
-    // (parallelism credit); the histogram records the spent side.
-    h->observe(std::max(0.0, st.exclusive_ms));
+    h->observe(st.exclusive_ms);
   }
   if (slo_) slo_->attribute_latency(wall.dominant_stage);
   result.profile = std::move(wall);

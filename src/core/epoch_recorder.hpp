@@ -6,8 +6,8 @@
 // flight ring and the epoch's kEvents batch for the store's ops stream.
 // The fidelity, ship and close-out events, the deployment metrics
 // (jaal_faults_*, jaal_observe_*, jaal_slo_*, jaal_profile_*), the SLO
-// tracker and both critical-path profile modes are fed from here too, and
-// timed() brackets pool work with the runtime's stage timer.
+// tracker and both critical-path profile modes are fed from here too.  The
+// spans are the one stage clock: no other timer brackets a stage.
 //
 // Epoch lifecycle: begin_epoch() opens the root span; the stages report;
 // close_epoch() takes the deterministic profile digest and folds the epoch
@@ -30,8 +30,11 @@
 #include <vector>
 
 #include "observe/observe.hpp"
-#include "runtime/runtime_stats.hpp"
 #include "telemetry/telemetry.hpp"
+
+namespace jaal::runtime {
+class RuntimeStats;
+}  // namespace jaal::runtime
 
 namespace jaal::store {
 class DeploymentStore;
@@ -45,8 +48,9 @@ struct EpochResult;
 class EpochRecorder {
  public:
   /// Opens the flight ring and SLO tracker `cfg` asks for and registers
-  /// the metrics it enables.  `pool_stats` (null when serial) receives the
-  /// timed() intervals.
+  /// the metrics it enables.  `pool_stats` (null when serial) is rebound
+  /// into the telemetry registry, so the pool's counters export with the
+  /// rest.
   EpochRecorder(const JaalConfig& cfg, runtime::RuntimeStats* pool_stats);
 
   /// Opens the epoch's root span (and, when profiling, points `store`'s
@@ -64,15 +68,6 @@ class EpochRecorder {
   }
   /// Finishes the current stage's span and raises its kSpan event.
   void end();
-
-  /// Runs `work`; on pooled runs its wall time lands in the runtime stats
-  /// as stage `pool_stage`.
-  template <typename F>
-  auto timed(const char* pool_stage, F&& work) {
-    if (pool_stats_ == nullptr) return work();
-    runtime::StageTimer timer(pool_stats_, pool_stage);
-    return work();
-  }
 
   /// The zero-duration stages: ship (after summarize: the bytes shipped
   /// and, on a degraded epoch, what was lost) and postprocess (after
@@ -126,7 +121,6 @@ class EpochRecorder {
   void emit(observe::FlightEvent ev);
 
   telemetry::Telemetry* tel_;
-  runtime::RuntimeStats* pool_stats_;
   std::size_t monitor_count_;
   bool profiling_;  ///< Telemetry with ObserveConfig::profile.
   bool store_ops_;  ///< A store with JaalConfig::store_metrics.

@@ -92,7 +92,6 @@ CommStats& CommStats::operator+=(const CommStats& rhs) noexcept {
 
 std::string describe(const runtime::RuntimeStatsSnapshot& snap) {
   char line[160];
-  std::string out;
   std::snprintf(line, sizeof(line),
                 "runtime: threads=%zu tasks=%llu/%llu parallel_for=%llu "
                 "queue_high_water=%zu\n",
@@ -101,16 +100,7 @@ std::string describe(const runtime::RuntimeStatsSnapshot& snap) {
                 static_cast<unsigned long long>(snap.tasks_submitted),
                 static_cast<unsigned long long>(snap.parallel_for_calls),
                 snap.queue_depth_high_water);
-  out += line;
-  for (const runtime::StageSnapshot& s : snap.stages) {
-    std::snprintf(line, sizeof(line),
-                  "  stage %-14s calls=%-6llu total=%9.2fms mean=%8.3fms "
-                  "max=%8.3fms\n",
-                  s.name.c_str(), static_cast<unsigned long long>(s.calls),
-                  s.total_ms, s.mean_ms(), s.max_ms);
-    out += line;
-  }
-  return out;
+  return line;
 }
 
 }  // namespace jaal::core

@@ -72,9 +72,10 @@ struct CommStats {
   CommStats& operator+=(const CommStats& rhs) noexcept;
 };
 
-/// Renders an execution-runtime snapshot as the multi-line block the
-/// benches print next to detection quality and communication cost:
-/// task/queue counters plus one line per timed pipeline stage.
+/// Renders an execution-runtime snapshot as the line the benches print
+/// next to detection quality and communication cost: the task and queue
+/// counters.  Per-stage time is the critical-path profile's
+/// (telemetry/profile.hpp).
 [[nodiscard]] std::string describe(const runtime::RuntimeStatsSnapshot& snap);
 
 }  // namespace jaal::core

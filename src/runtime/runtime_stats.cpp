@@ -8,42 +8,15 @@ constexpr const char* kTasksCompleted = "jaal_runtime_tasks_completed_total";
 constexpr const char* kParallelFor = "jaal_runtime_parallel_for_calls_total";
 constexpr const char* kQueueHighWater = "jaal_runtime_queue_depth_high_water";
 
-std::string stage_metric_name(const std::string& stage) {
-  return "jaal_runtime_stage_ms{stage=\"" + stage + "\"}";
-}
-
 }  // namespace
 
-RuntimeStats::RuntimeStats() : registry_(&own_) {
-  bind(&own_);
-}
+RuntimeStats::RuntimeStats() { bind(&own_); }
 
 void RuntimeStats::bind(telemetry::MetricsRegistry* registry) {
-  std::lock_guard lock(stage_mu_);
-  registry_ = registry;
-  tasks_submitted_ = &registry_->counter(kTasksSubmitted);
-  tasks_completed_ = &registry_->counter(kTasksCompleted);
-  parallel_for_calls_ = &registry_->counter(kParallelFor);
-  queue_high_water_ = &registry_->gauge(kQueueHighWater);
-  stages_.clear();
-}
-
-void RuntimeStats::record_stage(const std::string& name, double elapsed_ms) {
-  telemetry::Histogram* hist = nullptr;
-  {
-    std::lock_guard lock(stage_mu_);
-    for (const auto& [stage, h] : stages_) {
-      if (stage == name) {
-        hist = h;
-        break;
-      }
-    }
-    if (hist == nullptr) {
-      hist = &registry_->histogram(stage_metric_name(name));
-      stages_.emplace_back(name, hist);
-    }
-  }
-  hist->observe(elapsed_ms);
+  tasks_submitted_ = &registry->counter(kTasksSubmitted);
+  tasks_completed_ = &registry->counter(kTasksCompleted);
+  parallel_for_calls_ = &registry->counter(kParallelFor);
+  queue_high_water_ = &registry->gauge(kQueueHighWater);
 }
 
 RuntimeStatsSnapshot RuntimeStats::snapshot(std::size_t threads) const {
@@ -54,12 +27,6 @@ RuntimeStatsSnapshot RuntimeStats::snapshot(std::size_t threads) const {
   snap.queue_depth_high_water =
       static_cast<std::size_t>(queue_high_water_->value());
   snap.threads = threads;
-  std::lock_guard lock(stage_mu_);
-  snap.stages.reserve(stages_.size());
-  for (const auto& [name, hist] : stages_) {
-    const telemetry::HistogramSnapshot h = hist->snapshot();
-    snap.stages.push_back({name, h.count, h.sum, h.max});
-  }
   return snap;
 }
 

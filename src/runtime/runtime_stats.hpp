@@ -1,42 +1,28 @@
 // Observability for the execution runtime — a thin view over the telemetry
-// registry, so runtime counters and pipeline stage timers live in the SAME
-// stats system as every other jaal metric (one registry, one exporter).
+// registry, so runtime counters live in the SAME stats system as every
+// other jaal metric (one registry, one exporter).
 //
-// RuntimeStats counts work (tasks submitted/completed, parallel_for calls),
-// tracks the queue-depth high-water mark (how far producers ran ahead of
-// the workers — the signal that a deployment should add threads), and
-// accumulates per-stage wall-clock latency via the RAII StageTimer.  All of
-// it is backed by telemetry metrics (striped lock-free counters, log-bucket
-// histograms): by default each RuntimeStats embeds a private registry, and
+// RuntimeStats counts work (tasks submitted/completed, parallel_for calls)
+// and tracks the queue-depth high-water mark (how far producers ran ahead
+// of the workers — the signal that a deployment should add threads).  Both
+// are backed by telemetry metrics (striped lock-free counters, a max
+// gauge): by default each RuntimeStats embeds a private registry, and
 // bind() redirects it into a shared deployment-wide registry so pool
 // metrics appear in the same Prometheus/JSONL export as monitor/engine
-// metrics, under the jaal_runtime_* names.
+// metrics, under the jaal_runtime_* names.  Per-stage time is not counted
+// here: the epoch's trace spans are the one stage clock, read by the
+// critical-path profiler (telemetry/profile.hpp).
 //
 // snapshot() still produces the plain struct that core/metrics renders next
 // to the detection-quality and communication numbers.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <chrono>
-#include <mutex>
-#include <string>
-#include <vector>
 
 #include "telemetry/metrics.hpp"
 
 namespace jaal::runtime {
-
-/// One named pipeline stage ("flush", "aggregate", "infer", ...).
-struct StageSnapshot {
-  std::string name;
-  std::uint64_t calls = 0;
-  double total_ms = 0.0;
-  double max_ms = 0.0;
-
-  [[nodiscard]] double mean_ms() const noexcept {
-    return calls == 0 ? 0.0 : total_ms / static_cast<double>(calls);
-  }
-};
 
 /// Point-in-time copy of every counter; safe to read at leisure.
 struct RuntimeStatsSnapshot {
@@ -45,7 +31,6 @@ struct RuntimeStatsSnapshot {
   std::uint64_t parallel_for_calls = 0;
   std::size_t queue_depth_high_water = 0;
   std::size_t threads = 0;
-  std::vector<StageSnapshot> stages;
 };
 
 class RuntimeStats {
@@ -67,49 +52,14 @@ class RuntimeStats {
 
   void on_parallel_for() noexcept { parallel_for_calls_->add(1); }
 
-  /// Folds one stage timing into the registry histogram
-  /// jaal_runtime_stage_ms{stage="<name>"}; creates it on first use.
-  void record_stage(const std::string& name, double elapsed_ms);
-
   [[nodiscard]] RuntimeStatsSnapshot snapshot(std::size_t threads = 0) const;
 
  private:
   telemetry::MetricsRegistry own_;  ///< Default backing store.
-  telemetry::MetricsRegistry* registry_;
   telemetry::Counter* tasks_submitted_;
   telemetry::Counter* tasks_completed_;
   telemetry::Counter* parallel_for_calls_;
   telemetry::Gauge* queue_high_water_;
-  mutable std::mutex stage_mu_;
-  /// Stage handles in first-use order (the order snapshot() reports).
-  std::vector<std::pair<std::string, telemetry::Histogram*>> stages_;
-};
-
-/// RAII wall-clock timer: records into `stats` under `name` on destruction.
-/// A null stats pointer makes it a no-op, so callers time unconditionally
-/// and only pay when a runtime is attached.
-class StageTimer {
- public:
-  StageTimer(RuntimeStats* stats, std::string name)
-      : stats_(stats),
-        name_(std::move(name)),
-        start_(std::chrono::steady_clock::now()) {}
-
-  StageTimer(const StageTimer&) = delete;
-  StageTimer& operator=(const StageTimer&) = delete;
-
-  ~StageTimer() {
-    if (stats_ == nullptr) return;
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    stats_->record_stage(
-        name_,
-        std::chrono::duration<double, std::milli>(elapsed).count());
-  }
-
- private:
-  RuntimeStats* stats_;
-  std::string name_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace jaal::runtime

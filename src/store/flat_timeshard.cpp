@@ -375,12 +375,16 @@ void TimeShardLog::for_each_in_epoch(
   });
 }
 
-std::optional<std::uint64_t> TimeShardLog::last_epoch() const {
+std::optional<std::uint64_t> TimeShardLog::last_epoch(
+    std::optional<RecordKind> kind) const {
   std::optional<std::uint64_t> last;
-  for_each([&](const RecordView& rec) {
-    last = rec.epoch;
-    return true;
-  });
+  for (auto it = shard_indices_.rbegin(); !last && it != shard_indices_.rend();
+       ++it) {
+    (void)walk_shard(*it, [&](const RecordView& rec) {
+      if (!kind || rec.kind == *kind) last = rec.epoch;
+      return true;
+    });
+  }
   return last;
 }
 

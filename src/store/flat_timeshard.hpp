@@ -97,8 +97,11 @@ class TimeShardLog {
       std::uint64_t epoch,
       const std::function<bool(const RecordView&)>& fn) const;
 
-  /// Epoch of the last valid record, nullopt when the log is empty.
-  [[nodiscard]] std::optional<std::uint64_t> last_epoch() const;
+  /// Epoch of the last valid record (of `kind`, when given), nullopt when
+  /// there is none.  Epochs never decrease, so this walks shards
+  /// newest-first and stops at the first shard holding such a record.
+  [[nodiscard]] std::optional<std::uint64_t> last_epoch(
+      std::optional<RecordKind> kind = std::nullopt) const;
 
   /// Torn record bytes removed by recovery when the writer opened (counted
   /// to the last non-zero byte: zeroed pre-allocated capacity is not torn

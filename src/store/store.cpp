@@ -86,11 +86,9 @@ DeploymentStore::DeploymentStore(const StoreConfig& cfg, bool writable,
       tel);
   ops_ = std::make_unique<TimeShardLog>(
       TimeShardConfig{cfg.dir, "ops", cfg.epochs_per_shard}, writable, tel);
-  // The last EpochMeta in the summaries log is the store's commit horizon.
-  summaries_->for_each([&](const RecordView& rec) {
-    if (rec.kind == RecordKind::kEpochMeta) last_committed_ = rec.epoch;
-    return true;
-  });
+  // The last EpochMeta in the summaries log is the store's commit horizon;
+  // finding it walks only the newest shards, back to the first holding one.
+  last_committed_ = summaries_->last_epoch(RecordKind::kEpochMeta);
   if (writable) {
     // Drop everything newer than the horizon from all four logs: records
     // of a half-written epoch (summaries appended, meta never landed — or

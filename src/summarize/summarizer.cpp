@@ -1,19 +1,12 @@
 #include "summarize/summarizer.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 
 #include "linalg/svd.hpp"
 
 namespace jaal::summarize {
 namespace {
-
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 /// Same finalizer the fault scenarios use to derive independent streams
 /// from structured keys.
@@ -44,13 +37,11 @@ Summarizer::Summarizer(const SummarizerConfig& cfg, MonitorId monitor)
 void Summarizer::set_telemetry(telemetry::Telemetry* tel) {
   tel_ = tel;
   if (tel_ == nullptr) {
-    svd_ms_ = svd_sweeps_ = kmeans_ms_ = kmeans_iterations_ = nullptr;
+    svd_sweeps_ = kmeans_iterations_ = nullptr;
     batches_ = split_format_ = combined_format_ = nullptr;
     return;
   }
-  svd_ms_ = &tel_->metrics.histogram("jaal_summarize_svd_ms");
   svd_sweeps_ = &tel_->metrics.histogram("jaal_summarize_svd_sweeps");
-  kmeans_ms_ = &tel_->metrics.histogram("jaal_summarize_kmeans_ms");
   kmeans_iterations_ =
       &tel_->metrics.histogram("jaal_summarize_kmeans_iterations");
   batches_ = &tel_->metrics.counter("jaal_summarize_batches_total");
@@ -93,10 +84,8 @@ SummarizeOutput Summarizer::summarize(
     telemetry::Span span = tel_ != nullptr
                                ? tel_->tracer.span("svd", parent, monitor_)
                                : telemetry::Span{};
-    const auto start = std::chrono::steady_clock::now();
     svd = linalg::truncated_svd(x_bar, r);
     if (tel_ != nullptr) {
-      svd_ms_->observe(ms_since(start));
       svd_sweeps_->observe(svd.sweeps);
       span.attr("rank", static_cast<double>(r));
       span.attr("sweeps", svd.sweeps);
@@ -116,10 +105,8 @@ SummarizeOutput Summarizer::summarize(
     telemetry::Span span = tel_ != nullptr
                                ? tel_->tracer.span("kmeans", parent, monitor_)
                                : telemetry::Span{};
-    const auto start = std::chrono::steady_clock::now();
     KMeansResult km = kmeans(points, cfg_.centroids, rng_, km_opts);
     if (tel_ != nullptr) {
-      kmeans_ms_->observe(ms_since(start));
       kmeans_iterations_->observe(static_cast<double>(km.iterations));
       span.attr("k", static_cast<double>(cfg_.centroids));
       span.attr("iterations", static_cast<double>(km.iterations));

@@ -61,8 +61,8 @@ class Summarizer {
   /// Summarizes one batch.  Throws std::invalid_argument if fewer than
   /// min_batch packets are supplied (callers gate on ready()).  `parent` is
   /// the enclosing trace span (the monitor's per-epoch summarize span);
-  /// svd/kmeans child spans and stage histograms are recorded when
-  /// telemetry is attached.
+  /// svd/kmeans child spans (the stages' one clock) and their sweep and
+  /// iteration histograms are recorded when telemetry is attached.
   [[nodiscard]] SummarizeOutput summarize(
       std::span<const packet::PacketRecord> batch,
       const telemetry::SpanContext& parent = {});
@@ -87,8 +87,8 @@ class Summarizer {
     pool_ = std::move(pool);
   }
 
-  /// Attaches telemetry: SVD/k-means wall-clock histograms, iteration and
-  /// sweep counts, and per-stage trace spans.  Null detaches (the default;
+  /// Attaches telemetry: SVD sweep and k-means iteration counts, and the
+  /// svd/kmeans trace spans that time them.  Null detaches (the default;
   /// costs one pointer check per batch).
   void set_telemetry(telemetry::Telemetry* tel);
 
@@ -103,9 +103,7 @@ class Summarizer {
   std::mt19937_64 rng_;
   std::shared_ptr<runtime::ThreadPool> pool_;
   telemetry::Telemetry* tel_ = nullptr;
-  telemetry::Histogram* svd_ms_ = nullptr;
   telemetry::Histogram* svd_sweeps_ = nullptr;
-  telemetry::Histogram* kmeans_ms_ = nullptr;
   telemetry::Histogram* kmeans_iterations_ = nullptr;
   telemetry::Counter* batches_ = nullptr;
   telemetry::Counter* split_format_ = nullptr;

@@ -152,8 +152,6 @@ constexpr HelpEntry kMetricHelp[] = {
      "parallel_for invocations on the thread pool."},
     {"jaal_runtime_queue_depth_high_water",
      "High-water mark of the thread-pool task queue."},
-    {"jaal_runtime_stage_ms",
-     "Wall-clock latency per pipeline stage, labeled by stage."},
     {"jaal_runtime_tasks_completed_total",
      "Thread-pool tasks completed."},
     {"jaal_runtime_tasks_submitted_total",
@@ -189,12 +187,8 @@ constexpr HelpEntry kMetricHelp[] = {
      "Summaries shipped in the combined (B = U_r Sigma_r) format."},
     {"jaal_summarize_kmeans_iterations",
      "Lloyd iterations per k-means run."},
-    {"jaal_summarize_kmeans_ms",
-     "Wall-clock latency per k-means run."},
     {"jaal_summarize_split_format_total",
      "Summaries shipped in the split (factors separate) format."},
-    {"jaal_summarize_svd_ms",
-     "Wall-clock latency per SVD."},
     {"jaal_summarize_svd_sweeps",
      "Jacobi sweeps per SVD."},
 };

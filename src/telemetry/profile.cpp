@@ -100,12 +100,13 @@ CriticalPath CriticalPath::build(const std::vector<SpanRecord>& spans,
     children[it->second].push_back(i);
   }
 
-  // Inclusive / exclusive weights over the whole forest (iterative DFS —
-  // per-monitor fan-out can be wide, keep the stack off the C++ stack).
+  // Inclusive weights bottom-up (iterative DFS — per-monitor fan-out can be
+  // wide, keep the stack off the C++ stack).  Deterministic mode weighs
+  // every span 1 unit, so a span's inclusive weight is its subtree size.
   std::vector<double> inclusive(nodes.size(), 0.0);
-  std::vector<double> exclusive(nodes.size(), 0.0);
+  std::vector<double> child_sum(nodes.size(), 0.0);
   std::vector<std::size_t> subtree(nodes.size(), 0);
-  auto compute = [&](std::size_t root) {
+  auto weigh = [&](std::size_t root) {
     std::vector<std::pair<std::size_t, bool>> stack{{root, false}};
     while (!stack.empty()) {
       auto [i, done] = stack.back();
@@ -115,22 +116,40 @@ CriticalPath CriticalPath::build(const std::vector<SpanRecord>& spans,
         for (std::size_t c : children[i]) stack.emplace_back(c, false);
         continue;
       }
-      double child_incl = 0.0;
       subtree[i] = 1;
       for (std::size_t c : children[i]) {
-        child_incl += inclusive[c];
+        child_sum[i] += inclusive[c];
         subtree[i] += subtree[c];
       }
-      if (det) {
-        exclusive[i] = 1.0;
-        inclusive[i] = static_cast<double>(subtree[i]);
-      } else {
-        inclusive[i] = nodes[i]->duration_ms;
-        exclusive[i] = inclusive[i] - child_incl;
-      }
+      inclusive[i] = det ? static_cast<double>(subtree[i])
+                         : nodes[i]->duration_ms;
     }
   };
-  for (std::size_t r : roots) compute(r);
+  // Exclusive weights top-down.  Children that fit inside their parent
+  // leave it the uncovered remainder.  Children that overran it ran
+  // concurrently (pool work): the parent keeps no self time, and its
+  // children's subtrees share its wall time in proportion to their busy
+  // time — a factor that compounds down the tree.  Either way the
+  // subtree's exclusive times sum to its own (scaled) inclusive time.
+  std::vector<double> exclusive(nodes.size(), 0.0);
+  auto attribute = [&](std::size_t root) {
+    std::vector<std::pair<std::size_t, double>> stack{{root, 1.0}};
+    while (!stack.empty()) {
+      auto [i, scale] = stack.back();
+      stack.pop_back();
+      double child_scale = scale;
+      if (child_sum[i] > inclusive[i]) {
+        child_scale = scale * inclusive[i] / child_sum[i];
+      } else {
+        exclusive[i] = scale * (inclusive[i] - child_sum[i]);
+      }
+      for (std::size_t c : children[i]) stack.emplace_back(c, child_scale);
+    }
+  };
+  for (std::size_t r : roots) {
+    weigh(r);
+    attribute(r);
+  }
 
   // Primary root: largest subtree, ties broken by deterministic order.
   if (roots.empty()) {
@@ -334,12 +353,14 @@ std::string ProfileReport::to_text() const {
                 "%zu stragglers)\n",
                 epochs_, total_root_ms_, stragglers_);
   out += buf;
-  out += "  stage               exclusive        %    path-hits  spans\n";
+  out += "  stage               exclusive        %          busy  path-hits"
+         "  spans\n";
   for (const auto& [name, row] : ranked()) {
     const double pct =
         total_root_ms_ > 0.0 ? 100.0 * row.exclusive_ms / total_root_ms_ : 0.0;
-    std::snprintf(buf, sizeof(buf), "  %-18s %12.3f  %6.1f  %9zu  %5zu\n",
-                  name.c_str(), row.exclusive_ms, pct, row.path_hits,
+    std::snprintf(buf, sizeof(buf),
+                  "  %-18s %12.3f  %6.1f  %12.3f  %9zu  %5zu\n", name.c_str(),
+                  row.exclusive_ms, pct, row.inclusive_ms, row.path_hits,
                   row.spans);
     out += buf;
   }

@@ -1,13 +1,18 @@
 // Epoch critical-path profiling over the deterministic span tree.
 //
 // `CriticalPath` rebuilds one epoch's span tree from flat SpanRecords and
-// attributes latency per stage: inclusive time is the span's own duration,
-// exclusive (self) time telescopes — exclusive(s) = inclusive(s) - sum of
-// children's inclusive — so the exclusive times of every span in the tree
-// sum *exactly* to the root's inclusive time.  Parallel children (monitor
-// flushes) can drive a parent's exclusive time negative;
-// that is parallelism credit and is deliberately not clamped, because
-// clamping would break the telescoping identity the tests pin down.
+// attributes latency per stage.  Inclusive time is the span's own duration
+// (for a stage rollup: the busy time of all its spans).  Exclusive (self)
+// time is what the span's children leave uncovered: inclusive(s) minus the
+// sum of its children's inclusive.  When the children sum to more than
+// their parent they overlapped on the pool (per-monitor flushes, matching),
+// so the parent's self time is 0 and each child subtree's exclusive times
+// scale by inclusive(parent) / sum of children's inclusive, compounding
+// down the tree.  Serial subtrees are untouched.  Exclusive times are
+// therefore never negative and sum *exactly* (up to float rounding) to the
+// root's inclusive time: the shares of a pooled epoch are shares of its
+// wall time.  The trace spans are the only per-stage clock in the system;
+// this profile is the one per-stage report read from them.
 //
 // Two duration modes:
 //  - kWall: real measured durations.  This is what operators profile with;
@@ -19,8 +24,9 @@
 //    exist here: siblings all weigh the same.
 //
 // `ProfileReport` rolls critical paths up across epochs into a ranked
-// stage table (exclusive ms, % of total, critical-path hit count) with
-// deterministic ordering, exported via to_text / to_jsonl.
+// stage table (exclusive ms, % of total, busy ms, critical-path hit count)
+// with deterministic ordering, exported via to_text / to_jsonl.  Busy time
+// above exclusive time is work the pool ran in parallel.
 #pragma once
 
 #include <cstdint>
@@ -82,7 +88,7 @@ struct CriticalPath {
   DurationMode mode = DurationMode::kWall;
   double root_inclusive_ms = 0.0;
   /// Sum of every tree span's exclusive time; equals root_inclusive_ms up
-  /// to float rounding (the telescoping identity).
+  /// to float rounding (the telescoping identity), at any thread count.
   double total_exclusive_ms = 0.0;
   /// Per-stage rollup, sorted by (-exclusive_ms, name).
   std::vector<StageTime> stages;
@@ -115,7 +121,8 @@ class ProfileReport {
 
   [[nodiscard]] std::size_t epochs() const noexcept { return epochs_; }
 
-  /// Ranked table: stage | exclusive ms | % of total | critical-path hits.
+  /// Ranked table: stage | exclusive ms | % of total | busy (inclusive) ms
+  /// | critical-path hits | spans.
   [[nodiscard]] std::string to_text() const;
   /// One JSON object per stage plus a trailing "profile_summary" line;
   /// deterministic given deterministic inputs.

@@ -151,9 +151,8 @@ TEST(ParallelEquivalence, ControllerReportsRuntimeStatsOnlyWhenPooled) {
 #ifndef JAAL_TELEMETRY_DISABLED
   // Counts only accumulate when the telemetry backing store is compiled in.
   EXPECT_GE(stats->tasks_submitted, cfg.monitor_count);
-  // The flush stage was timed and renders through core/metrics.
-  ASSERT_FALSE(stats->stages.empty());
-  EXPECT_FALSE(describe(*stats).empty());
+  // The counters render through core/metrics.
+  EXPECT_NE(describe(*stats).find("threads=3"), std::string::npos);
 #endif
 }
 

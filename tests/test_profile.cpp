@@ -1,17 +1,25 @@
 // Critical-path profiler and Chrome trace export.
 //
-// The two contracts pinned here:
-//   1. Telescoping: every span's exclusive time is its inclusive time minus
+// The contracts pinned here:
+//   1. Telescoping: a span's exclusive time is its inclusive time minus
 //      its children's inclusive, so the tree's exclusive times sum exactly
 //      (up to float rounding) to the root's inclusive time — in both
 //      duration modes, on synthetic trees and on real controller epochs.
-//   2. Determinism: the deterministic-mode Chrome trace, span JSONL and
+//   2. Overlap: where children overran their parent (pool work), the parent
+//      keeps no self time and the children's subtrees share its wall time
+//      pro rata, so no stage is ever negative or above the root — at every
+//      thread count {1, 2, 4}.
+//   3. Determinism: the deterministic-mode Chrome trace, span JSONL and
 //      per-epoch critical-path digests are byte-identical across runs and
 //      thread counts {1, 2, 4}.
+//   4. One clock: the spans are the only per-stage timer; the registry
+//      carries the profile's stage family and no other stage-time family.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -79,29 +87,92 @@ TEST(Profile, DeterministicModeUsesUnitWeights) {
   EXPECT_TRUE(cp.stragglers.empty());  // unit weights cannot diverge
 }
 
-TEST(Profile, ParallelChildrenGiveNegativeExclusiveNotClamped) {
-  // Two children of 80 ms each under a 100 ms root: child work overlapped
-  // on a pool, so the root's self time is 100 - 160 = -60 (parallelism
-  // credit).  The telescoping identity must survive.
+/// Exclusive time of each span, keyed by span name (names are unique in
+/// the trees below).
+std::map<std::string, double> exclusive_by_stage(const CriticalPath& cp) {
+  std::map<std::string, double> out;
+  for (const StageTime& st : cp.stages) out[st.name] = st.exclusive_ms;
+  return out;
+}
+
+TEST(Profile, OverlappingChildrenShareTheParentsWallTime) {
+  // Two 80 ms children under a 100 ms root overlapped on a pool: the root
+  // keeps no self time and each child gets half of the root's 100 ms.
+  // The first child's 40 ms grandchild scales by the same 100/160.
   Tracer tracer;
   {
     Span root = tracer.span("epoch", {}, 1);
     root.set_duration_ms(100.0);
     {
-      Span a = tracer.span("summarize", root.context(), 0);
+      Span a = tracer.span("flush_a", root.context(), 0);
       a.set_duration_ms(80.0);
+      Span a1 = tracer.span("kmeans", a.context(), 0);
+      a1.set_duration_ms(40.0);
     }
-    Span b = tracer.span("summarize", root.context(), 1);
+    Span b = tracer.span("flush_b", root.context(), 1);
     b.set_duration_ms(80.0);
   }
   const CriticalPath cp = CriticalPath::build(tracer.records(), 1);
+  std::map<std::string, double> excl = exclusive_by_stage(cp);
+  EXPECT_DOUBLE_EQ(excl["epoch"], 0.0);
+  EXPECT_DOUBLE_EQ(excl["flush_a"], 25.0);  // (80 - 40) * 100/160
+  EXPECT_DOUBLE_EQ(excl["kmeans"], 25.0);   // 40 * 100/160
+  EXPECT_DOUBLE_EQ(excl["flush_b"], 50.0);  // 80 * 100/160
   EXPECT_NEAR(cp.total_exclusive_ms, 100.0, 1e-9);
-  const StageTime* root_stage = nullptr;
+  // Inclusive (busy) time stays as measured.
   for (const StageTime& st : cp.stages) {
-    if (st.name == "epoch") root_stage = &st;
+    if (st.name == "flush_a") {
+      EXPECT_DOUBLE_EQ(st.inclusive_ms, 80.0);
+    }
   }
-  ASSERT_NE(root_stage, nullptr);
-  EXPECT_DOUBLE_EQ(root_stage->exclusive_ms, -60.0);
+
+  // Without the grandchild: 0 / 50 / 50.
+  Tracer flat;
+  {
+    Span root = flat.span("epoch", {}, 1);
+    root.set_duration_ms(100.0);
+    {
+      Span a = flat.span("flush_a", root.context(), 0);
+      a.set_duration_ms(80.0);
+    }
+    Span b = flat.span("flush_b", root.context(), 1);
+    b.set_duration_ms(80.0);
+  }
+  excl = exclusive_by_stage(CriticalPath::build(flat.records(), 1));
+  EXPECT_DOUBLE_EQ(excl["epoch"], 0.0);
+  EXPECT_DOUBLE_EQ(excl["flush_a"], 50.0);
+  EXPECT_DOUBLE_EQ(excl["flush_b"], 50.0);
+
+  // Factors compound: an overrun below an overrun scales twice.
+  Tracer nested;
+  {
+    Span root = nested.span("epoch", {}, 1);
+    root.set_duration_ms(100.0);
+    {
+      Span a = nested.span("flush_a", root.context(), 0);
+      a.set_duration_ms(100.0);
+      {
+        Span m1 = nested.span("match_1", a.context(), 0);
+        m1.set_duration_ms(100.0);
+      }
+      Span m2 = nested.span("match_2", a.context(), 1);
+      m2.set_duration_ms(100.0);
+    }
+    Span b = nested.span("flush_b", root.context(), 1);
+    b.set_duration_ms(100.0);
+  }
+  excl = exclusive_by_stage(CriticalPath::build(nested.records(), 1));
+  EXPECT_DOUBLE_EQ(excl["flush_a"], 0.0);
+  EXPECT_DOUBLE_EQ(excl["match_1"], 25.0);  // 100 * 1/2 * 1/2
+  EXPECT_DOUBLE_EQ(excl["match_2"], 25.0);
+  EXPECT_DOUBLE_EQ(excl["flush_b"], 50.0);
+
+  // A serial tree (children fit inside) keeps plain subtraction.
+  excl = exclusive_by_stage(CriticalPath::build(synthetic_tree(), 9));
+  EXPECT_DOUBLE_EQ(excl["epoch"], 30.0);
+  EXPECT_DOUBLE_EQ(excl["aggregate"], 30.0);
+  EXPECT_DOUBLE_EQ(excl["svd"], 10.0);
+  EXPECT_DOUBLE_EQ(excl["infer"], 30.0);
 }
 
 TEST(Profile, OrphansAndDuplicatesAreCountedAndExcluded) {
@@ -268,6 +339,9 @@ struct DetOutputs {
   std::string digests;       ///< Per-epoch deterministic critical paths.
   std::size_t epochs = 0;
   double wall_telescope_err = 0.0;  ///< Max |sum(excl) - root| over epochs.
+  /// Max distance of any stage's exclusive time outside [0, root].
+  double wall_stage_range_err = 0.0;
+  std::size_t wall_profiles = 0;
 };
 
 DetOutputs run_profiled(std::size_t threads) {
@@ -293,10 +367,19 @@ DetOutputs run_profiled(std::size_t threads) {
   }
   for (const core::EpochResult& epoch : epochs) {
     if (!epoch.profile) continue;
+    ++out.wall_profiles;
+    const CriticalPath& cp = *epoch.profile;
+    double stage_sum = 0.0;
+    for (const StageTime& st : cp.stages) {
+      stage_sum += st.exclusive_ms;
+      out.wall_stage_range_err =
+          std::max({out.wall_stage_range_err, -st.exclusive_ms,
+                    st.exclusive_ms - cp.root_inclusive_ms});
+    }
     out.wall_telescope_err = std::max(
-        out.wall_telescope_err,
-        std::abs(epoch.profile->total_exclusive_ms -
-                 epoch.profile->root_inclusive_ms));
+        {out.wall_telescope_err,
+         std::abs(cp.total_exclusive_ms - cp.root_inclusive_ms),
+         std::abs(stage_sum - cp.root_inclusive_ms)});
   }
   return out;
 }
@@ -323,10 +406,37 @@ TEST(ChromeTrace, DeterministicExportsByteIdenticalAcrossThreadsAndShards) {
 }
 
 TEST(Profile, ControllerEpochsTelescopeInWallMode) {
-  const DetOutputs out = run_profiled(2);
-  ASSERT_GT(out.epochs, 0u);
-  // Float rounding only — the identity itself is exact.
-  EXPECT_LT(out.wall_telescope_err, 1e-6);
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    const DetOutputs out = run_profiled(threads);
+    ASSERT_GT(out.epochs, 0u);
+    EXPECT_EQ(out.wall_profiles, out.epochs);
+    // Every stage lies in [0, root] and the stages sum to the root: float
+    // rounding only, the identity itself is exact.
+    EXPECT_LT(out.wall_stage_range_err, 1e-6) << "threads=" << threads;
+    EXPECT_LT(out.wall_telescope_err, 1e-6) << "threads=" << threads;
+  }
+}
+
+TEST(Profile, EachStageIsTimedOnlyBySpans) {
+  telemetry::Telemetry tel;
+  core::JaalController controller(
+      profile_config(2, &tel),
+      rules::parse_rules(rules::default_ruleset_text(),
+                         core::evaluation_rule_vars()));
+  trace::BackgroundTraffic bg(trace::trace1_profile(), 11);
+  ASSERT_FALSE(controller.run(bg, 0.12).empty());
+  ASSERT_TRUE(controller.runtime_stats().has_value());  // pooled
+  bool saw_kmeans = false;
+  for (const auto& e : tel.metrics.snapshot().entries) {
+    EXPECT_EQ(e.name.rfind("jaal_runtime_stage_ms", 0), std::string::npos)
+        << e.name;
+    EXPECT_NE(e.name, "jaal_summarize_svd_ms");
+    EXPECT_NE(e.name, "jaal_summarize_kmeans_ms");
+    saw_kmeans = saw_kmeans ||
+                 e.name == "jaal_profile_stage_exclusive_ms{stage=\"kmeans\"}";
+  }
+  EXPECT_TRUE(saw_kmeans);
 }
 
 TEST(Profile, ControllerFillsEpochProfile) {

@@ -98,21 +98,6 @@ TEST(ThreadPool, StatsCountTasksAndParallelFor) {
   EXPECT_GE(snap.tasks_submitted, 1u);
   EXPECT_EQ(snap.parallel_for_calls, 1u);
 }
-
-TEST(RuntimeStats, StageTimerAccumulatesNamedStages) {
-  RuntimeStats stats;
-  { StageTimer t(&stats, "flush"); }
-  { StageTimer t(&stats, "flush"); }
-  { StageTimer t(&stats, "infer"); }
-  { StageTimer t(nullptr, "ignored"); }  // null stats: no-op
-  const RuntimeStatsSnapshot snap = stats.snapshot();
-  ASSERT_EQ(snap.stages.size(), 2u);
-  EXPECT_EQ(snap.stages[0].name, "flush");
-  EXPECT_EQ(snap.stages[0].calls, 2u);
-  EXPECT_EQ(snap.stages[1].name, "infer");
-  EXPECT_EQ(snap.stages[1].calls, 1u);
-  EXPECT_GE(snap.stages[0].total_ms, snap.stages[0].max_ms);
-}
 #endif  // JAAL_TELEMETRY_DISABLED
 
 TEST(ThreadsFromEnv, ParsesOverrideAndFallsBack) {

@@ -108,18 +108,18 @@ TEST(Spans, JsonlDeterministicModeExcludesWallClock) {
   MetricsRegistry reg;
 #ifndef JAAL_TELEMETRY_DISABLED
   reg.counter("jaal_monitor_packets_observed_total").add(5);
-  reg.histogram("jaal_summarize_svd_ms").observe(1.5);
+  reg.histogram("jaal_store_msync_ms").observe(1.5);
   reg.counter("jaal_runtime_tasks_submitted_total").add(2);
 #else
   (void)reg.counter("jaal_monitor_packets_observed_total");
-  (void)reg.histogram("jaal_summarize_svd_ms");
+  (void)reg.histogram("jaal_store_msync_ms");
   (void)reg.counter("jaal_runtime_tasks_submitted_total");
 #endif
   Tracer tracer;
   { Span s = tracer.span("epoch", {}, 0); }
 
   const std::string full = to_jsonl(reg.snapshot(), tracer.records());
-  EXPECT_NE(full.find("jaal_summarize_svd_ms"), std::string::npos);
+  EXPECT_NE(full.find("jaal_store_msync_ms"), std::string::npos);
   EXPECT_NE(full.find("jaal_runtime_tasks_submitted_total"),
             std::string::npos);
   EXPECT_NE(full.find("duration_ms"), std::string::npos);
@@ -128,15 +128,16 @@ TEST(Spans, JsonlDeterministicModeExcludesWallClock) {
                                    {.include_timings = false});
   EXPECT_NE(det.find("jaal_monitor_packets_observed_total"),
             std::string::npos);
-  EXPECT_EQ(det.find("jaal_summarize_svd_ms"), std::string::npos);
+  EXPECT_EQ(det.find("jaal_store_msync_ms"), std::string::npos);
   EXPECT_EQ(det.find("jaal_runtime_tasks_submitted_total"),
             std::string::npos);
   EXPECT_EQ(det.find("duration_ms"), std::string::npos);
 }
 
 TEST(Spans, WallClockMetricClassifier) {
-  EXPECT_TRUE(is_wall_clock_metric("jaal_summarize_svd_ms"));
-  EXPECT_TRUE(is_wall_clock_metric("jaal_runtime_stage_ms{stage=\"infer\"}"));
+  EXPECT_TRUE(is_wall_clock_metric("jaal_store_msync_ms"));
+  EXPECT_TRUE(is_wall_clock_metric(
+      "jaal_profile_stage_exclusive_ms{stage=\"infer\"}"));
   EXPECT_TRUE(is_wall_clock_metric("jaal_runtime_tasks_submitted_total"));
   // The profiler family is wall-clock-derived even where the name carries
   // no "_ms" (counters of straggler flags, profiled epochs): keep it out of

@@ -12,6 +12,10 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
+#include <optional>
+#include <tuple>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -512,6 +516,104 @@ TEST(Store, UncommittedEpochIsDroppedOnReopen) {
     return true;
   });
   EXPECT_EQ(summaries, 1u);  // the uncommitted epoch-1 summary is gone
+}
+
+/// What a full walk of the summaries log says: the last EpochMeta's epoch,
+/// and each shard's valid record bytes (what a walk of it scans).
+struct FullWalk {
+  std::optional<std::uint64_t> horizon;
+  std::map<std::uint64_t, std::uint64_t> shard_bytes;
+};
+
+FullWalk full_walk(const std::string& dir, std::uint64_t epochs_per_shard) {
+  FullWalk out;
+  const TimeShardLog log({dir, "summaries", epochs_per_shard},
+                         /*writable=*/false);
+  log.for_each([&](const RecordView& rec) {
+    if (rec.kind == RecordKind::kEpochMeta) out.horizon = rec.epoch;
+    out.shard_bytes[rec.epoch / epochs_per_shard] +=
+        kRecordHeaderBytes + rec.payload.size();
+    return true;
+  });
+  return out;
+}
+
+/// The horizon a reader open finds, with the bytes its open scanned.
+std::pair<std::optional<std::uint64_t>, std::uint64_t> open_reader(
+    const std::string& dir, std::uint64_t epochs_per_shard) {
+  telemetry::Telemetry tel;
+  const DeploymentStore reader({dir, epochs_per_shard}, /*writable=*/false,
+                               &tel);
+  std::uint64_t scanned = 0;
+  for (const auto& e : tel.metrics.snapshot().entries) {
+    if (e.name == "jaal_store_scan_bytes_total") scanned = e.counter;
+  }
+  return {reader.last_committed_epoch(), scanned};
+}
+
+TEST(Store, OpenWalksShardsNewestFirstToTheHorizon) {
+  constexpr std::uint64_t kWidth = 2;  // epochs per shard
+  // Epochs 0..4 committed: summaries shards 0 {0,1}, 1 {2,3}, 2 {4}.
+  const auto write_committed = [](const std::string& dir) {
+    DeploymentStore store({dir, kWidth}, /*writable=*/true);
+    for (std::uint64_t e = 0; e < 5; ++e) {
+      store.put_summary(e, sample_summary(1));
+      store.put_summary(e, sample_summary(2));
+      store.commit_epoch({e, 2.0 * static_cast<double>(e + 1), 100, 1.0, 0.0});
+    }
+  };
+  const auto shard_file = [](const TempDir& dir, int index) {
+    char name[40];
+    std::snprintf(name, sizeof(name), "summaries.%06d.jstore", index);
+    return (dir.path / name).string();
+  };
+
+  // 1. A multi-shard store: the newest shard holds the horizon, so the
+  //    open walks it alone.
+  TempDir multi("open_multi");
+  write_committed(multi.str());
+  FullWalk full = full_walk(multi.str(), kWidth);
+  ASSERT_EQ(full.shard_bytes.size(), 3u);
+  auto [horizon, scanned] = open_reader(multi.str(), kWidth);
+  EXPECT_EQ(horizon, full.horizon);
+  EXPECT_EQ(horizon, std::optional<std::uint64_t>{4});
+#ifndef JAAL_TELEMETRY_DISABLED
+  EXPECT_EQ(scanned, full.shard_bytes[2]);
+#endif
+
+  // 2. The last shard holds only an uncommitted epoch (the process died
+  //    before its EpochMeta): the open walks it, then the shard before.
+  TempDir uncommitted("open_uncommitted");
+  write_committed(uncommitted.str());
+  {
+    DeploymentStore store({uncommitted.str(), kWidth}, /*writable=*/true);
+    store.put_summary(6, sample_summary(1));
+  }
+  ASSERT_TRUE(fs::exists(shard_file(uncommitted, 3)));
+  full = full_walk(uncommitted.str(), kWidth);
+  std::tie(horizon, scanned) = open_reader(uncommitted.str(), kWidth);
+  EXPECT_EQ(horizon, full.horizon);
+  EXPECT_EQ(horizon, std::optional<std::uint64_t>{4});
+#ifndef JAAL_TELEMETRY_DISABLED
+  EXPECT_EQ(scanned, full.shard_bytes[3] + full.shard_bytes[2]);
+#endif
+
+  // 3. A torn tail that cuts the newest EpochMeta: epoch 4's summaries
+  //    stay valid, its commit does not, so the horizon falls back into
+  //    shard 1 and the open walks both.
+  TempDir torn("open_torn");
+  write_committed(torn.str());
+  const std::string tail = shard_file(torn, 2);
+  fs::resize_file(tail, fs::file_size(tail) - 3);
+  full = full_walk(torn.str(), kWidth);
+  std::tie(horizon, scanned) = open_reader(torn.str(), kWidth);
+  EXPECT_EQ(horizon, full.horizon);
+  EXPECT_EQ(horizon, std::optional<std::uint64_t>{3});
+#ifndef JAAL_TELEMETRY_DISABLED
+  EXPECT_EQ(scanned, full.shard_bytes[2] + full.shard_bytes[1]);
+  EXPECT_LT(scanned, full.shard_bytes[2] + full.shard_bytes[1] +
+                         full.shard_bytes[0]);
+#endif
 }
 
 TEST(Store, ReaderSurfacesOnlyCommittedPrefix) {

@@ -167,28 +167,20 @@ TEST(TelemetryPipeline, RuntimeStatsFoldIntoTheDeploymentRegistry) {
   telemetry::Telemetry tel;
   runtime::ThreadPool pool(2);
   pool.stats().bind(&tel.metrics);
-  { runtime::StageTimer timer(&pool.stats(), "flush"); }
   pool.submit([] {}).wait();
 
-  bool saw_stage = false, saw_tasks = false;
+  bool saw_tasks = false;
   for (const auto& e : tel.metrics.snapshot().entries) {
-    if (e.name == "jaal_runtime_stage_ms{stage=\"flush\"}") {
-      saw_stage = true;
-      EXPECT_EQ(e.histogram.count, 1u);
-    }
     if (e.name == "jaal_runtime_tasks_submitted_total") {
       saw_tasks = true;
       EXPECT_GE(e.counter, 1u);
     }
   }
-  EXPECT_TRUE(saw_stage);
   EXPECT_TRUE(saw_tasks);
 
   // The classic snapshot view is reconstructed from the same registry.
   const runtime::RuntimeStatsSnapshot snap = pool.stats().snapshot();
-  ASSERT_FALSE(snap.stages.empty());
-  EXPECT_EQ(snap.stages[0].name, "flush");
-  EXPECT_EQ(snap.stages[0].calls, 1u);
+  EXPECT_GE(snap.tasks_submitted, 1u);
 }
 
 #endif  // JAAL_TELEMETRY_DISABLED
