@@ -5,6 +5,9 @@
 // attack; k = 500 adds little; k = 100 costs significant accuracy for all
 // attacks except plain SYN floods (boolean flags keep SYN centroids
 // separable even at coarse resolution).
+//
+// Writes BENCH_roc_k.json: AUC and TPR at FPR <= 0.10 per (k, attack), the
+// input of the ROC floors in bench/check_bench_regression.py.
 #include "common.hpp"
 
 int main() {
@@ -16,6 +19,7 @@ int main() {
   constexpr std::size_t kNegatives = 24;
   const auto taus = bench::roc_taus();
 
+  std::vector<std::vector<std::pair<std::string, double>>> rows;
   for (std::size_t k : {100u, 200u, 500u}) {
     std::printf("\n--- k = %zu (k/n = %.0f%%) ---\n", k,
                 100.0 * static_cast<double>(k) / 1000.0);
@@ -28,7 +32,9 @@ int main() {
           trials, attack, bench::evaluation_ruleset(), taus,
           core::default_tau_c_scales(), scale);
       bench::print_roc(curve);
+      rows.push_back(bench::roc_row(k, 12, attack, curve));
     }
   }
+  bench::write_bench_json("roc_k", rows);
   return 0;
 }

@@ -1,20 +1,25 @@
 #!/usr/bin/env python3
-"""Perf-regression gate over the BENCH_*.json files the benches emit.
+"""Perf- and ROC-regression gate over the BENCH_*.json files the benches emit.
 
 Compares freshly produced bench JSON against the committed baselines in
 bench/baselines/ and fails (exit 1) when a tracked higher-is-better metric
 (speedup, *_per_sec) regresses by more than REGRESSION_TOLERANCE, or when an
-absolute floor (the SIMD acceptance numbers) is not met.
+absolute floor (the SIMD acceptance numbers, the per-attack ROC AUCs) is not
+met.
 
 Host awareness:
   * Ratio comparisons against the baseline only run when the fresh run and
-    the baseline report the same hardware_concurrency -- wall-clock-derived
-    numbers are not comparable across hosts.  Absolute floors on `speedup`
-    columns still apply (a speedup is a same-host ratio, so it travels).
+    the baseline report the same hardware_concurrency and (where both
+    record one) the same build_type -- wall-clock-derived numbers are not
+    comparable across hosts, nor across -O2 and -O3 builds.  Absolute
+    floors on `speedup` columns still apply (a speedup is a same-host
+    ratio, so it travels).
   * A runtime_scaling file tagged "skipped_single_core": true contains
     only the threads=1 row; every scaling assertion is skipped.
   * SIMD floors are skipped when the host has no vector unit
     (meta.simd_detected == "scalar").
+  * ROC floors are host-independent: the ROC benches are seeded and
+    single-threaded, so their AUCs are the same on every host.
 
 Usage:
   check_bench_regression.py [--fresh DIR] [--baselines DIR]
@@ -48,11 +53,38 @@ FLOORS = {
         "kernel_pair_dots": {"speedup": 1.3},
         "kernel_seed_update": {"speedup": 1.3},
     },
+    # Detection quality at the paper's operating points (EXPERIMENTS.md
+    # "ROC gate"): per-attack AUC floors for r = 12 at k = 200 and k = 500.
+    # Each floor is the seed-1 AUC less its spread (max - min) over
+    # TrialConfig seeds 1, 2 and 3, rounded down to 0.001.  Attack values:
+    # 1 syn_flood, 2 distributed_syn_flood, 3 port_scan, 4 ssh_brute_force,
+    # 5 sockstress.
+    "roc_k": {
+        "k=200/r=12/attack=1": {"auc": 0.939},
+        "k=200/r=12/attack=2": {"auc": 0.962},
+        "k=200/r=12/attack=3": {"auc": 0.982},
+        "k=200/r=12/attack=4": {"auc": 0.805},
+        "k=200/r=12/attack=5": {"auc": 0.874},
+        "k=500/r=12/attack=1": {"auc": 0.938},
+        "k=500/r=12/attack=2": {"auc": 0.946},
+        "k=500/r=12/attack=3": {"auc": 0.986},
+        "k=500/r=12/attack=4": {"auc": 0.700},
+        "k=500/r=12/attack=5": {"auc": 0.874},
+    },
+    "roc_rank": {
+        "k=500/r=12/attack=1": {"auc": 0.982},
+        "k=500/r=12/attack=2": {"auc": 0.982},
+        "k=500/r=12/attack=3": {"auc": 1.000},
+        "k=500/r=12/attack=4": {"auc": 0.640},
+        "k=500/r=12/attack=5": {"auc": 0.906},
+    },
 }
 
 
 def row_id(bench, row):
     """Stable identity of a result row, independent of row order."""
+    if "attack" in row:
+        return f"k={row['k']:g}/r={row['r']:g}/attack={row['attack']:g}"
     for key in row:
         if key.startswith("kernel_"):
             return key
@@ -84,7 +116,7 @@ def check_file(fresh_path, baseline_path, failures):
 
     # Absolute floors first: they do not need a baseline.
     for rid, floors in FLOORS.get(bench, {}).items():
-        if not simd_capable:
+        if bench == "simd_kernels" and not simd_capable:
             skip(f"{rid} floors (host has no vector unit)")
             continue
         row = fresh_rows.get(rid)
@@ -97,9 +129,9 @@ def check_file(fresh_path, baseline_path, failures):
                 failures.append(f"{bench}/{rid}: floor key {key} missing")
             elif value < floor:
                 failures.append(
-                    f"{bench}/{rid}: {key} = {value:.2f} below floor {floor}")
+                    f"{bench}/{rid}: {key} = {value:.3f} below floor {floor}")
             else:
-                ok(f"{rid} {key} = {value:.2f} >= {floor}")
+                ok(f"{rid} {key} = {value:.3f} >= {floor}")
 
     if baseline_path is None or not baseline_path.exists():
         skip("no baseline recorded")
@@ -116,6 +148,11 @@ def check_file(fresh_path, baseline_path, failures):
             "baseline ratio checks (hardware_concurrency "
             f"{base_meta.get('hardware_concurrency')} -> "
             f"{fresh_meta.get('hardware_concurrency')})")
+        return
+    base_build = base_meta.get("build_type")
+    fresh_build = fresh_meta.get("build_type")
+    if base_build and fresh_build and base_build != fresh_build:
+        skip(f"baseline ratio checks (build_type {base_build} -> {fresh_build})")
         return
 
     for rid, base_row in base_rows.items():

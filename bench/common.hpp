@@ -16,6 +16,11 @@
 #ifndef JAAL_GIT_SHA
 #define JAAL_GIT_SHA "unknown"
 #endif
+// CMAKE_BUILD_TYPE of the bench, injected the same way: -O2 and -O3 timings
+// are not comparable, so the regression gate keys baselines off it too.
+#ifndef JAAL_BUILD_TYPE
+#define JAAL_BUILD_TYPE "unknown"
+#endif
 
 namespace jaal::bench {
 
@@ -63,9 +68,9 @@ inline inference::EngineConfig operating_point(double tau_c_scale,
 /// BENCH_<name>.json in the working directory (or `path` when given) with
 /// one object per row, so the perf trajectory is trackable across PRs by
 /// diffing/plotting the JSON instead of scraping stdout.  Row order and key
-/// order are preserved.  A "meta" object records the build commit and the
-/// machine's hardware concurrency, so a perf delta in the trajectory can be
-/// attributed to code vs. host (bench/check_bench_regression.py keys off
+/// order are preserved.  A "meta" object records the build commit, the
+/// build type and the machine's hardware concurrency, so a perf delta in the
+/// trajectory can be attributed to code vs. build vs. host (bench/check_bench_regression.py keys off
 /// it).  `extra_meta` appends raw JSON values under additional meta keys —
 /// the value string is emitted verbatim, so pass `"true"`, `"3"`, or
 /// `"\"avx2\""` as appropriate.
@@ -82,9 +87,10 @@ inline void write_bench_json(
   }
   std::fprintf(f, "{\n  \"bench\": \"%s\",\n", bench.c_str());
   std::fprintf(f,
-               "  \"meta\": {\"git_sha\": \"%s\", "
+               "  \"meta\": {\"git_sha\": \"%s\", \"build_type\": \"%s\", "
                "\"hardware_concurrency\": %u",
-               JAAL_GIT_SHA, std::thread::hardware_concurrency());
+               JAAL_GIT_SHA, JAAL_BUILD_TYPE,
+               std::thread::hardware_concurrency());
   for (const auto& [key, raw_value] : extra_meta) {
     std::fprintf(f, ", \"%s\": %s", key.c_str(), raw_value.c_str());
   }
@@ -118,6 +124,20 @@ inline void print_roc(const core::RocCurve& curve) {
   }
   std::printf("  %-24s AUC = %.3f, TPR@FPR<=0.10 = %.3f\n", "", curve.auc(),
               curve.tpr_at_fpr(0.10));
+}
+
+/// One BENCH_roc_*.json row: the curve's AUC and TPR at FPR <= 0.10, keyed
+/// by (k, r, attack) with the attack as its AttackType value (1 syn_flood
+/// ... 5 sockstress).
+/// bench/check_bench_regression.py holds per-attack AUC floors on them.
+inline std::vector<std::pair<std::string, double>> roc_row(
+    std::size_t k, std::size_t r, packet::AttackType attack,
+    const core::RocCurve& curve) {
+  return {{"k", static_cast<double>(k)},
+          {"r", static_cast<double>(r)},
+          {"attack", static_cast<double>(attack)},
+          {"auc", curve.auc()},
+          {"tpr_at_fpr_0.10", curve.tpr_at_fpr(0.10)}};
 }
 
 }  // namespace jaal::bench

@@ -6,19 +6,12 @@
 
 namespace jaal::core {
 
-std::string alert_to_json(const inference::Alert& alert,
-                          double epoch_end_time) {
-  // The encoder lives in inference:: so the persistence layer (src/store)
-  // can share the exact byte format without depending on jaal_core.
-  return inference::alert_to_json(alert, epoch_end_time);
-}
-
 AlertLogger::AlertLogger(std::ostream& out) : out_(&out) {}
 
 std::size_t AlertLogger::log_epoch(double epoch_end_time,
                                    const std::vector<inference::Alert>& alerts) {
   for (const auto& alert : alerts) {
-    *out_ << core::alert_to_json(alert, epoch_end_time) << '\n';
+    *out_ << inference::alert_to_json(alert, epoch_end_time) << '\n';
     ++lines_;
   }
   return alerts.size();

@@ -1,19 +1,14 @@
 // Operator-facing alert log: one JSON object per line (JSONL), the format
 // SIEM pipelines ingest.  The §10 discussion expects "analysts to parse
-// logs just as they would for an enterprise IDS" — this is that log.
+// logs just as they would for an enterprise IDS" — this is that log.  Each
+// line is inference::alert_to_json, the same bytes the store persists.
 #pragma once
 
 #include <iosfwd>
-#include <string>
 
 #include "inference/engine.hpp"
 
 namespace jaal::core {
-
-/// Renders one alert as a single-line JSON object (no trailing newline).
-/// Strings are escaped per RFC 8259 (quotes, backslashes, control chars).
-[[nodiscard]] std::string alert_to_json(const inference::Alert& alert,
-                                        double epoch_end_time);
 
 /// Streaming JSONL sink.  Not thread-safe; one logger per engine loop.
 class AlertLogger {

@@ -17,7 +17,9 @@ namespace jaal::inference {
 /// Every knob governing how summaries become the aggregate an engine
 /// decides over, in one place — shared by the deployment controller's
 /// transport deadline and the inference tier, so the deadline /
-/// late-arrival / threshold-scaling behavior cannot drift between them.
+/// late-arrival behavior cannot drift between them.  The engine always
+/// scales its count thresholds (tau_c) by the epoch's report fraction (see
+/// InferenceEngine::scaled_tau_c).
 struct AggregationPolicy {
   /// Aggregation deadline, in simulated seconds after the epoch close: a
   /// summary arriving later is *late* (counted; late_policy decides its
@@ -26,12 +28,6 @@ struct AggregationPolicy {
   /// What happens to a late summary: discarded, or rolled forward into the
   /// next epoch's aggregate (stale but not lost).
   faults::LatePolicy late_policy = faults::LatePolicy::kDiscard;
-  /// Scale the engine's count thresholds (tau_c) by the epoch's report
-  /// fraction: a partial aggregate carries proportionally less of an
-  /// attack's mass, so an unscaled threshold would silently miss.  On (the
-  /// default) is the PR 4 degraded-mode behavior; off pins thresholds to
-  /// their full-epoch values regardless of delivery.
-  bool scale_thresholds_by_report_fraction = true;
 
   /// Throws std::invalid_argument on a negative deadline (construction-time
   /// error policy; see jaal.hpp).

@@ -34,9 +34,8 @@ InferenceEngine::InferenceEngine(std::vector<rules::Rule> rules,
                                  AggregationPolicy aggregation)
     : matcher_(std::move(rules)),
       questions_(rules::translate(matcher_.rules())),
-      config_(std::move(config)),
-      aggregation_(aggregation) {
-  aggregation_.validate();
+      config_(std::move(config)) {
+  aggregation.validate();
   if (questions_.empty()) {
     throw std::invalid_argument("InferenceEngine: empty rule set");
   }
@@ -102,14 +101,11 @@ void InferenceEngine::set_caution(double caution) noexcept {
 
 std::uint64_t InferenceEngine::scaled_tau_c(const rules::Question& q) const {
   // A partial aggregate (report_fraction < 1) carries proportionally less
-  // attack mass; scale the count threshold with it (policy permitting).  At
-  // 1.0 this is the exact full-epoch threshold (multiplying by 1.0 is
-  // bit-exact).
-  const double fraction =
-      aggregation_.scale_thresholds_by_report_fraction ? report_fraction_
-                                                       : 1.0;
+  // attack mass, so an unscaled threshold would silently miss; scale the
+  // count threshold with it.  At 1.0 this is the exact full-epoch threshold
+  // (multiplying by 1.0 is bit-exact).
   const double t = std::ceil(static_cast<double>(q.tau_c) *
-                             config_.tau_c_scale * fraction);
+                             config_.tau_c_scale * report_fraction_);
   // Casting NaN or anything outside [0, 2^64) to uint64_t is undefined.
   if (!(t < 0x1p64)) return std::numeric_limits<std::uint64_t>::max();
   if (t < 1.0) return 1;

@@ -136,11 +136,10 @@ struct InferenceStats {
 class InferenceEngine {
  public:
   /// `rules` supplies both the question vectors (translated internally) and
-  /// the raw-matching semantics for feedback.  `aggregation` governs the
-  /// report-fraction threshold scaling (see AggregationPolicy); the default
-  /// is the historical behavior.  Throws on empty rules, threshold pairs
-  /// that are not 0 <= tau_d1 <= tau_d2 (NaN included; tau_d2 may be +inf),
-  /// or an invalid aggregation policy.
+  /// the raw-matching semantics for feedback.  `aggregation` is only
+  /// validated: its deadline and late policy act on the transport.  Throws
+  /// on empty rules, threshold pairs that are not 0 <= tau_d1 <= tau_d2
+  /// (NaN included; tau_d2 may be +inf), or an invalid aggregation policy.
   InferenceEngine(std::vector<rules::Rule> rules, EngineConfig config,
                   AggregationPolicy aggregation = {});
 
@@ -227,9 +226,9 @@ class InferenceEngine {
   void set_telemetry(telemetry::Telemetry* tel);
 
   /// The count threshold in effect for a question right now (tau_c scaled
-  /// by tau_c_scale and — policy permitting — the report fraction, rounded
-  /// up, at least 1).  A product of 2^64 or more, or NaN from a NaN
-  /// tau_c_scale, saturates at UINT64_MAX: the rule cannot fire.
+  /// by tau_c_scale and the report fraction, rounded up, at least 1).  A
+  /// product of 2^64 or more, or NaN from a NaN tau_c_scale, saturates at
+  /// UINT64_MAX: the rule cannot fire.
   [[nodiscard]] std::uint64_t scaled_tau_c(const rules::Question& q) const;
 
  private:
@@ -248,7 +247,6 @@ class InferenceEngine {
   rules::RawMatcher matcher_;
   std::vector<rules::Question> questions_;
   EngineConfig config_;
-  AggregationPolicy aggregation_;
   double report_fraction_ = 1.0;
   double caution_ = 0.0;
   InferenceStats stats_;

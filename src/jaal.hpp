@@ -5,7 +5,8 @@
 //
 //   deployment      core::DeploymentConfig, core::JaalConfig,
 //                   core::JaalController, core::EpochResult, core::Monitor,
-//                   core::CommStats, core::AlertLogger
+//                   core::CommStats, core::AlertLogger (JSONL of
+//                   inference::alert_to_json, the bytes the store keeps)
 //   evaluation      core::TrialConfig, core::make_trial/make_trial_set,
 //                   core::roc_sweep / evaluate / evaluate_with_feedback,
 //                   core::ConfusionCounts, core::RocCurve
@@ -27,8 +28,9 @@
 //                   faults::TransportStats
 //   network sim     netsim::Topology, netsim::EventQueue, netsim::LinkQueue,
 //                   netsim::latency/replication models, assign::*
-//   telemetry       telemetry::Telemetry, telemetry::to_jsonl,
-//                   telemetry::to_prometheus
+//   telemetry       telemetry::Telemetry (JaalConfig::telemetry; null,
+//                   the default, is the one off switch),
+//                   telemetry::to_jsonl, telemetry::prometheus_text
 //   observability   observe::ObserveConfig, observe::AlertProvenance,
 //                   observe::DriftDetector, observe::HealthTracker,
 //                   observe::HealthReport, observe::FlightRecorder,

@@ -5,7 +5,7 @@
 // RuntimeStats counts work (tasks submitted/completed, parallel_for calls)
 // and tracks the queue-depth high-water mark (how far producers ran ahead
 // of the workers — the signal that a deployment should add threads).  Both
-// are backed by telemetry metrics (striped lock-free counters, a max
+// are backed by telemetry metrics (lock-free counters, a max
 // gauge): by default each RuntimeStats embeds a private registry, and
 // bind() redirects it into a shared deployment-wide registry so pool
 // metrics appear in the same Prometheus/JSONL export as monitor/engine

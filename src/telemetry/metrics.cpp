@@ -1,25 +1,11 @@
 #include "telemetry/metrics.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <unordered_map>
 
 namespace jaal::telemetry {
-
-std::size_t stripe_index() noexcept {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t mine =
-      next.fetch_add(1, std::memory_order_relaxed) % kStripes;
-  return mine;
-}
-
-std::uint64_t Counter::value() const noexcept {
-  std::uint64_t total = 0;
-  for (const Cell& c : cells_) total += c.v.load(std::memory_order_relaxed);
-  return total;
-}
 
 double Histogram::upper_bound(std::size_t i) noexcept {
   if (i + 1 >= kBucketCount) return std::numeric_limits<double>::infinity();
@@ -40,34 +26,26 @@ std::size_t Histogram::bucket_index(double v) noexcept {
 }
 
 void Histogram::observe(double v) noexcept {
-#ifndef JAAL_TELEMETRY_DISABLED
-  if (!enabled_->load(std::memory_order_relaxed)) return;
-  Shard& s = shards_[stripe_index()];
-  s.buckets[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
-  s.count.fetch_add(1, std::memory_order_relaxed);
-  double sum = s.sum.load(std::memory_order_relaxed);
-  while (!s.sum.compare_exchange_weak(sum, sum + v,
-                                      std::memory_order_relaxed)) {
+  buckets_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
+  count_.fetch_add(1, std::memory_order_relaxed);
+  double sum = sum_.load(std::memory_order_relaxed);
+  while (!sum_.compare_exchange_weak(sum, sum + v,
+                                     std::memory_order_relaxed)) {
   }
-  double seen = s.max.load(std::memory_order_relaxed);
+  double seen = max_.load(std::memory_order_relaxed);
   while (v > seen &&
-         !s.max.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
+         !max_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
   }
-#else
-  (void)v;
-#endif
 }
 
 HistogramSnapshot Histogram::snapshot() const {
   HistogramSnapshot snap;
-  snap.buckets.assign(kBucketCount, 0);
-  for (const Shard& s : shards_) {
-    snap.count += s.count.load(std::memory_order_relaxed);
-    snap.sum += s.sum.load(std::memory_order_relaxed);
-    snap.max = std::max(snap.max, s.max.load(std::memory_order_relaxed));
-    for (std::size_t b = 0; b < kBucketCount; ++b) {
-      snap.buckets[b] += s.buckets[b].load(std::memory_order_relaxed);
-    }
+  snap.count = count_.load(std::memory_order_relaxed);
+  snap.sum = sum_.load(std::memory_order_relaxed);
+  snap.max = max_.load(std::memory_order_relaxed);
+  snap.buckets.reserve(kBucketCount);
+  for (const auto& b : buckets_) {
+    snap.buckets.push_back(b.load(std::memory_order_relaxed));
   }
   return snap;
 }
@@ -135,13 +113,13 @@ MetricsRegistry::Entry& MetricsRegistry::find_or_create(std::string_view name,
   entry->kind = kind;
   switch (kind) {
     case MetricKind::kCounter:
-      entry->counter.reset(new Counter(&enabled_));
+      entry->counter.reset(new Counter());
       break;
     case MetricKind::kGauge:
-      entry->gauge.reset(new Gauge(&enabled_));
+      entry->gauge.reset(new Gauge());
       break;
     case MetricKind::kHistogram:
-      entry->histogram.reset(new Histogram(&enabled_));
+      entry->histogram.reset(new Histogram());
       break;
   }
   entries_.push_back(std::move(entry));
@@ -187,11 +165,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 std::size_t MetricsRegistry::size() const {
   std::lock_guard lock(mu_);
   return entries_.size();
-}
-
-MetricsRegistry& global_registry() {
-  static MetricsRegistry registry;
-  return registry;
 }
 
 }  // namespace jaal::telemetry

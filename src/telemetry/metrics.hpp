@@ -1,22 +1,21 @@
-// Process-wide metrics registry (counters, gauges, histograms).
+// Metrics registry (counters, gauges, histograms).
 //
-// Hot-path writes are lock-free: every metric is striped into kStripes
-// cache-line-padded shards, each thread hashes to one shard (thread-local
-// stripe index assigned round-robin), and snapshot() merges the shards.
-// Registration (name -> metric) takes a mutex but happens once per metric at
-// wiring time; instrumented components cache the returned handle and never
-// touch the map again.
+// Hot-path writes are lock-free relaxed atomics on one cell per metric.
+// Per-packet counters are written from the single ingest thread and pool
+// workers write once per flush or task, so there is no contention to
+// spread; each metric starts its own cache line, so writers of different
+// metrics never share one.  snapshot() reads each cell once.  Registration (name -> metric)
+// takes a mutex but happens once per metric at wiring time; instrumented
+// components cache the returned handle and never touch the map again.
 //
 // Naming scheme (see DESIGN.md "Telemetry"): jaal_<subsystem>_<what>[_total
 // for counters | _ms for wall-clock histograms].  Prometheus-style labels
 // may be embedded literally in the name ('jaal_netsim_link_drops_total
 // {link="3-7"}'); the exporters split them back out.
 //
-// Disabled modes: compiling with -DJAAL_TELEMETRY_DISABLED turns every
-// write into a no-op; at runtime, MetricsRegistry::set_enabled(false) does
-// the same via one relaxed atomic load per write.  Components additionally
-// treat a null Telemetry pointer as "not attached" and skip instrumentation
-// entirely, which is the default (and cheapest) state.
+// Telemetry is off when a component holds a null Telemetry pointer (the
+// default): it then skips instrumentation entirely.  There is no other off
+// switch.
 #pragma once
 
 #include <array>
@@ -30,73 +29,43 @@
 
 namespace jaal::telemetry {
 
-/// Shard count; a power of two so the stripe index is a cheap mask.
-inline constexpr std::size_t kStripes = 16;
-
-/// This thread's shard index in [0, kStripes) — assigned round-robin on
-/// first use so concurrent writers spread over different cache lines.
-[[nodiscard]] std::size_t stripe_index() noexcept;
-
 class MetricsRegistry;
 
 /// Monotonically increasing event count.
-class Counter {
+class alignas(64) Counter {
  public:
   void add(std::uint64_t n = 1) noexcept {
-#ifndef JAAL_TELEMETRY_DISABLED
-    if (!enabled_->load(std::memory_order_relaxed)) return;
-    cells_[stripe_index()].v.fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
+    value_.fetch_add(n, std::memory_order_relaxed);
   }
 
-  /// Sum over all shards.
-  [[nodiscard]] std::uint64_t value() const noexcept;
+  [[nodiscard]] std::uint64_t value() const noexcept {
+    return value_.load(std::memory_order_relaxed);
+  }
 
  private:
   friend class MetricsRegistry;
-  explicit Counter(const std::atomic<bool>* enabled) : enabled_(enabled) {}
+  Counter() = default;
 
-  struct alignas(64) Cell {
-    std::atomic<std::uint64_t> v{0};
-  };
-  std::array<Cell, kStripes> cells_;
-  const std::atomic<bool>* enabled_;
+  std::atomic<std::uint64_t> value_{0};
 };
 
 /// Point-in-time value; set() is last-writer-wins, update_max() keeps the
 /// high-water mark.
-class Gauge {
+class alignas(64) Gauge {
  public:
   void set(std::int64_t v) noexcept {
-#ifndef JAAL_TELEMETRY_DISABLED
-    if (!enabled_->load(std::memory_order_relaxed)) return;
     value_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
   }
 
   void add(std::int64_t n) noexcept {
-#ifndef JAAL_TELEMETRY_DISABLED
-    if (!enabled_->load(std::memory_order_relaxed)) return;
     value_.fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
   }
 
   void update_max(std::int64_t v) noexcept {
-#ifndef JAAL_TELEMETRY_DISABLED
-    if (!enabled_->load(std::memory_order_relaxed)) return;
     std::int64_t seen = value_.load(std::memory_order_relaxed);
     while (v > seen &&
            !value_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
     }
-#else
-    (void)v;
-#endif
   }
 
   [[nodiscard]] std::int64_t value() const noexcept {
@@ -105,10 +74,9 @@ class Gauge {
 
  private:
   friend class MetricsRegistry;
-  explicit Gauge(const std::atomic<bool>* enabled) : enabled_(enabled) {}
+  Gauge() = default;
 
   std::atomic<std::int64_t> value_{0};
-  const std::atomic<bool>* enabled_;
 };
 
 struct HistogramSnapshot {
@@ -125,7 +93,7 @@ struct HistogramSnapshot {
 /// +Inf.  With kMinExponent = -10 the finite bounds span ~0.001 .. ~1.7e7,
 /// which covers microsecond-to-minute latencies in ms as well as iteration
 /// and byte-per-batch counts.
-class Histogram {
+class alignas(64) Histogram {
  public:
   static constexpr std::size_t kBucketCount = 36;
   static constexpr int kMinExponent = -10;
@@ -143,16 +111,12 @@ class Histogram {
 
  private:
   friend class MetricsRegistry;
-  explicit Histogram(const std::atomic<bool>* enabled) : enabled_(enabled) {}
+  Histogram() = default;
 
-  struct alignas(64) Shard {
-    std::array<std::atomic<std::uint64_t>, kBucketCount> buckets{};
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<double> sum{0.0};
-    std::atomic<double> max{0.0};
-  };
-  std::array<Shard, kStripes> shards_;
-  const std::atomic<bool>* enabled_;
+  std::array<std::atomic<std::uint64_t>, kBucketCount> buckets_{};
+  std::atomic<std::uint64_t> count_{0};
+  std::atomic<double> sum_{0.0};
+  std::atomic<double> max_{0.0};
 };
 
 enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
@@ -198,15 +162,6 @@ class MetricsRegistry {
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
-  /// Runtime kill switch: while disabled, every write on every handle is a
-  /// no-op (one relaxed load).  Reads still work.
-  void set_enabled(bool on) noexcept {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool enabled() const noexcept {
-    return enabled_.load(std::memory_order_relaxed);
-  }
-
   [[nodiscard]] std::size_t size() const;
 
  private:
@@ -222,11 +177,6 @@ class MetricsRegistry {
 
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Entry>> entries_;  ///< Registration order.
-  std::atomic<bool> enabled_{true};
 };
-
-/// The process-wide registry (for code without an explicit Telemetry
-/// wiring).  Created on first use; enabled like any other registry.
-[[nodiscard]] MetricsRegistry& global_registry();
 
 }  // namespace jaal::telemetry

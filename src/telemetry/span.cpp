@@ -1,6 +1,6 @@
 #include "telemetry/span.hpp"
 
-#include "telemetry/metrics.hpp"
+#include <iterator>
 
 namespace jaal::telemetry {
 
@@ -71,56 +71,36 @@ void Tracer::record(SpanRecord&& rec) {
                      .count() -
                  rec.duration_ms;
   if (rec.start_ms < 0.0) rec.start_ms = 0.0;
-  Stripe& s = stripes_[stripe_index() % kTracerStripes];
-  std::lock_guard lock(s.mu);
-  s.records.push_back(std::move(rec));
+  std::lock_guard lock(mu_);
+  pending_.push_back(std::move(rec));
 }
 
 std::vector<SpanRecord> Tracer::drain() {
-  std::vector<SpanRecord> fresh;
-  for (Stripe& s : stripes_) {
-    std::lock_guard lock(s.mu);
-    fresh.insert(fresh.end(), std::make_move_iterator(s.records.begin()),
-                 std::make_move_iterator(s.records.end()));
-    s.records.clear();
-  }
-  std::lock_guard lock(drained_mu_);
+  std::lock_guard lock(mu_);
+  std::vector<SpanRecord> fresh(std::make_move_iterator(pending_.begin()),
+                                std::make_move_iterator(pending_.end()));
+  pending_.clear();  // keeps its capacity for the next epoch
   drained_.insert(drained_.end(), fresh.begin(), fresh.end());
   return fresh;
 }
 
 std::vector<SpanRecord> Tracer::records() const {
+  std::lock_guard lock(mu_);
   std::vector<SpanRecord> out;
-  {
-    std::lock_guard lock(drained_mu_);
-    out = drained_;
-  }
-  for (const Stripe& s : stripes_) {
-    std::lock_guard lock(s.mu);
-    out.insert(out.end(), s.records.begin(), s.records.end());
-  }
+  out.reserve(drained_.size() + pending_.size());
+  out.insert(out.end(), drained_.begin(), drained_.end());
+  out.insert(out.end(), pending_.begin(), pending_.end());
   return out;
 }
 
 std::size_t Tracer::size() const {
-  std::size_t n = 0;
-  {
-    std::lock_guard lock(drained_mu_);
-    n = drained_.size();
-  }
-  for (const Stripe& s : stripes_) {
-    std::lock_guard lock(s.mu);
-    n += s.records.size();
-  }
-  return n;
+  std::lock_guard lock(mu_);
+  return drained_.size() + pending_.size();
 }
 
 void Tracer::clear() {
-  for (Stripe& s : stripes_) {
-    std::lock_guard lock(s.mu);
-    s.records.clear();
-  }
-  std::lock_guard lock(drained_mu_);
+  std::lock_guard lock(mu_);
+  pending_.clear();
   drained_.clear();
 }
 

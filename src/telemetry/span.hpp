@@ -14,14 +14,13 @@
 // nondeterministic field; `sim_time` carries the deterministic simulated
 // timestamp where the caller has one (epoch end time, event-queue now()).
 //
-// The tracer buffers finished spans in per-thread stripes (same
-// round-robin stripe map as the metric counters) so monitor pool
-// workers never contend on one global mutex; `drain()` moves the stripe
-// buffers into a stable archive at epoch close.  Exports sort, so the
-// determinism contracts are unchanged.
+// The tracer appends finished spans to one mutex-guarded buffer (pool
+// workers finish a handful of spans per flush, so the lock is cold);
+// `drain()` moves the buffer into a stable archive at epoch close.
+// Exports sort, so the determinism contracts do not depend on the
+// append order.
 #pragma once
 
-#include <array>
 #include <chrono>
 #include <cstdint>
 #include <mutex>
@@ -105,9 +104,8 @@ class Span {
   std::chrono::steady_clock::time_point start_{};
 };
 
-/// Collects finished spans.  Appends go to one of kStripes per-thread
-/// buffers (round-robin thread -> stripe, shared with the metric
-/// counters), so concurrent pool workers rarely touch the same lock.
+/// Collects finished spans.  Thread-safe: concurrent pool workers append
+/// under one mutex.
 class Tracer {
  public:
   Tracer();
@@ -119,13 +117,13 @@ class Tracer {
     return Span(this, std::move(name), parent, key);
   }
 
-  /// Moves all stripe buffers into the internal archive and returns the
+  /// Moves the pending buffer into the internal archive and returns the
   /// spans drained by *this* call (callers wanting everything so far use
   /// records()).  Called at epoch close, where no span is in flight.
   std::vector<SpanRecord> drain();
 
-  /// All recorded spans: the drained archive plus whatever still sits in
-  /// the stripe buffers.  Order is unspecified; exports sort.
+  /// All recorded spans: the drained archive plus whatever is still
+  /// pending.  Order is unspecified; exports sort.
   [[nodiscard]] std::vector<SpanRecord> records() const;
   [[nodiscard]] std::size_t size() const;
   void clear();
@@ -134,13 +132,8 @@ class Tracer {
   friend class Span;
   void record(SpanRecord&& rec);
 
-  struct Stripe {
-    mutable std::mutex mu;
-    std::vector<SpanRecord> records;
-  };
-  static constexpr std::size_t kTracerStripes = 16;
-  std::array<Stripe, kTracerStripes> stripes_;
-  mutable std::mutex drained_mu_;
+  mutable std::mutex mu_;
+  std::vector<SpanRecord> pending_;  ///< Recorded since the last drain().
   std::vector<SpanRecord> drained_;
   std::chrono::steady_clock::time_point t0_;
 };

@@ -1,11 +1,10 @@
 // The telemetry bundle a deployment threads through its components.
 //
-// One Telemetry instance per deployment (or the process-wide global()):
-// components receive a `Telemetry*` via set_telemetry()/config and treat
-// null as "telemetry off" — the default, whose only cost is a pointer
-// check at wiring points (never per packet: hot-path counters are cached
-// Counter handles, incremented per batch/epoch or guarded by the same null
-// check).
+// One Telemetry instance per deployment: components receive a `Telemetry*`
+// via set_telemetry()/config and treat null as "telemetry off".  That is
+// the default and the only off switch; its cost is a pointer check at
+// wiring points (never per packet: hot-path counters are cached Counter
+// handles, incremented per batch/epoch or guarded by the same null check).
 #pragma once
 
 #include "telemetry/export.hpp"
@@ -17,13 +16,6 @@ namespace jaal::telemetry {
 struct Telemetry {
   MetricsRegistry metrics;
   Tracer tracer;
-
-  /// Runtime kill switch for metric writes (spans are skipped by callers
-  /// when telemetry is detached; metric handles honor this flag).
-  void set_enabled(bool on) noexcept { metrics.set_enabled(on); }
 };
-
-/// Process-wide instance for callers without explicit wiring.
-[[nodiscard]] Telemetry& global();
 
 }  // namespace jaal::telemetry

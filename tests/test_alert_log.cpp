@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "inference/alert_json.hpp"
+
 namespace jaal::core {
 namespace {
 
@@ -19,7 +21,7 @@ inference::Alert sample_alert() {
 }
 
 TEST(AlertLog, JsonContainsEveryField) {
-  const std::string json = alert_to_json(sample_alert(), 12.5);
+  const std::string json = inference::alert_to_json(sample_alert(), 12.5);
   EXPECT_NE(json.find("\"time\":12.500000"), std::string::npos);
   EXPECT_NE(json.find("\"sid\":1000002"), std::string::npos);
   EXPECT_NE(json.find("\"msg\":\"Distributed SYN flood\""), std::string::npos);
@@ -35,7 +37,7 @@ TEST(AlertLog, JsonContainsEveryField) {
 TEST(AlertLog, EscapesSpecialCharacters) {
   inference::Alert alert = sample_alert();
   alert.msg = "quote:\" backslash:\\ newline:\n tab:\t ctrl:\x01";
-  const std::string json = alert_to_json(alert, 0.0);
+  const std::string json = inference::alert_to_json(alert, 0.0);
   EXPECT_NE(json.find("quote:\\\""), std::string::npos);
   EXPECT_NE(json.find("backslash:\\\\"), std::string::npos);
   EXPECT_NE(json.find("newline:\\n"), std::string::npos);

@@ -130,8 +130,6 @@ TEST(DegradedPipeline, CrashedMonitorYieldsPartialAggregate) {
   EXPECT_EQ(run.transport.crashed_monitor_epochs, 1u);
 }
 
-#ifndef JAAL_TELEMETRY_DISABLED
-
 std::uint64_t counter(const telemetry::MetricsSnapshot& snapshot,
                       const std::string& name) {
   for (const auto& e : snapshot.entries) {
@@ -167,8 +165,6 @@ TEST(DegradedPipeline, TelemetryCountersMatchEpochAccounting) {
             degraded);
   EXPECT_EQ(run.transport.summaries_dropped, dropped);
 }
-
-#endif  // JAAL_TELEMETRY_DISABLED
 
 // The ISSUE acceptance scenario: 5% summary loss plus one monitor crashing
 // at epoch 3.  Alerts, degraded-mode counters, and the full JSONL telemetry

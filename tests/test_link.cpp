@@ -103,7 +103,6 @@ TEST(LinkQueue, DropLogIsKeyedBySimulatedTime) {
   }
 }
 
-#ifndef JAAL_TELEMETRY_DISABLED
 TEST(LinkQueue, PublishesLabeledTelemetry) {
   telemetry::Telemetry tel;
   EventQueue events;
@@ -146,7 +145,6 @@ TEST(LinkQueue, PublishesLabeledTelemetry) {
   }
   EXPECT_TRUE(found_gauge);
 }
-#endif  // JAAL_TELEMETRY_DISABLED
 
 }  // namespace
 }  // namespace jaal::netsim

@@ -148,12 +148,9 @@ TEST(ParallelEquivalence, ControllerReportsRuntimeStatsOnlyWhenPooled) {
   const auto stats = pooled.runtime_stats();
   ASSERT_TRUE(stats.has_value());
   EXPECT_EQ(stats->threads, 3u);
-#ifndef JAAL_TELEMETRY_DISABLED
-  // Counts only accumulate when the telemetry backing store is compiled in.
   EXPECT_GE(stats->tasks_submitted, cfg.monitor_count);
   // The counters render through core/metrics.
   EXPECT_NE(describe(*stats).find("threads=3"), std::string::npos);
-#endif
 }
 
 }  // namespace

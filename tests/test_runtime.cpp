@@ -85,10 +85,7 @@ TEST(ThreadPool, NestedParallelForInsideSubmittedTasksCompletes) {
   for (auto& f : outer) EXPECT_EQ(f.get(), 255L * 256L / 2);
 }
 
-// Runtime stats are backed by the telemetry registry; under
-// -DJAAL_TELEMETRY=OFF the counters compile to no-ops, so the count
-// assertions only hold in the default build.
-#ifndef JAAL_TELEMETRY_DISABLED
+// Runtime stats are backed by the telemetry registry.
 TEST(ThreadPool, StatsCountTasksAndParallelFor) {
   ThreadPool pool(2);
   pool.submit([] {}).get();
@@ -98,7 +95,6 @@ TEST(ThreadPool, StatsCountTasksAndParallelFor) {
   EXPECT_GE(snap.tasks_submitted, 1u);
   EXPECT_EQ(snap.parallel_for_calls, 1u);
 }
-#endif  // JAAL_TELEMETRY_DISABLED
 
 TEST(ThreadsFromEnv, ParsesOverrideAndFallsBack) {
   ::setenv("JAAL_THREADS", "6", 1);

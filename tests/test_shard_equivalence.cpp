@@ -469,14 +469,9 @@ TEST(ShardEquivalence, OpsStreamMatchesPinnedDigest) {
         << "no " << kind << " event in the flight dump";
   }
 
-#ifndef JAAL_TELEMETRY_DISABLED
-  // The ops log carries per-epoch metrics deltas, the doctor timeline
-  // replays them and the store_append spans count their bytes: all three
-  // hash differently with metric writes compiled out.
   EXPECT_EQ(digest(run.ops_records), "117ca86af6b5fb2b");
   EXPECT_EQ(digest(run.doctor_timeline), "24565d20635a4749");
   EXPECT_EQ(digest(run.span_jsonl), "6b735b96896fefad");
-#endif
   EXPECT_EQ(digest(run.alert_lines), "baa483928d8d1424");
   EXPECT_EQ(digest(run.provenance_lines), "4d1ccdd4eced58d5");
   EXPECT_EQ(digest(run.flight_dump), "6def86d8b366a020");

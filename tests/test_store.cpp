@@ -446,7 +446,6 @@ TEST(TimeShard, PointQueryMatchesFilteredWalk) {
     EXPECT_EQ(check(writer, "writer beside stray .jidx"), reference);
   }
 
-#ifndef JAAL_TELEMETRY_DISABLED
   // A point query walks only its own shard, up to the first record past
   // its epoch.
   telemetry::Telemetry tel;
@@ -462,7 +461,6 @@ TEST(TimeShard, PointQueryMatchesFilteredWalk) {
   (void)point_query(reader, 9);
   EXPECT_EQ(scanned(), 2 * (kRecordHeaderBytes + 4) +
                            fs::file_size(tail) - kShardHeaderBytes);
-#endif  // JAAL_TELEMETRY_DISABLED
 }
 
 // ------------------------------------------------------- deployment store
@@ -577,9 +575,7 @@ TEST(Store, OpenWalksShardsNewestFirstToTheHorizon) {
   auto [horizon, scanned] = open_reader(multi.str(), kWidth);
   EXPECT_EQ(horizon, full.horizon);
   EXPECT_EQ(horizon, std::optional<std::uint64_t>{4});
-#ifndef JAAL_TELEMETRY_DISABLED
   EXPECT_EQ(scanned, full.shard_bytes[2]);
-#endif
 
   // 2. The last shard holds only an uncommitted epoch (the process died
   //    before its EpochMeta): the open walks it, then the shard before.
@@ -594,9 +590,7 @@ TEST(Store, OpenWalksShardsNewestFirstToTheHorizon) {
   std::tie(horizon, scanned) = open_reader(uncommitted.str(), kWidth);
   EXPECT_EQ(horizon, full.horizon);
   EXPECT_EQ(horizon, std::optional<std::uint64_t>{4});
-#ifndef JAAL_TELEMETRY_DISABLED
   EXPECT_EQ(scanned, full.shard_bytes[3] + full.shard_bytes[2]);
-#endif
 
   // 3. A torn tail that cuts the newest EpochMeta: epoch 4's summaries
   //    stay valid, its commit does not, so the horizon falls back into
@@ -609,11 +603,9 @@ TEST(Store, OpenWalksShardsNewestFirstToTheHorizon) {
   std::tie(horizon, scanned) = open_reader(torn.str(), kWidth);
   EXPECT_EQ(horizon, full.horizon);
   EXPECT_EQ(horizon, std::optional<std::uint64_t>{3});
-#ifndef JAAL_TELEMETRY_DISABLED
   EXPECT_EQ(scanned, full.shard_bytes[2] + full.shard_bytes[1]);
   EXPECT_LT(scanned, full.shard_bytes[2] + full.shard_bytes[1] +
                          full.shard_bytes[0]);
-#endif
 }
 
 TEST(Store, ReaderSurfacesOnlyCommittedPrefix) {
@@ -855,7 +847,6 @@ TEST(Store, StoredAlertLinesMatchTheLiveEncoder) {
   EXPECT_EQ(stored, expected);
 }
 
-#ifndef JAAL_TELEMETRY_DISABLED
 TEST(Store, StoreTelemetryCountsAppends) {
   TempDir dir("telemetry");
   telemetry::Telemetry tel;
@@ -876,7 +867,6 @@ TEST(Store, StoreTelemetryCountsAppends) {
   EXPECT_TRUE(saw_records);
   EXPECT_TRUE(saw_bytes);
 }
-#endif  // JAAL_TELEMETRY_DISABLED
 
 }  // namespace
 }  // namespace jaal::store

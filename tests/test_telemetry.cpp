@@ -1,5 +1,5 @@
-// Metrics registry: striped counters/gauges/histograms, bucket boundaries,
-// the enabled kill switch, and the Prometheus exposition parsed back.
+// Metrics registry: counters/gauges/histograms under concurrent writers,
+// bucket boundaries, and the Prometheus exposition parsed back.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,11 +14,7 @@
 namespace jaal::telemetry {
 namespace {
 
-// Everything below exercises metric *writes*, which compile to no-ops under
-// -DJAAL_TELEMETRY_DISABLED; the pure-math bucket tests stay active there.
-#ifndef JAAL_TELEMETRY_DISABLED
-
-TEST(Telemetry, CounterAccumulatesAcrossStripes) {
+TEST(Telemetry, CounterAccumulatesAdds) {
   MetricsRegistry reg;
   Counter& c = reg.counter("jaal_test_events_total");
   c.add();
@@ -90,8 +86,6 @@ TEST(Telemetry, GaugeSetAddMax) {
   EXPECT_EQ(g.value(), 19);
 }
 
-#endif  // JAAL_TELEMETRY_DISABLED
-
 TEST(Telemetry, HistogramBucketBoundaries) {
   // Bucket i has inclusive upper bound 2^(i + kMinExponent); values on the
   // bound land in that bucket, values just above in the next.
@@ -113,8 +107,6 @@ TEST(Telemetry, HistogramBucketBoundaries) {
   EXPECT_TRUE(std::isinf(Histogram::upper_bound(Histogram::kBucketCount - 1)));
   EXPECT_EQ(Histogram::bucket_index(1e300), Histogram::kBucketCount - 1);
 }
-
-#ifndef JAAL_TELEMETRY_DISABLED
 
 TEST(Telemetry, HistogramObserveAndSnapshot) {
   MetricsRegistry reg;
@@ -144,18 +136,38 @@ TEST(Telemetry, RegistryReturnsStableHandlesAndRejectsKindClashes) {
   EXPECT_THROW((void)reg.histogram("jaal_test_x_total"), std::invalid_argument);
 }
 
-TEST(Telemetry, DisabledRegistryDropsWrites) {
+TEST(Telemetry, HistogramConcurrentWritersLoseNothing) {
+  // Writer t observes 1, 2, ..., kPerThread scaled by (t + 1).  Integer
+  // values keep the double sum exact in any interleaving, so count, sum,
+  // max and every bucket must match a serial tally exactly.
   MetricsRegistry reg;
-  Counter& c = reg.counter("jaal_test_total");
-  Histogram& h = reg.histogram("jaal_test_hist");
-  reg.set_enabled(false);
-  c.add(5);
-  h.observe(1.0);
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(h.snapshot().count, 0u);
-  reg.set_enabled(true);
-  c.add(5);
-  EXPECT_EQ(c.value(), 5u);
+  Histogram& h = reg.histogram("jaal_test_concurrent_hist");
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 5000;
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&h, t] {
+      for (int i = 1; i <= kPerThread; ++i) {
+        h.observe(static_cast<double>(i * (t + 1)));
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+
+  std::vector<std::uint64_t> want(Histogram::kBucketCount, 0);
+  double want_sum = 0.0;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 1; i <= kPerThread; ++i) {
+      const double v = static_cast<double>(i * (t + 1));
+      ++want[Histogram::bucket_index(v)];
+      want_sum += v;
+    }
+  }
+  const HistogramSnapshot s = h.snapshot();
+  EXPECT_EQ(s.count, static_cast<std::uint64_t>(kThreads) * kPerThread);
+  EXPECT_EQ(s.sum, want_sum);
+  EXPECT_EQ(s.max, static_cast<double>(kThreads * kPerThread));
+  EXPECT_EQ(s.buckets, want);
 }
 
 // ---------------------------------------------------------------------------
@@ -267,8 +279,6 @@ TEST(Telemetry, PrometheusExpositionRoundTrips) {
             text.rfind("# TYPE jaal_test_drops_total counter"));
 }
 
-#endif  // JAAL_TELEMETRY_DISABLED
-
 TEST(Telemetry, LabelValueEscaping) {
   EXPECT_EQ(escape_label_value("plain"), "plain");
   EXPECT_EQ(escape_label_value("a\\b"), "a\\\\b");
@@ -287,8 +297,6 @@ TEST(Telemetry, WithLabelComposesAndAppends) {
   EXPECT_EQ(with_label("m", "msg", "a\"b\\c\nd"),
             "m{msg=\"a\\\"b\\\\c\\nd\"}");
 }
-
-#ifndef JAAL_TELEMETRY_DISABLED
 
 TEST(Telemetry, EscapedLabelStaysInsideItsQuotesInTheExposition) {
   MetricsRegistry reg;
@@ -327,8 +335,6 @@ TEST(Telemetry, HelpLinesCuratedAndConventionFallback) {
             std::string::npos);
   EXPECT_LT(help_at, text.find("# TYPE jaal_faults_packets_lost_total"));
 }
-
-#endif  // JAAL_TELEMETRY_DISABLED
 
 TEST(Telemetry, SnapshotDiffDeltasCountersKeepsGauges) {
   auto entry = [](const std::string& name, MetricKind kind) {

@@ -147,8 +147,6 @@ TEST(TelemetryPipeline, EpochTraceHasThePipelineShape) {
   }
 }
 
-#ifndef JAAL_TELEMETRY_DISABLED
-
 TEST(TelemetryPipeline, MetricsAgreeWithControllerAccounting) {
   const DeploymentTrace run = run_deployment(1);
   auto counter = [&](const std::string& name) -> std::uint64_t {
@@ -182,8 +180,6 @@ TEST(TelemetryPipeline, RuntimeStatsFoldIntoTheDeploymentRegistry) {
   const runtime::RuntimeStatsSnapshot snap = pool.stats().snapshot();
   EXPECT_GE(snap.tasks_submitted, 1u);
 }
-
-#endif  // JAAL_TELEMETRY_DISABLED
 
 }  // namespace
 }  // namespace jaal::core
