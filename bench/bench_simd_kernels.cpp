@@ -1,8 +1,8 @@
 // SIMD kernel speedups: scalar vs the best dispatch level on this host.
 //
-// One row per kernel of linalg/simd.hpp plus two end-to-end rows (k-means
-// assignment, full summarize), each timed with the dispatch pinned to
-// scalar and then to detected().  Every row carries a `kernel_<name>` key
+// One row per kernel of linalg/simd.hpp, the store's record CRC-32, and
+// two end-to-end rows (k-means assignment, full summarize), each timed with
+// the dispatch pinned to scalar and then to detected().  Every row carries a `kernel_<name>` key
 // so bench/check_bench_regression.py can match rows across runs without
 // relying on order, and the speedup column is what the CI regression gate
 // floors.  Kernel outputs are checksummed and compared across levels — a
@@ -18,6 +18,7 @@
 #include "common.hpp"
 #include "linalg/simd.hpp"
 #include "linalg/soa.hpp"
+#include "store/flat_record.hpp"
 #include "summarize/kmeans.hpp"
 #include "summarize/summarizer.hpp"
 #include "trace/background.hpp"
@@ -206,6 +207,24 @@ int main() {
                static_cast<double>(nearest[kSeedRows / 3]);
       }),
       static_cast<double>(kSeedRows) * kSeedIters, rows);
+
+  // Store record CRC-32 over one stored epoch's worth of summary payloads
+  // (~670 KB): the slicing-by-8 table at scalar, the carry-less-multiply
+  // fold at the vector levels (on pclmul hosts).
+  constexpr std::size_t kCrcBytes = 670 * 1024;
+  constexpr int kCrcIters = 20;
+  std::vector<std::uint8_t> crc_buf(kCrcBytes);
+  for (std::uint8_t& b : crc_buf) b = static_cast<std::uint8_t>(rng());
+  all_identical &= report(
+      "crc32",
+      time_levels([&] {
+        double acc = 0.0;
+        for (int i = 0; i < kCrcIters; ++i) {
+          acc += static_cast<double>(store::crc32(crc_buf));
+        }
+        return acc;
+      }),
+      static_cast<double>(kCrcBytes) * kCrcIters, rows);
 
   // End-to-end: the full summarize pipeline (normalize + SVD + k-means) on
   // a realistic traffic batch.  This is the acceptance row: the CI gate

@@ -7,10 +7,16 @@
 // the right monitor for the raw packets behind an uncertain centroid.
 #pragma once
 
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "faults/scenario.hpp"
 #include "summarize/summary.hpp"
+
+namespace jaal::runtime {
+class ThreadPool;
+}  // namespace jaal::runtime
 
 namespace jaal::inference {
 
@@ -73,6 +79,17 @@ class Aggregator {
   /// own dimensions disagree; either way the pending epoch is unchanged.
   void add(const summarize::MonitorSummary& summary);
 
+  /// Appends parsed summaries (summarize::parse_summary views) in order,
+  /// with the rows, bits and bookkeeping of add() on each deserialized
+  /// summary.  Every view's field width is checked first — a mismatch
+  /// throws std::invalid_argument and leaves the pending epoch unchanged —
+  /// then all rows are reserved serially and each summary is reconstructed
+  /// into its own disjoint rows on `pool` (null: serially), so the result
+  /// is bit-identical at any pool size.  The views' buffers need only live
+  /// for the call.
+  void add(std::span<const summarize::SummaryView> batch,
+           runtime::ThreadPool* pool = nullptr);
+
   [[nodiscard]] std::size_t summaries_added() const noexcept { return added_; }
 
   /// Hands this epoch's aggregate to `out` by swapping buffers: `out`'s
@@ -90,14 +107,18 @@ class Aggregator {
   void clear() noexcept;
 
  private:
-  /// Width check, then room for `counts.size()` zeroed rows plus their
-  /// bookkeeping; returns the first new row.
-  double* append_rows(summarize::MonitorId monitor,
-                      const std::vector<std::uint64_t>& counts,
+  /// Width check, then room for `rows` zeroed rows plus their origin and
+  /// local index (counts are the caller's); returns the first new row.
+  double* append_rows(summarize::MonitorId monitor, std::size_t rows,
                       std::size_t cols);
 
   AggregatedSummary next_;  ///< The epoch being collected.
   std::size_t added_ = 0;
+  /// Per-batch decode space for each split summary's U~_r, sigma and
+  /// V_r^T, recycled.
+  std::vector<double> factors_;
+  /// Per-batch (first row, first factor) of each summary, recycled.
+  std::vector<std::pair<std::size_t, std::size_t>> slots_;
 };
 
 }  // namespace jaal::inference

@@ -220,6 +220,11 @@ class InferenceEngine {
   void set_pool(std::shared_ptr<runtime::ThreadPool> pool) noexcept {
     pool_ = std::move(pool);
   }
+  /// The attached pool (null when none): callers feeding the engine, such
+  /// as the store replayer rebuilding an epoch's aggregate, borrow it.
+  [[nodiscard]] runtime::ThreadPool* pool() const noexcept {
+    return pool_.get();
+  }
 
   /// Attaches telemetry: question/alert/feedback counters and per-sid
   /// feedback retrieval spans.  Null detaches (the default).

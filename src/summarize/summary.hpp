@@ -9,7 +9,9 @@
 // inference module reconstructs S2 into S1 form before aggregation (§5.1).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <variant>
 #include <vector>
 
@@ -81,9 +83,47 @@ enum class WirePrecision : std::uint8_t {
     const MonitorSummary& s,
     WirePrecision precision = WirePrecision::kFloat32);
 
-/// Parses a buffer produced by serialize() (either precision).  Throws
-/// std::runtime_error on a missing/foreign magic byte, an unsupported
-/// format version, or a malformed body.
+/// A run of little-endian scalars inside a serialized buffer, read in
+/// place at the buffer's precision (float32 widens to double exactly as
+/// deserialize() does).
+struct WireScalars {
+  const std::uint8_t* bytes = nullptr;
+  std::size_t size = 0;  ///< Scalars, not bytes.
+  WirePrecision precision = WirePrecision::kFloat64;
+
+  /// Writes all `size` scalars to out[0, size).
+  void decode(double* out) const noexcept;
+};
+
+/// A validated serialized summary, viewed in place: its dimensions plus
+/// scalar and count ranges aliasing the parsed buffer, so it is valid only
+/// while that buffer lives.  Combined summaries fill `centroids` (rows x
+/// cols); split ones fill `u_centroids` (rows x rank), `sigma` (rank) and
+/// `vt` (rank x cols).
+struct SummaryView {
+  MonitorId monitor = 0;
+  bool split = false;
+  std::size_t rows = 0;  ///< k: centroids and counts.
+  std::size_t rank = 0;  ///< r: split summaries only.
+  std::size_t cols = 0;  ///< p: the field width.
+  WireScalars centroids;
+  WireScalars u_centroids;
+  WireScalars sigma;
+  WireScalars vt;
+  const std::uint8_t* counts = nullptr;  ///< rows little-endian uint32.
+
+  /// Cluster size of row i.
+  [[nodiscard]] std::uint64_t count(std::size_t i) const noexcept;
+};
+
+/// The one summary parser: validates a buffer produced by serialize()
+/// (either precision) without copying it.  Throws std::runtime_error on a
+/// missing/foreign magic byte, an unsupported format version, or a
+/// malformed body, and std::logic_error when the decoded dimensions break
+/// the summary's invariants (check_invariants' messages).
+[[nodiscard]] SummaryView parse_summary(std::span<const std::uint8_t> bytes);
+
+/// Materializes parse_summary(bytes); throws exactly what it throws.
 [[nodiscard]] MonitorSummary deserialize(
     std::span<const std::uint8_t> bytes);
 

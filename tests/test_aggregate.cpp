@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <random>
 #include <stdexcept>
+
+#include "runtime/thread_pool.hpp"
 
 namespace jaal::inference {
 namespace {
@@ -253,6 +256,76 @@ TEST(Aggregator, ClearDropsPendingSummaries) {
   agg.add(MonitorSummary{combined(1, 2, 4, 0.5)});
   const AggregatedSummary a = agg.take();
   expect_aggregate_of(a, {MonitorSummary{combined(1, 2, 4, 0.5)}});
+}
+
+/// Serialized payloads of `epoch` and their parsed views (the views alias
+/// `payloads`, so keep both alive together).
+std::vector<summarize::SummaryView> views_of(
+    const std::vector<MonitorSummary>& epoch,
+    std::vector<std::vector<std::uint8_t>>& payloads) {
+  payloads.clear();
+  for (const MonitorSummary& s : epoch) {
+    payloads.push_back(
+        summarize::serialize(s, summarize::WirePrecision::kFloat64));
+  }
+  std::vector<summarize::SummaryView> views;
+  for (const auto& p : payloads) views.push_back(summarize::parse_summary(p));
+  return views;
+}
+
+TEST(Aggregator, BatchedViewsMatchReconstructAtAnyPoolSize) {
+  std::mt19937_64 rng(13);
+  constexpr std::size_t p = 18;
+  const std::vector<std::vector<MonitorSummary>> epochs = {
+      {random_split(0, 400, 12, p, rng), combined(1, 50, p, 0.3),
+       random_split(2, 7, 3, p, rng)},
+      {combined(3, 3, p, 0.7)},
+      {},
+      {random_split(4, 200, 12, p, rng), combined(5, 0, p, 0.0),
+       random_split(6, 5, 1, p, rng), random_split(7, 90, 12, p, rng)},
+  };
+  const std::vector<std::size_t> pool_sizes = {0, 1, 2, 4};
+  for (const std::size_t threads : pool_sizes) {
+    SCOPED_TRACE(testing::Message() << "pool " << threads);
+    const auto pool = threads == 0
+                          ? nullptr
+                          : std::make_shared<runtime::ThreadPool>(threads);
+    Aggregator agg;
+    AggregatedSummary kept;
+    std::vector<std::vector<std::uint8_t>> payloads;
+    for (std::size_t e = 0; e < epochs.size(); ++e) {
+      SCOPED_TRACE(testing::Message() << "epoch " << e);
+      const auto views = views_of(epochs[e], payloads);
+      agg.add(views, pool.get());
+      EXPECT_EQ(agg.summaries_added(), epochs[e].size());
+      agg.take(kept);
+      expect_aggregate_of(kept, epochs[e]);
+    }
+    // Batches append after single adds, in order.
+    agg.add(epochs[1][0]);
+    const auto views = views_of(epochs[0], payloads);
+    agg.add(views, pool.get());
+    agg.take(kept);
+    std::vector<MonitorSummary> both = {epochs[1][0]};
+    both.insert(both.end(), epochs[0].begin(), epochs[0].end());
+    expect_aggregate_of(kept, both);
+  }
+}
+
+TEST(Aggregator, BatchWithAMismatchedWidthAddsNothing) {
+  std::mt19937_64 rng(17);
+  const std::vector<MonitorSummary> held = {combined(0, 4, 18, 0.2)};
+  Aggregator agg;
+  agg.add(held[0]);
+  std::vector<std::vector<std::uint8_t>> payloads;
+  const auto views =
+      views_of({random_split(1, 6, 2, 18, rng), combined(2, 3, 12, 0.1)},
+               payloads);
+  EXPECT_THROW(agg.add(views, nullptr), std::invalid_argument);
+  EXPECT_EQ(agg.summaries_added(), 1u);
+  AggregatedSummary kept;
+  agg.take(kept);
+  expect_aggregate_of(kept, held);
 }
 
 }  // namespace

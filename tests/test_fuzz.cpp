@@ -7,16 +7,21 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <random>
 #include <set>
 #include <sstream>
+#include <string>
+#include <typeinfo>
 
+#include "inference/aggregate.hpp"
 #include "packet/wire.hpp"
 #include "proto/messages.hpp"
 #include "rules/rule.hpp"
+#include "runtime/thread_pool.hpp"
 #include "store/flat_record.hpp"
 #include "store/flat_timeshard.hpp"
 #include "store/metrics_codec.hpp"
@@ -91,6 +96,137 @@ TEST(Fuzz, SummaryDeserializerOnMutatedValidBuffer) {
       // clean rejection is fine; crashing is not
     }
   }
+}
+
+/// Dynamic type name of what `fn` throws; empty when it returns.
+template <typename Fn>
+std::string thrown_type(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::exception& e) {
+    return typeid(e).name();
+  }
+  return "";
+}
+
+/// True when two aggregates hold the same rows, bit for bit.
+bool same_aggregate(const inference::AggregatedSummary& a,
+                    const inference::AggregatedSummary& b) {
+  const auto x = a.centroids.data();
+  const auto y = b.centroids.data();
+  return a.centroids.rows() == b.centroids.rows() &&
+         a.centroids.cols() == b.centroids.cols() && a.counts == b.counts &&
+         a.origin == b.origin && a.local_index == b.local_index &&
+         std::equal(x.begin(), x.end(), y.begin(), y.end(),
+                    [](double p, double q) {
+                      return std::memcmp(&p, &q, sizeof(double)) == 0;
+                    });
+}
+
+TEST(Fuzz, BatchedAddOfMutatedPayloadsRejectsCleanly) {
+  // Each mutant rides in a batch behind its valid original.  The batched
+  // add over parsed views must throw what deserialize + add(summary)
+  // throws for the mutant, and then hold exactly the epoch it held before;
+  // an accepted mutant must give deserialize + add's rows.
+  std::mt19937_64 rng(14);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  constexpr std::size_t k = 5, r = 3, p = 6;
+  summarize::CombinedSummary combined;
+  combined.monitor = 3;
+  combined.centroids = linalg::Matrix(k, p);
+  for (double& v : combined.centroids.data()) v = unit(rng);
+  combined.counts = {4, 8, 15, 16, 23};
+  summarize::SplitSummary split;
+  split.monitor = 4;
+  split.u_centroids = linalg::Matrix(k, r);
+  for (double& v : split.u_centroids.data()) v = unit(rng);
+  split.sigma = {3.0, 2.0, 0.5};
+  split.vt = linalg::Matrix(r, p);
+  for (double& v : split.vt.data()) v = unit(rng);
+  split.counts = {42, 1, 2, 3, 5};
+  summarize::CombinedSummary prior;
+  prior.monitor = 9;
+  prior.centroids = linalg::Matrix(2, p);
+  prior.counts = {7, 7};
+  const summarize::MonitorSummary held{prior};
+  inference::Aggregator prior_only;
+  prior_only.add(held);
+  const inference::AggregatedSummary before = prior_only.take();
+
+  runtime::ThreadPool pool(2);
+  std::size_t rejected = 0, accepted = 0;
+  const auto check = [&](const std::vector<std::uint8_t>& valid,
+                         const std::vector<std::uint8_t>& mutant) {
+    inference::Aggregator ref;
+    ref.add(held);
+    ref.add(summarize::deserialize(valid));
+    const std::string want =
+        thrown_type([&] { ref.add(summarize::deserialize(mutant)); });
+    inference::Aggregator agg;
+    agg.add(held);
+    const std::string got = thrown_type([&] {
+      const std::vector<summarize::SummaryView> batch = {
+          summarize::parse_summary(valid), summarize::parse_summary(mutant)};
+      agg.add(batch, &pool);
+    });
+    ASSERT_EQ(got, want);
+    if (!got.empty()) {
+      ++rejected;
+      ASSERT_EQ(agg.summaries_added(), 1u);
+      ASSERT_TRUE(same_aggregate(agg.take(), before));
+      return;
+    }
+    ++accepted;
+    ASSERT_TRUE(same_aggregate(agg.take(), ref.take()));
+  };
+  const auto put_u32 = [](std::vector<std::uint8_t>& b, std::size_t at,
+                          std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  };
+
+  for (const summarize::WirePrecision precision :
+       {summarize::WirePrecision::kFloat32,
+        summarize::WirePrecision::kFloat64}) {
+    const std::size_t sb =
+        precision == summarize::WirePrecision::kFloat64 ? 8 : 4;
+    // Offsets of every u32 dimension field: magic, version and tag come
+    // first, then the monitor id.
+    const std::vector<std::size_t> combined_dims = {7, 11, 15 + k * p * sb};
+    const std::size_t nr = 15 + k * r * sb;
+    const std::size_t vt_rows = nr + 4 + r * sb;
+    const std::vector<std::size_t> split_dims = {
+        7, 11, nr, vt_rows, vt_rows + 4, vt_rows + 8 + r * p * sb};
+    const std::pair<summarize::MonitorSummary, std::vector<std::size_t>>
+        shapes[] = {{combined, combined_dims}, {split, split_dims}};
+    for (const auto& [summary, dims] : shapes) {
+      const auto valid = summarize::serialize(summary, precision);
+      for (std::size_t len = 0; len < valid.size(); ++len) {
+        check(valid, {valid.begin(), valid.begin() + static_cast<long>(len)});
+      }
+      for (int i = 0; i < 300; ++i) {
+        auto mutant = valid;
+        const std::size_t flips = 1 + rng() % 3;
+        for (std::size_t f = 0; f < flips; ++f) {
+          mutant[rng() % mutant.size()] ^= static_cast<std::uint8_t>(rng() | 1);
+        }
+        check(valid, mutant);
+      }
+      for (const std::size_t at : dims) {
+        const std::uint32_t v = std::uint32_t{valid[at]} |
+                                (std::uint32_t{valid[at + 1]} << 8) |
+                                (std::uint32_t{valid[at + 2]} << 16) |
+                                (std::uint32_t{valid[at + 3]} << 24);
+        for (const std::uint32_t x :
+             {0u, 1u, v - 1, v + 1, 2 * v, 1u << 20, 0xFFFFFFFFu}) {
+          auto mutant = valid;
+          put_u32(mutant, at, x);
+          check(valid, mutant);
+        }
+      }
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(accepted, 0u);
 }
 
 TEST(Fuzz, ProtoDecoderThrowsCleanly) {
