@@ -186,7 +186,9 @@ bool TimeShardLog::open_tail_for_write() {
     // One walk finds the torn tail and resumes the epoch-ordering guard.
     const std::span<const std::uint8_t> bytes(tail_.data(), tail_.size());
     std::size_t end = kShardHeaderBytes;
-    while (auto rec = next_record(bytes, end)) last_append_epoch_ = rec->epoch;
+    while (auto rec = next_in_shard(bytes, end, idx)) {
+      last_append_epoch_ = rec->epoch;
+    }
     torn_bytes_ += data_extent(tail_, end) - end;
     if (!tail_.truncate_to(end)) return false;
     tail_used_ = end;
@@ -318,7 +320,7 @@ bool TimeShardLog::truncate_after_epoch(std::optional<std::uint64_t> epoch) {
   std::size_t offset = kShardHeaderBytes;
   std::size_t cut = offset;
   std::optional<std::uint64_t> last;
-  while (auto rec = next_record(bytes, offset)) {
+  while (auto rec = next_in_shard(bytes, offset, idx)) {
     if (rec->epoch > *epoch) break;
     cut = offset;
     last = rec->epoch;
@@ -330,6 +332,16 @@ bool TimeShardLog::truncate_after_epoch(std::optional<std::uint64_t> epoch) {
   tail_used_ = cut;
   last_append_epoch_ = last;
   return true;
+}
+
+std::optional<RecordView> TimeShardLog::next_in_shard(
+    std::span<const std::uint8_t> bytes, std::size_t& offset,
+    std::uint64_t index) const noexcept {
+  std::size_t next = offset;
+  auto rec = next_record(bytes, next);
+  if (!rec || rec->epoch / cfg_.epochs_per_shard != index) return std::nullopt;
+  offset = next;
+  return rec;
 }
 
 bool TimeShardLog::walk_shard(
@@ -345,7 +357,7 @@ bool TimeShardLog::walk_shard(
     bytes = {map.data(), map.size()};
   }
   std::size_t offset = kShardHeaderBytes;
-  while (auto rec = next_record(bytes, offset)) {
+  while (auto rec = next_in_shard(bytes, offset, index)) {
     if (tel_scan_bytes_ != nullptr) {
       tel_scan_bytes_->add(kRecordHeaderBytes + rec->payload.size());
     }

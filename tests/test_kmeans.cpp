@@ -14,6 +14,7 @@
 #include "linalg/simd.hpp"
 #include "linalg/svd.hpp"
 #include "runtime/thread_pool.hpp"
+#include "simd_levels.hpp"
 #include "summarize/normalize.hpp"
 #include "trace/background.hpp"
 
@@ -298,15 +299,7 @@ linalg::Matrix uneven_blob_rows(std::size_t n, std::uint64_t seed) {
   return x;
 }
 
-std::vector<linalg::simd::Level> available_levels() {
-  using linalg::simd::Level;
-  std::vector<Level> levels = {Level::kScalar};
-  if (linalg::simd::detected() >= Level::kAvx2) levels.push_back(Level::kAvx2);
-  if (linalg::simd::detected() >= Level::kAvx512) {
-    levels.push_back(Level::kAvx512);
-  }
-  return levels;
-}
+using test::available_levels;
 
 TEST(KMeans, BoundedLloydMatchesReference) {
   struct Case {

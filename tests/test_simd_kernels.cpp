@@ -14,6 +14,7 @@
 
 #include "linalg/soa.hpp"
 #include "linalg/svd.hpp"
+#include "simd_levels.hpp"
 #include "runtime/thread_pool.hpp"
 #include "summarize/kmeans.hpp"
 #include "summarize/summarizer.hpp"
@@ -23,21 +24,8 @@
 namespace jaal::linalg::simd {
 namespace {
 
-/// All levels this host can actually run (always includes scalar).
-std::vector<Level> available_levels() {
-  std::vector<Level> levels = {Level::kScalar};
-  if (detected() >= Level::kAvx2) levels.push_back(Level::kAvx2);
-  if (detected() >= Level::kAvx512) levels.push_back(Level::kAvx512);
-  return levels;
-}
-
-/// RAII pin of the dispatch level so a failing assertion cannot leak a
-/// forced level into other tests.
-struct ForcedLevel {
-  explicit ForcedLevel(Level level) : prev(active()) { force_level(level); }
-  ~ForcedLevel() { force_level(prev); }
-  Level prev;
-};
+using test::available_levels;
+using test::ForcedLevel;
 
 /// Odd lengths on purpose: every kernel has a vector body + scalar tail,
 /// and the tail path is where determinism bugs hide.
