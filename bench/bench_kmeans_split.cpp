@@ -53,7 +53,6 @@ std::vector<std::size_t> seed_only(const linalg::Matrix& x, std::size_t k,
                                    std::mt19937_64& rng) {
   const std::size_t n = x.rows();
   const linalg::SoaMatrix xs = linalg::SoaMatrix::from_rows(x);
-  const std::vector<double> w(n, 1.0);
   std::vector<double> d2(n, std::numeric_limits<double>::max());
   std::vector<double> second(n, std::numeric_limits<double>::max());
   std::vector<std::size_t> nearest(n, 0);
@@ -61,9 +60,8 @@ std::vector<std::size_t> seed_only(const linalg::Matrix& x, std::size_t k,
   const auto add = [&](std::size_t row) {
     seeds.push_back(row);
     return linalg::simd::seed_update(xs.data(), xs.stride(), xs.cols(),
-                                     x.row(row).data(), seeds.size() - 1,
-                                     w.data(), n, d2.data(), nearest.data(),
-                                     second.data());
+                                     x.row(row).data(), seeds.size() - 1, n,
+                                     d2.data(), nearest.data(), second.data());
   };
   std::uniform_real_distribution<double> unit(0.0, 1.0);
   double total = add(rng() % n);
@@ -74,7 +72,7 @@ std::vector<std::size_t> seed_only(const linalg::Matrix& x, std::size_t k,
     } else {
       double target = unit(rng) * total;
       for (std::size_t i = 0; i < n; ++i) {
-        target -= d2[i] * w[i];
+        target -= d2[i];
         if (target <= 0.0) {
           pick = i;
           break;

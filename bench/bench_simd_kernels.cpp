@@ -184,7 +184,6 @@ int main() {
   linalg::Matrix seed_rows(kSeedRows, kSeedDims);
   for (double& v : seed_rows.data()) v = unit(rng);
   const linalg::SoaMatrix seed_batch = linalg::SoaMatrix::from_rows(seed_rows);
-  const std::vector<double> unit_weights(kSeedRows, 1.0);
   std::vector<double> d2(kSeedRows);
   std::vector<std::size_t> nearest(kSeedRows);
   std::vector<double> second(kSeedRows);
@@ -200,8 +199,8 @@ int main() {
           acc += simd::seed_update(
               seed_batch.data(), seed_batch.stride(), kSeedDims,
               seed_rows.row((i * 7) % kSeedRows).data(),
-              static_cast<std::size_t>(i), unit_weights.data(), kSeedRows,
-              d2.data(), nearest.data(), second.data());
+              static_cast<std::size_t>(i), kSeedRows, d2.data(),
+              nearest.data(), second.data());
         }
         return acc + second[kSeedRows / 2] +
                static_cast<double>(nearest[kSeedRows / 3]);

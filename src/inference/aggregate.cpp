@@ -1,12 +1,10 @@
 #include "inference/aggregate.hpp"
 
 #include <algorithm>
-#include <random>
 #include <stdexcept>
 #include <utility>
 
 #include "runtime/thread_pool.hpp"
-#include "summarize/kmeans.hpp"
 
 namespace jaal::inference {
 namespace {
@@ -35,37 +33,6 @@ void AggregationPolicy::validate() const {
   if (deadline_s < 0.0) {
     throw std::invalid_argument("AggregationPolicy: deadline_s must be >= 0");
   }
-}
-
-AggregatedSummary reduce_aggregate(const AggregatedSummary& aggregate,
-                                   std::size_t k2, std::uint64_t seed) {
-  if (aggregate.empty()) {
-    throw std::invalid_argument("reduce_aggregate: empty aggregate");
-  }
-  if (k2 == 0) {
-    throw std::invalid_argument("reduce_aggregate: k2 must be positive");
-  }
-  std::mt19937_64 rng(seed);
-  const auto km = summarize::weighted_kmeans(aggregate.centroids,
-                                             aggregate.counts, k2, rng);
-
-  AggregatedSummary out;
-  // Drop empty clusters so counts stay meaningful.
-  std::size_t live = 0;
-  for (std::uint64_t c : km.counts) live += c > 0 ? 1 : 0;
-  out.centroids = linalg::Matrix(live, aggregate.centroids.cols());
-  out.counts.reserve(live);
-  std::size_t row = 0;
-  for (std::size_t c = 0; c < km.centroids.rows(); ++c) {
-    if (km.counts[c] == 0) continue;
-    const auto src = km.centroids.row(c);
-    std::copy(src.begin(), src.end(), out.centroids.row(row).begin());
-    out.counts.push_back(km.counts[c]);
-    out.origin.push_back(kNoOrigin);
-    out.local_index.push_back(row);
-    ++row;
-  }
-  return out;
 }
 
 std::uint64_t AggregatedSummary::total_packets() const noexcept {

@@ -54,21 +54,6 @@ struct AggregatedSummary {
   void clear() noexcept;
 };
 
-/// Second-level reduction for very large deployments: the aggregate has up
-/// to M*k rows, and with hundreds of monitors the per-question matching
-/// cost grows linearly in M.  Re-clustering the (count-weighted) centroids
-/// down to `k2` rows bounds it again.  The reduced rows no longer map to a
-/// single monitor, so `origin` is set to kNoOrigin and the feedback loop is
-/// unavailable on a reduced aggregate — use it for the scale tier where raw
-/// retrieval would be impractical anyway.
-/// Throws std::invalid_argument on an empty aggregate or k2 == 0.
-inline constexpr summarize::MonitorId kNoOrigin =
-    static_cast<summarize::MonitorId>(-1);
-
-[[nodiscard]] AggregatedSummary reduce_aggregate(
-    const AggregatedSummary& aggregate, std::size_t k2,
-    std::uint64_t seed = 1);
-
 class Aggregator {
  public:
   /// Appends one monitor summary.  A split summary is reconstructed

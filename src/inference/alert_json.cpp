@@ -2,30 +2,9 @@
 
 #include <cstdio>
 
+#include "telemetry/json.hpp"
+
 namespace jaal::inference {
-namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-}
-
-}  // namespace
 
 std::string alert_to_json(const Alert& alert, double epoch_end_time) {
   std::string out = "{\"time\":";
@@ -33,8 +12,7 @@ std::string alert_to_json(const Alert& alert, double epoch_end_time) {
   std::snprintf(num, sizeof(num), "%.6f", epoch_end_time);
   out += num;
   out += ",\"sid\":" + std::to_string(alert.sid);
-  out += ",\"msg\":\"";
-  append_escaped(out, alert.msg);
+  out += ",\"msg\":\"" + telemetry::json_escape(alert.msg);
   out += "\",\"matched_packets\":" + std::to_string(alert.matched_packets);
   out += ",\"distributed\":";
   out += alert.distributed ? "true" : "false";

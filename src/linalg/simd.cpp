@@ -148,8 +148,8 @@ __attribute__((target("avx512f"))) void nearest_centroids_avx512(
 // against a single centre, folded into (d2, nearest, second) with the same
 // select as nearest_centroids.  The test is a strict less-than, so the
 // earliest centre keeps a tie (the std::min of the scalar seeder keeps d2[i],
-// and the first-index-wins scan keeps its first centroid).  The weighted
-// total is a scalar chain in point order at every level.  The scalar lane is
+// and the first-index-wins scan keeps its first centroid).  The total is a
+// scalar chain in point order at every level.  The scalar lane is
 // written as selects, not an if/else chain: early seeds move d2 often, and
 // the branches cost the forced-scalar path ~30 %.
 
@@ -168,12 +168,12 @@ __attribute__((target("avx512f"))) void nearest_centroids_avx512(
 
 double seed_update_scalar(const double* x, std::size_t stride, std::size_t d,
                           const double* c, std::size_t c_index,
-                          const double* w, std::size_t n, double* d2,
-                          std::size_t* nearest, double* second) noexcept {
+                          std::size_t n, double* d2, std::size_t* nearest,
+                          double* second) noexcept {
   double total = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     seed_one(x, stride, d, c, c_index, i, d2, nearest, second);
-    total += d2[i] * w[i];
+    total += d2[i];
   }
   return total;
 }
@@ -182,8 +182,8 @@ double seed_update_scalar(const double* x, std::size_t stride, std::size_t d,
 template <class VD>
 [[gnu::always_inline]] inline double seed_update_impl(
     const double* x, std::size_t stride, std::size_t d, const double* c,
-    std::size_t c_index, const double* w, std::size_t n, double* d2,
-    std::size_t* nearest, double* second) noexcept {
+    std::size_t c_index, std::size_t n, double* d2, std::size_t* nearest,
+    double* second) noexcept {
   constexpr std::size_t kW = sizeof(VD) / sizeof(double);
   using VI = decltype(std::declval<VD>() < std::declval<VD>());
   static_assert(sizeof(std::size_t) == sizeof(long long),
@@ -199,12 +199,11 @@ template <class VD>
       const VD diff = xv - c[j];
       acc += diff * diff;
     }
-    VD cur, sec, wv;
+    VD cur, sec;
     VI near;
     std::memcpy(&cur, d2 + i, sizeof cur);
     std::memcpy(&sec, second + i, sizeof sec);
     std::memcpy(&near, nearest + i, sizeof near);
-    std::memcpy(&wv, w + i, sizeof wv);
     const VI closer = acc < cur;
     sec = closer ? cur : (acc < sec ? acc : sec);
     cur = closer ? acc : cur;
@@ -212,29 +211,28 @@ template <class VD>
     std::memcpy(d2 + i, &cur, sizeof cur);
     std::memcpy(second + i, &sec, sizeof sec);
     std::memcpy(nearest + i, &near, sizeof near);
-    const VD weighted = cur * wv;
-    for (std::size_t l = 0; l < kW; ++l) total += weighted[l];
+    for (std::size_t l = 0; l < kW; ++l) total += cur[l];
   }
   for (; i < n; ++i) {
     seed_one(x, stride, d, c, c_index, i, d2, nearest, second);
-    total += d2[i] * w[i];
+    total += d2[i];
   }
   return total;
 }
 
 __attribute__((target("avx2"))) double seed_update_avx2(
     const double* x, std::size_t stride, std::size_t d, const double* c,
-    std::size_t c_index, const double* w, std::size_t n, double* d2,
-    std::size_t* nearest, double* second) noexcept {
-  return seed_update_impl<v4d>(x, stride, d, c, c_index, w, n, d2, nearest,
+    std::size_t c_index, std::size_t n, double* d2, std::size_t* nearest,
+    double* second) noexcept {
+  return seed_update_impl<v4d>(x, stride, d, c, c_index, n, d2, nearest,
                                second);
 }
 
 __attribute__((target("avx512f"))) double seed_update_avx512(
     const double* x, std::size_t stride, std::size_t d, const double* c,
-    std::size_t c_index, const double* w, std::size_t n, double* d2,
-    std::size_t* nearest, double* second) noexcept {
-  return seed_update_impl<v8d>(x, stride, d, c, c_index, w, n, d2, nearest,
+    std::size_t c_index, std::size_t n, double* d2, std::size_t* nearest,
+    double* second) noexcept {
+  return seed_update_impl<v8d>(x, stride, d, c, c_index, n, d2, nearest,
                                second);
 }
 #endif  // JAAL_SIMD_X86
@@ -487,23 +485,21 @@ void nearest_centroids(const double* x, std::size_t stride, std::size_t d,
 }
 
 double seed_update(const double* x, std::size_t stride, std::size_t d,
-                   const double* c, std::size_t c_index, const double* w,
-                   std::size_t n, double* d2, std::size_t* nearest,
-                   double* second) noexcept {
+                   const double* c, std::size_t c_index, std::size_t n,
+                   double* d2, std::size_t* nearest, double* second) noexcept {
 #ifdef JAAL_SIMD_X86
   switch (active()) {
     case Level::kAvx512:
-      return seed_update_avx512(x, stride, d, c, c_index, w, n, d2, nearest,
+      return seed_update_avx512(x, stride, d, c, c_index, n, d2, nearest,
                                 second);
     case Level::kAvx2:
-      return seed_update_avx2(x, stride, d, c, c_index, w, n, d2, nearest,
+      return seed_update_avx2(x, stride, d, c, c_index, n, d2, nearest,
                               second);
     case Level::kScalar:
       break;
   }
 #endif
-  return seed_update_scalar(x, stride, d, c, c_index, w, n, d2, nearest,
-                            second);
+  return seed_update_scalar(x, stride, d, c, c_index, n, d2, nearest, second);
 }
 
 }  // namespace jaal::linalg::simd

@@ -87,9 +87,9 @@ void nearest_centroids(const double* x, std::size_t stride, std::size_t d,
 /// k-means++ D^2 update for points [0, n) of an SoA batch against one new
 /// centre c (length d), the seed numbered c_index: folds |x_i - c|^2 into
 /// the point's running (d2[i], nearest[i], second[i]) with nearest_centroids'
-/// select, then returns sum_i d2[i] * w[i] accumulated serially in point
-/// order.  Each lane forms x[j] - c[j] and sums the squares in j order, the
-/// same arithmetic as one nearest_centroids lane, and the test is a strict
+/// select, then returns sum_i d2[i] accumulated serially in point order.
+/// Each lane forms x[j] - c[j] and sums the squares in j order, the same
+/// arithmetic as one nearest_centroids lane, and the test is a strict
 /// less-than, so the earliest centre keeps a tie.  Starting from d2 = second
 /// = DBL_MAX and nearest = 0, k updates with the seeds in order leave
 /// exactly the assignment, best_dist and second_dist nearest_centroids
@@ -99,9 +99,8 @@ void nearest_centroids(const double* x, std::size_t stride, std::size_t d,
 /// serial chain.
 [[nodiscard]] double seed_update(const double* x, std::size_t stride,
                                  std::size_t d, const double* c,
-                                 std::size_t c_index, const double* w,
-                                 std::size_t n, double* d2,
-                                 std::size_t* nearest,
+                                 std::size_t c_index, std::size_t n,
+                                 double* d2, std::size_t* nearest,
                                  double* second) noexcept;
 
 }  // namespace jaal::linalg::simd

@@ -75,14 +75,14 @@ struct Seeding {
   }
 
   /// Appends row `row` of x as the next seed and folds it into every
-  /// point's state; returns sum_i d2[i] * w[i] over the seeds so far.
+  /// point's state; returns sum_i d2[i] over the seeds so far.
   double add(const linalg::Matrix& x, const linalg::SoaMatrix& xs,
-             std::span<const double> w, std::size_t row) {
+             std::size_t row) {
     seeds.push_back(row);
     return linalg::simd::seed_update(xs.data(), xs.stride(), xs.cols(),
                                      x.row(row).data(), seeds.size() - 1,
-                                     w.data(), xs.rows(), d2.data(),
-                                     nearest.data(), second.data());
+                                     xs.rows(), d2.data(), nearest.data(),
+                                     second.data());
   }
 
   std::vector<std::size_t> seeds;
@@ -209,19 +209,18 @@ class BoundedAssigner {
   std::size_t max_c_ = 0;
 };
 
-/// D^2 seeding from a given first centre: each next centre is row i with
-/// probability proportional to w[i] x squared distance to the closest
-/// centre so far (plain k-means++ with unit weights).  The distance update
-/// and the weighted total are one dispatched kernel; the total and the pick
-/// stay serial in point order.  The last seed gets its update too, with no
-/// pick, so the returned state is the full scan against all k seeds.
+/// k-means++ D^2 seeding from a given first centre: each next centre is row
+/// i with probability proportional to its squared distance to the closest
+/// centre so far.  The distance update and the total are one dispatched
+/// kernel; the total and the pick stay serial in point order.  The last seed
+/// gets its update too, with no pick, so the returned state is the full scan
+/// against all k seeds.
 Seeding seed_d2(const linalg::Matrix& x, const linalg::SoaMatrix& xs,
-                std::span<const double> w, std::size_t first, std::size_t k,
-                std::mt19937_64& rng) {
+                std::size_t first, std::size_t k, std::mt19937_64& rng) {
   const std::size_t n = x.rows();
   Seeding seeding(n, k);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
-  double total = seeding.add(x, xs, w, first);
+  double total = seeding.add(x, xs, first);
   while (seeding.seeds.size() < k) {
     std::size_t pick = n - 1;
     if (total <= 0.0) {
@@ -230,40 +229,33 @@ Seeding seed_d2(const linalg::Matrix& x, const linalg::SoaMatrix& xs,
     } else {
       double target = unit(rng) * total;
       for (std::size_t i = 0; i < n; ++i) {
-        target -= seeding.d2[i] * w[i];
+        target -= seeding.d2[i];
         if (target <= 0.0) {
           pick = i;
           break;
         }
       }
     }
-    total = seeding.add(x, xs, w, pick);
+    total = seeding.add(x, xs, pick);
   }
   return seeding;
 }
 
 Seeding seed_random(const linalg::Matrix& x, const linalg::SoaMatrix& xs,
-                    std::span<const double> w, std::size_t k,
-                    std::mt19937_64& rng) {
+                    std::size_t k, std::mt19937_64& rng) {
   Seeding seeding(x.rows(), k);
   for (std::size_t i = 0; i < k; ++i) {
-    (void)seeding.add(x, xs, w, rng() % x.rows());
+    (void)seeding.add(x, xs, rng() % x.rows());
   }
   return seeding;
 }
 
-/// The one Lloyd loop behind kmeans() and weighted_kmeans().  Row i counts
-/// `weights[i]` times (`w` is the same as doubles); unit weights reproduce
-/// the unweighted sums bit for bit, since x * 1.0 and += 1 are exact.  The
-/// assignment step is the bounded pass; inertia, counts and centroid sums
-/// stay serial in point order.  The first assignment is the seeding scan.
-/// With `final_pass`, one more assignment makes assignment, counts and
-/// inertia describe the returned centroids; without it they describe the
-/// last iteration's pre-update centroids.
+/// Lloyd's loop from the seeds.  The assignment step is the bounded pass;
+/// inertia, counts and centroid sums stay serial in point order.  The first
+/// assignment is the seeding scan.  A final assignment after the loop makes
+/// assignment, counts and inertia describe the returned centroids.
 KMeansResult lloyd(const linalg::Matrix& x, const linalg::SoaMatrix& xs,
-                   std::span<const std::uint64_t> weights,
-                   std::span<const double> w, Seeding seeding,
-                   const KMeansOptions& opts, bool final_pass) {
+                   Seeding seeding, const KMeansOptions& opts) {
   const std::size_t n = x.rows();
   const std::size_t d = x.cols();
   const std::size_t k = seeding.seeds.size();
@@ -286,12 +278,12 @@ KMeansResult lloyd(const linalg::Matrix& x, const linalg::SoaMatrix& xs,
     if (with_sums) std::fill(sums.data().begin(), sums.data().end(), 0.0);
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t best_c = res.assignment[i];
-      res.inertia += best_dist[i] * w[i];
-      res.counts[best_c] += weights[i];
+      res.inertia += best_dist[i];
+      ++res.counts[best_c];
       if (!with_sums) continue;
       const auto row = x.row(i);
       auto sum_row = sums.row(best_c);
-      for (std::size_t j = 0; j < d; ++j) sum_row[j] += row[j] * w[i];
+      for (std::size_t j = 0; j < d; ++j) sum_row[j] += row[j];
     }
   };
 
@@ -325,10 +317,8 @@ KMeansResult lloyd(const linalg::Matrix& x, const linalg::SoaMatrix& xs,
     if (moved < opts.tolerance) break;
   }
 
-  if (final_pass) {
-    assigner.assign(res.centroids, res.assignment, best_dist);
-    tally(false);
-  }
+  assigner.assign(res.centroids, res.assignment, best_dist);
+  tally(false);
   return res;
 }
 
@@ -376,56 +366,10 @@ KMeansResult kmeans(const linalg::Matrix& x, std::size_t k,
   // One SoA conversion per call; seeding and every assignment pass read the
   // same column-major copy.
   const linalg::SoaMatrix xs = linalg::SoaMatrix::from_rows(x);
-  const std::vector<std::uint64_t> unit_counts(n, 1);
-  const std::vector<double> unit(n, 1.0);
   Seeding seeding = opts.init == KMeansInit::kPlusPlus
-                        ? seed_d2(x, xs, unit, rng() % n, k, rng)
-                        : seed_random(x, xs, unit, k, rng);
-  return lloyd(x, xs, unit_counts, unit, std::move(seeding), opts,
-               /*final_pass=*/true);
-}
-
-KMeansResult weighted_kmeans(const linalg::Matrix& x,
-                             std::span<const std::uint64_t> weights,
-                             std::size_t k, std::mt19937_64& rng,
-                             const KMeansOptions& opts) {
-  if (k == 0) throw std::invalid_argument("weighted_kmeans: k must be positive");
-  if (x.empty()) throw std::invalid_argument("weighted_kmeans: empty input");
-  if (weights.size() != x.rows()) {
-    throw std::invalid_argument("weighted_kmeans: weights/rows mismatch");
-  }
-  const std::size_t n = x.rows();
-  std::uint64_t total_weight = 0;
-  for (std::uint64_t w : weights) total_weight += w;
-  if (total_weight == 0) {
-    throw std::invalid_argument("weighted_kmeans: zero total weight");
-  }
-
-  if (k >= n) {
-    KMeansResult res;
-    res.centroids = x;
-    res.assignment.resize(n);
-    res.counts.assign(weights.begin(), weights.end());
-    for (std::size_t i = 0; i < n; ++i) res.assignment[i] = i;
-    return res;
-  }
-
-  // Weighted D^2 seeding (the weighted k-means++ generalization), from a
-  // weight-proportional first seed.
-  const std::vector<double> w(weights.begin(), weights.end());
-  std::uniform_real_distribution<double> unit(0.0, 1.0);
-  double target = unit(rng) * static_cast<double>(total_weight);
-  std::size_t first = n - 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    target -= w[i];
-    if (target <= 0.0) {
-      first = i;
-      break;
-    }
-  }
-  const linalg::SoaMatrix xs = linalg::SoaMatrix::from_rows(x);
-  return lloyd(x, xs, weights, w, seed_d2(x, xs, w, first, k, rng), opts,
-               /*final_pass=*/false);
+                        ? seed_d2(x, xs, rng() % n, k, rng)
+                        : seed_random(x, xs, k, rng);
+  return lloyd(x, xs, std::move(seeding), opts);
 }
 
 }  // namespace jaal::summarize

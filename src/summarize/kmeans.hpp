@@ -3,7 +3,8 @@
 // The paper poses packet-mode reduction as k-means (NP-hard in general) and
 // uses k-means++ seeding with Lloyd iterations, for its O(log k)
 // competitiveness and fast convergence.  A plain random-seeded Lloyd is also
-// provided for the initialization ablation bench.
+// provided for the initialization ablation bench.  Every row is one packet
+// and counts once.
 //
 // Lloyd's assignment passes are bounded (Hamerly 2010): a point is rescanned
 // only when its triangle-inequality bounds cannot prove its centroid
@@ -76,14 +77,5 @@ void assign_to_centroids(const linalg::SoaMatrix& x,
                          std::span<std::size_t> assignment,
                          std::span<double> best_dist,
                          runtime::ThreadPool* pool = nullptr);
-
-/// Weighted k-means: row i represents weights[i] identical points (e.g. a
-/// centroid from a lower summarization level with its membership count).
-/// Centroid updates and the inertia are weight-scaled; the returned counts
-/// are sums of member weights.  Throws std::invalid_argument on size
-/// mismatch, zero total weight, k == 0, or empty x.
-[[nodiscard]] KMeansResult weighted_kmeans(
-    const linalg::Matrix& x, std::span<const std::uint64_t> weights,
-    std::size_t k, std::mt19937_64& rng, const KMeansOptions& opts = {});
 
 }  // namespace jaal::summarize

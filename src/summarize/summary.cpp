@@ -105,13 +105,19 @@ void put_matrix(const ScalarWriter& w, const linalg::Matrix& m) {
   for (double v : m.data()) w.scalar(v);
 }
 
+/// Refuses a rows x cols matrix of more than 2^26 elements: far above any
+/// legal summary (k <= 500, p = 18), and below an allocation that could hurt.
+void check_plausible(std::uint64_t rows, std::uint64_t cols) {
+  if (rows * cols > (1u << 26)) {
+    throw std::runtime_error("summary deserialize: implausible matrix size");
+  }
+}
+
 WireScalars get_matrix(Reader& r, WirePrecision precision, std::size_t& rows,
                        std::size_t& cols) {
   rows = r.u32();
   cols = r.u32();
-  if (std::uint64_t{rows} * cols > (1u << 26)) {
-    throw std::runtime_error("summary deserialize: implausible matrix size");
-  }
+  check_plausible(rows, cols);
   return get_scalars(r, std::uint64_t{rows} * cols, precision);
 }
 
@@ -272,6 +278,9 @@ SummaryView parse_summary(std::span<const std::uint8_t> bytes) {
     v.sigma = get_scalars(r, v.rank, precision);
     std::size_t vt_rows = 0;
     v.vt = get_matrix(r, precision, vt_rows, v.cols);
+    // The reconstructed k x p centroids: a rank-0 summary's wire matrices
+    // are empty whatever k and p claim.
+    check_plausible(v.rows, v.cols);
     const std::uint32_t n = r.u32();
     v.counts = r.take(n, 4);
     check_split_dims(n, v.rows, u_cols, v.rank, vt_rows);

@@ -118,9 +118,11 @@ struct SummaryView {
 
 /// The one summary parser: validates a buffer produced by serialize()
 /// (either precision) without copying it.  Throws std::runtime_error on a
-/// missing/foreign magic byte, an unsupported format version, or a
-/// malformed body, and std::logic_error when the decoded dimensions break
-/// the summary's invariants (check_invariants' messages).
+/// missing/foreign magic byte, an unsupported format version, a malformed
+/// body, or a matrix of more than 2^26 elements (on the wire, or the k x p
+/// centroids a split summary reconstructs to), and std::logic_error when
+/// the decoded dimensions break the summary's invariants (check_invariants'
+/// messages).
 [[nodiscard]] SummaryView parse_summary(std::span<const std::uint8_t> bytes);
 
 /// Materializes parse_summary(bytes); throws exactly what it throws.

@@ -28,8 +28,8 @@ inline void append_double(std::string& out, double v) {
   return out;
 }
 
-/// Escapes a string for a JSON string literal: quote, backslash, \n and \t
-/// by name, other control characters as \u00XX.
+/// Escapes a string for a JSON string literal: quote, backslash, \n, \r and
+/// \t by name, other control characters as \u00XX.
 [[nodiscard]] inline std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -38,6 +38,7 @@ inline void append_double(std::string& out, double v) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {

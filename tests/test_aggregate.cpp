@@ -87,43 +87,6 @@ TEST(Aggregator, RejectsMixedFieldWidths) {
                std::invalid_argument);
 }
 
-TEST(ReduceAggregate, PreservesTotalPacketsAndShrinksRows) {
-  Aggregator agg;
-  for (summarize::MonitorId m = 0; m < 10; ++m) {
-    agg.add(MonitorSummary{combined(m, 20, 6, 0.05 * m)});
-  }
-  const AggregatedSummary full = agg.take();
-  const std::uint64_t total = full.total_packets();
-  ASSERT_EQ(full.rows(), 200u);
-
-  const AggregatedSummary reduced = reduce_aggregate(full, 30, 7);
-  EXPECT_LE(reduced.rows(), 30u);
-  EXPECT_GT(reduced.rows(), 0u);
-  EXPECT_EQ(reduced.total_packets(), total);
-  for (summarize::MonitorId origin : reduced.origin) {
-    EXPECT_EQ(origin, kNoOrigin);  // feedback mapping is gone by design
-  }
-}
-
-TEST(ReduceAggregate, CentroidsStayInsideDataRange) {
-  Aggregator agg;
-  agg.add(MonitorSummary{combined(0, 8, 4, 0.25)});
-  agg.add(MonitorSummary{combined(1, 8, 4, 0.75)});
-  const AggregatedSummary reduced = reduce_aggregate(agg.take(), 3, 1);
-  for (double v : reduced.centroids.data()) {
-    EXPECT_GE(v, 0.25 - 1e-9);
-    EXPECT_LE(v, 0.75 + 1e-9);
-  }
-}
-
-TEST(ReduceAggregate, ValidatesInput) {
-  EXPECT_THROW((void)reduce_aggregate(AggregatedSummary{}, 5),
-               std::invalid_argument);
-  Aggregator agg;
-  agg.add(MonitorSummary{combined(0, 2, 3, 0.0)});
-  EXPECT_THROW((void)reduce_aggregate(agg.take(), 0), std::invalid_argument);
-}
-
 TEST(Aggregator, RejectsBrokenInvariants) {
   CombinedSummary bad = combined(0, 2, 3, 0.0);
   bad.counts.pop_back();

@@ -46,6 +46,19 @@ TEST(AlertLog, EscapesSpecialCharacters) {
   EXPECT_EQ(json.find('\n'), std::string::npos);
 }
 
+TEST(AlertLog, EscapedLineIsPinned) {
+  // The whole line, bytes fixed: the alert encoder shares
+  // telemetry::json_escape, and CR keeps its short form.
+  inference::Alert alert = sample_alert();
+  alert.msg = "q:\" b:\\ n:\n r:\r t:\t c:\x01";
+  EXPECT_EQ(inference::alert_to_json(alert, 0.0),
+            "{\"time\":0.000000,\"sid\":1000002,"
+            "\"msg\":\"q:\\\" b:\\\\ n:\\n r:\\r t:\\t c:\\u0001\","
+            "\"matched_packets\":431,\"distributed\":true,"
+            "\"via_feedback\":false,\"variance\":0.06250000,"
+            "\"confidence\":1.00000000,\"caution\":0.00000000}");
+}
+
 TEST(AlertLog, LoggerWritesOneLinePerAlert) {
   std::stringstream out;
   AlertLogger logger(out);

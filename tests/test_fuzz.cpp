@@ -229,6 +229,47 @@ TEST(Fuzz, BatchedAddOfMutatedPayloadsRejectsCleanly) {
   EXPECT_GT(accepted, 0u);
 }
 
+TEST(Fuzz, RankZeroSummaryClaimingHugeWidthIsRefused) {
+  // A rank-0 split summary carries a 1 x 0 U~_r and a 0 x p V_r^T: no
+  // scalars on the wire whatever p claims, but the aggregate would hold its
+  // 1 x p reconstruction, so a 35-byte record could ask for p doubles.
+  summarize::SplitSummary s;
+  s.monitor = 2;
+  s.u_centroids = linalg::Matrix(1, 0);
+  s.vt = linalg::Matrix(0, 2);
+  s.counts = {1};
+  const auto valid = summarize::serialize(summarize::MonitorSummary{s});
+  ASSERT_EQ(valid.size(), 35u);
+  ASSERT_NO_THROW((void)summarize::parse_summary(valid));
+  // magic, version, tag, monitor, U rows, U cols, rank, V^T rows: V^T cols.
+  constexpr std::size_t kVtCols = 23;
+  for (const std::uint32_t cols : {(1u << 26) + 1, 0xFFFFFFFFu}) {
+    auto bytes = valid;
+    for (int i = 0; i < 4; ++i) {
+      bytes[kVtCols + i] = static_cast<std::uint8_t>(cols >> (8 * i));
+    }
+    EXPECT_THROW((void)summarize::parse_summary(bytes), std::runtime_error);
+    EXPECT_THROW((void)summarize::deserialize(bytes), std::runtime_error);
+    inference::Aggregator agg;
+    EXPECT_THROW(
+        {
+          const std::vector<summarize::SummaryView> batch = {
+              summarize::parse_summary(bytes)};
+          agg.add(batch);
+        },
+        std::runtime_error);
+    EXPECT_EQ(agg.summaries_added(), 0u);
+    EXPECT_TRUE(agg.take().empty());
+  }
+  // The bound is 2^26 elements, as for a wire matrix; parsing allocates
+  // nothing, so the largest legal width is cheap to check here.
+  auto widest = valid;
+  for (int i = 0; i < 4; ++i) {
+    widest[kVtCols + i] = static_cast<std::uint8_t>((1u << 26) >> (8 * i));
+  }
+  EXPECT_EQ(summarize::parse_summary(widest).cols, 1u << 26);
+}
+
 TEST(Fuzz, ProtoDecoderThrowsCleanly) {
   std::mt19937_64 rng(5);
   for (int i = 0; i < 500; ++i) {

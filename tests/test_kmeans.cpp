@@ -142,92 +142,6 @@ KMeansResult kmeans(const linalg::Matrix& x, std::size_t k,
   return res;
 }
 
-KMeansResult weighted_kmeans(const linalg::Matrix& x,
-                             std::span<const std::uint64_t> weights,
-                             std::size_t k, std::mt19937_64& rng,
-                             const KMeansOptions& opts) {
-  const std::size_t n = x.rows();
-  const std::size_t d = x.cols();
-  std::uint64_t total_weight = 0;
-  for (std::uint64_t w : weights) total_weight += w;
-  std::vector<std::size_t> seeds;
-  std::uniform_real_distribution<double> unit(0.0, 1.0);
-  double target = unit(rng) * static_cast<double>(total_weight);
-  std::size_t first = n - 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    target -= static_cast<double>(weights[i]);
-    if (target <= 0.0) {
-      first = i;
-      break;
-    }
-  }
-  seeds.push_back(first);
-  std::vector<double> d2(n, std::numeric_limits<double>::max());
-  while (seeds.size() < k) {
-    const auto last = x.row(seeds.back());
-    double total = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      d2[i] = std::min(d2[i], sq_dist(x.row(i), last));
-      total += d2[i] * static_cast<double>(weights[i]);
-    }
-    if (total <= 0.0) {
-      seeds.push_back(rng() % n);
-      continue;
-    }
-    double pick_target = unit(rng) * total;
-    std::size_t pick = n - 1;
-    for (std::size_t i = 0; i < n; ++i) {
-      pick_target -= d2[i] * static_cast<double>(weights[i]);
-      if (pick_target <= 0.0) {
-        pick = i;
-        break;
-      }
-    }
-    seeds.push_back(pick);
-  }
-  KMeansResult res;
-  res.centroids = linalg::Matrix(k, d);
-  for (std::size_t c = 0; c < k; ++c) {
-    const auto src = x.row(seeds[c]);
-    std::copy(src.begin(), src.end(), res.centroids.row(c).begin());
-  }
-  const linalg::SoaMatrix xs = linalg::SoaMatrix::from_rows(x);
-  res.assignment.assign(n, 0);
-  res.counts.assign(k, 0);
-  std::vector<double> best_dist(n, 0.0);
-  linalg::Matrix sums(k, d);
-  for (std::size_t iter = 0; iter < opts.max_iterations; ++iter) {
-    res.iterations = iter + 1;
-    assign_to_centroids(xs, res.centroids, res.assignment, best_dist);
-    res.inertia = 0.0;
-    std::fill(res.counts.begin(), res.counts.end(), 0);
-    std::fill(sums.data().begin(), sums.data().end(), 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto row = x.row(i);
-      const std::size_t best_c = res.assignment[i];
-      const double w = static_cast<double>(weights[i]);
-      res.inertia += best_dist[i] * w;
-      res.counts[best_c] += weights[i];
-      auto sum_row = sums.row(best_c);
-      for (std::size_t j = 0; j < d; ++j) sum_row[j] += row[j] * w;
-    }
-    double moved = 0.0;
-    for (std::size_t c = 0; c < k; ++c) {
-      if (res.counts[c] == 0) continue;
-      auto centroid = res.centroids.row(c);
-      const auto sum_row = sums.row(c);
-      for (std::size_t j = 0; j < d; ++j) {
-        const double updated =
-            sum_row[j] / static_cast<double>(res.counts[c]);
-        moved = std::max(moved, std::abs(updated - centroid[j]));
-        centroid[j] = updated;
-      }
-    }
-    if (moved < opts.tolerance) break;
-  }
-  return res;
-}
-
 }  // namespace reference
 
 bool bit_equal(double a, double b) {
@@ -330,17 +244,11 @@ TEST(KMeans, BoundedLloydMatchesReference) {
 
   const linalg::simd::Level before = linalg::simd::active();
   for (const Case& c : cases) {
-    const std::size_t n = c.x.rows();
-    std::vector<std::uint64_t> weights(n);
-    for (std::size_t i = 0; i < n; ++i) weights[i] = 1 + (i * 13) % 5;
     KMeansOptions opts;
     opts.init = c.init;
     // The reference's bits do not depend on the dispatch level.
     std::mt19937_64 ref_rng(c.k);
     const KMeansResult want = reference::kmeans(c.x, c.k, ref_rng, opts);
-    std::mt19937_64 ref_wrng(c.k + 1);
-    const KMeansResult want_w =
-        reference::weighted_kmeans(c.x, weights, c.k, ref_wrng, opts);
     for (const auto level : available_levels()) {
       linalg::simd::force_level(level);
       for (const std::size_t threads : {0, 2, 4}) {
@@ -354,9 +262,6 @@ TEST(KMeans, BoundedLloydMatchesReference) {
             " threads=" + std::to_string(threads);
         std::mt19937_64 rng(c.k);
         expect_same(want, kmeans(c.x, c.k, rng, pooled), label);
-        std::mt19937_64 wrng(c.k + 1);
-        expect_same(want_w, weighted_kmeans(c.x, weights, c.k, wrng, pooled),
-                    label + " weighted");
       }
     }
   }
@@ -391,18 +296,12 @@ TEST(KMeans, SeedingScanIsTheFirstPass) {
 
   const linalg::simd::Level before = linalg::simd::active();
   for (const Case& c : cases) {
-    const std::size_t n = c.x.rows();
-    std::vector<std::uint64_t> weights(n);
-    for (std::size_t i = 0; i < n; ++i) weights[i] = 1 + (i * 7) % 3;
     for (const std::size_t iterations : {0, 1, 2}) {
       KMeansOptions opts;
       opts.init = c.init;
       opts.max_iterations = iterations;
       std::mt19937_64 ref_rng(c.k);
       const KMeansResult want = reference::kmeans(c.x, c.k, ref_rng, opts);
-      std::mt19937_64 ref_wrng(c.k + 1);
-      const KMeansResult want_w =
-          reference::weighted_kmeans(c.x, weights, c.k, ref_wrng, opts);
       for (const auto level : available_levels()) {
         linalg::simd::force_level(level);
         const std::string label =
@@ -410,9 +309,6 @@ TEST(KMeans, SeedingScanIsTheFirstPass) {
             " level=" + std::string(linalg::simd::level_name(level));
         std::mt19937_64 rng(c.k);
         expect_same(want, kmeans(c.x, c.k, rng, opts), label);
-        std::mt19937_64 wrng(c.k + 1);
-        expect_same(want_w, weighted_kmeans(c.x, weights, c.k, wrng, opts),
-                    label + " weighted");
       }
     }
   }
@@ -535,64 +431,6 @@ TEST(KMeans, IdenticalPointsHandled) {
   std::uint64_t total = 0;
   for (std::uint64_t c : res.counts) total += c;
   EXPECT_EQ(total, 50u);
-}
-
-TEST(WeightedKMeans, ValidatesArguments) {
-  std::mt19937_64 rng(1);
-  const linalg::Matrix x = blobs(5, 1);
-  const std::vector<std::uint64_t> wrong_size(3, 1);
-  EXPECT_THROW((void)weighted_kmeans(x, wrong_size, 2, rng),
-               std::invalid_argument);
-  const std::vector<std::uint64_t> zeros(x.rows(), 0);
-  EXPECT_THROW((void)weighted_kmeans(x, zeros, 2, rng),
-               std::invalid_argument);
-  const std::vector<std::uint64_t> ok(x.rows(), 1);
-  EXPECT_THROW((void)weighted_kmeans(x, ok, 0, rng), std::invalid_argument);
-}
-
-TEST(WeightedKMeans, UnitWeightsMatchPlainSemantics) {
-  const linalg::Matrix x = blobs(40, 12);
-  const std::vector<std::uint64_t> unit(x.rows(), 1);
-  std::mt19937_64 rng(12);
-  const auto res = weighted_kmeans(x, unit, 3, rng);
-  // Same well-separated blobs: recovered and balanced.
-  for (std::uint64_t count : res.counts) EXPECT_EQ(count, 40u);
-}
-
-TEST(WeightedKMeans, CountsSumToTotalWeight) {
-  const linalg::Matrix x = blobs(30, 13);
-  std::vector<std::uint64_t> weights(x.rows());
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    weights[i] = 1 + i % 7;
-    total += weights[i];
-  }
-  std::mt19937_64 rng(13);
-  const auto res = weighted_kmeans(x, weights, 5, rng);
-  std::uint64_t sum = 0;
-  for (std::uint64_t c : res.counts) sum += c;
-  EXPECT_EQ(sum, total);
-}
-
-TEST(WeightedKMeans, HeavyPointPullsItsCentroid) {
-  // Two points; one carries 99x the weight: the 1-centroid solution must
-  // sit nearly on the heavy point.
-  linalg::Matrix x(2, 1);
-  x(0, 0) = 0.0;
-  x(1, 0) = 1.0;
-  const std::vector<std::uint64_t> weights = {99, 1};
-  std::mt19937_64 rng(14);
-  const auto res = weighted_kmeans(x, weights, 1, rng);
-  EXPECT_NEAR(res.centroids(0, 0), 0.01, 1e-9);
-}
-
-TEST(WeightedKMeans, KGreaterEqualNReturnsRowsWithWeights) {
-  const linalg::Matrix x = blobs(2, 15);  // 6 rows
-  const std::vector<std::uint64_t> weights = {1, 2, 3, 4, 5, 6};
-  std::mt19937_64 rng(15);
-  const auto res = weighted_kmeans(x, weights, 10, rng);
-  EXPECT_EQ(res.centroids.rows(), 6u);
-  EXPECT_EQ(res.counts, weights);
 }
 
 TEST(KMeans, DeterministicGivenRngState) {

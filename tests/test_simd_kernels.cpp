@@ -221,8 +221,8 @@ TEST(SimdKernels, NearestCentroidsFirstIndexWinsTies) {
 
 TEST(SimdKernels, SeedUpdateBitIdenticalAcrossLevels) {
   // Against the scalar seeder's own loop: d2[i] = min(d2[i], |x_i - c|^2)
-  // over row-major rows, squares summed in field order, and the weighted
-  // total summed in point order.
+  // over row-major rows, squares summed in field order, and the total
+  // summed in point order.
   const std::size_t d = 12;
   for (const std::size_t n : kSizes) {
     Matrix rows(n, d);
@@ -233,8 +233,6 @@ TEST(SimdKernels, SeedUpdateBitIdenticalAcrossLevels) {
     if (n > 2) {
       for (std::size_t j = 0; j < d; ++j) rows(n - 1, j) = rows(0, j);
     }
-    std::vector<double> w(n);
-    for (std::size_t i = 0; i < n; ++i) w[i] = static_cast<double>(1 + i % 4);
     const SoaMatrix x = SoaMatrix::from_rows(rows);
     const std::size_t centres[] = {0, n / 2, n - 1, 0};
     std::vector<double> want(n, std::numeric_limits<double>::max());
@@ -249,7 +247,7 @@ TEST(SimdKernels, SeedUpdateBitIdenticalAcrossLevels) {
           sum += diff * diff;
         }
         want[i] = std::min(want[i], sum);
-        total += want[i] * w[i];
+        total += want[i];
       }
       want_total.push_back(total);
     }
@@ -260,8 +258,8 @@ TEST(SimdKernels, SeedUpdateBitIdenticalAcrossLevels) {
       std::vector<double> second(n, std::numeric_limits<double>::max());
       for (std::size_t s = 0; s < std::size(centres); ++s) {
         const double total = seed_update(
-            x.data(), x.stride(), d, rows.row(centres[s]).data(), s, w.data(),
-            n, got.data(), nearest.data(), second.data());
+            x.data(), x.stride(), d, rows.row(centres[s]).data(), s, n,
+            got.data(), nearest.data(), second.data());
         EXPECT_TRUE(bit_equal(want_total[s], total))
             << "n=" << n << " centre " << s << " level=" << level_name(level);
       }
@@ -286,7 +284,6 @@ TEST(SimdKernels, SeedUpdateTracksNearestAndRunnerUp) {
       std::uniform_real_distribution<double> unit(-1.0, 1.0);
       for (double& v : rows.data()) v = tied ? 0.5 : unit(rng);
       const SoaMatrix x = SoaMatrix::from_rows(rows);
-      const std::vector<double> w(n, 1.0);
       for (const std::size_t k : {1ul, 2ul, 6ul}) {
         // Every third seed repeats the seed two before it.
         std::vector<std::size_t> seeds;
@@ -311,8 +308,8 @@ TEST(SimdKernels, SeedUpdateTracksNearestAndRunnerUp) {
           std::vector<double> second(n, std::numeric_limits<double>::max());
           for (std::size_t c = 0; c < k; ++c) {
             (void)seed_update(x.data(), x.stride(), d,
-                              rows.row(seeds[c]).data(), c, w.data(), n,
-                              d2.data(), nearest.data(), second.data());
+                              rows.row(seeds[c]).data(), c, n, d2.data(),
+                              nearest.data(), second.data());
           }
           const std::string label = "n=" + std::to_string(n) +
                                     " k=" + std::to_string(k) +
