@@ -74,9 +74,7 @@ int main() {
   constexpr std::size_t kPerEpoch = 3;
   std::uint64_t payload_bytes = 0;
   for (const auto& s : corpus) {
-    payload_bytes += summarize::serialize(
-                         s, summarize::WirePrecision::kFloat64)
-                         .size();
+    payload_bytes += summarize::serialize(s).size();
   }
   payload_bytes = payload_bytes / corpus.size() * kEpochs * kPerEpoch;
 

@@ -1,6 +1,5 @@
 #include "inference/aggregate.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -13,7 +12,7 @@ namespace {
 /// * diag(sigma) * V_r^T (rank x cols) with SplitSummary::reconstruct's
 /// arithmetic — sigma folded into U~_r, then the i-k-j product with its
 /// zero skip onto zeroed rows — so every row has the bits of
-/// reconstruct().centroids.
+/// deserialize(bytes)'s reconstruct().centroids.
 void reconstruct_rows(const double* u, const double* sigma, const double* vt,
                       std::size_t rows, std::size_t rank, std::size_t cols,
                       double* out) noexcept {
@@ -49,22 +48,9 @@ void AggregatedSummary::clear() noexcept {
 }
 
 void Aggregator::add(const summarize::MonitorSummary& summary) {
-  if (const auto* c = std::get_if<summarize::CombinedSummary>(&summary)) {
-    c->check_invariants();
-    const auto src = c->centroids.data();
-    std::copy(src.begin(), src.end(),
-              append_rows(c->monitor, c->counts.size(), c->centroids.cols()));
-    next_.counts.insert(next_.counts.end(), c->counts.begin(),
-                        c->counts.end());
-    return;
-  }
-  const auto& s = std::get<summarize::SplitSummary>(summary);
-  s.check_invariants();
-  double* const rows = append_rows(s.monitor, s.counts.size(), s.vt.cols());
-  next_.counts.insert(next_.counts.end(), s.counts.begin(), s.counts.end());
-  reconstruct_rows(s.u_centroids.data().data(), s.sigma.data(),
-                   s.vt.data().data(), s.counts.size(), s.sigma.size(),
-                   s.vt.cols(), rows);
+  summarize::serialize(summary, wire_);
+  const summarize::SummaryView view = summarize::parse_summary(wire_);
+  add(std::span(&view, 1));
 }
 
 void Aggregator::add(std::span<const summarize::SummaryView> batch,
@@ -115,9 +101,6 @@ void Aggregator::add(std::span<const summarize::SummaryView> batch,
 
 double* Aggregator::append_rows(summarize::MonitorId monitor,
                                 std::size_t rows, std::size_t cols) {
-  if (added_ > 0 && next_.centroids.cols() != cols) {
-    throw std::invalid_argument("Aggregator: field-width mismatch");
-  }
   const std::size_t first = next_.rows();
   next_.centroids.resize(first + rows, cols);
   next_.origin.insert(next_.origin.end(), rows, monitor);

@@ -56,22 +56,24 @@ struct AggregatedSummary {
 
 class Aggregator {
  public:
-  /// Appends one monitor summary.  A split summary is reconstructed
-  /// (U~_r * diag(sigma) * V_r^T, bit-identical to SplitSummary::reconstruct)
-  /// straight into the epoch's row buffer; a combined one is copied there.
-  /// Throws std::invalid_argument if the summary's field width differs from
-  /// previously added summaries, and std::logic_error on a summary whose
-  /// own dimensions disagree; either way the pending epoch is unchanged.
+  /// Appends one monitor summary as it would arrive: serialized (float32
+  /// scalars), parsed, and added as a one-view batch.  Throws
+  /// std::invalid_argument if the summary's field width differs from
+  /// previously added summaries, std::logic_error on a summary whose own
+  /// dimensions disagree, and std::runtime_error on one parse_summary
+  /// refuses; in each case the pending epoch is unchanged.
   void add(const summarize::MonitorSummary& summary);
 
-  /// Appends parsed summaries (summarize::parse_summary views) in order,
-  /// with the rows, bits and bookkeeping of add() on each deserialized
-  /// summary.  Every view's field width is checked first — a mismatch
-  /// throws std::invalid_argument and leaves the pending epoch unchanged —
-  /// then all rows are reserved serially and each summary is reconstructed
-  /// into its own disjoint rows on `pool` (null: serially), so the result
-  /// is bit-identical at any pool size.  The views' buffers need only live
-  /// for the call.
+  /// The one reconstruction path: appends parsed summaries
+  /// (summarize::parse_summary views) in order.  A split summary is
+  /// reconstructed (U~_r * diag(sigma) * V_r^T, bit-identical to
+  /// SplitSummary::reconstruct of its deserialized form) straight into the
+  /// epoch's row buffer; a combined one is widened there.  Every view's
+  /// field width is checked first — a mismatch throws std::invalid_argument
+  /// and leaves the pending epoch unchanged — then all rows are reserved
+  /// serially and each summary is reconstructed into its own disjoint rows
+  /// on `pool` (null: serially), so the result is bit-identical at any pool
+  /// size.  The views' buffers need only live for the call.
   void add(std::span<const summarize::SummaryView> batch,
            runtime::ThreadPool* pool = nullptr);
 
@@ -92,8 +94,9 @@ class Aggregator {
   void clear() noexcept;
 
  private:
-  /// Width check, then room for `rows` zeroed rows plus their origin and
-  /// local index (counts are the caller's); returns the first new row.
+  /// Room for `rows` zeroed rows of the checked width `cols` plus their
+  /// origin and local index (counts are the caller's); returns the first
+  /// new row.
   double* append_rows(summarize::MonitorId monitor, std::size_t rows,
                       std::size_t cols);
 
@@ -104,6 +107,8 @@ class Aggregator {
   std::vector<double> factors_;
   /// Per-batch (first row, first factor) of each summary, recycled.
   std::vector<std::pair<std::size_t, std::size_t>> slots_;
+  /// add(MonitorSummary)'s serialized summary, recycled.
+  std::vector<std::uint8_t> wire_;
 };
 
 }  // namespace jaal::inference

@@ -26,7 +26,7 @@ void InferenceTier::begin_epoch(std::uint64_t epoch) {
   // Drop the previous epoch's rows and any unaggregated summaries; both
   // keep their buffers for this epoch.
   aggregate_.clear();
-  aggregator_.clear();
+  views_.clear();
   down_ = false;
   for (const faults::ShardCrashWindow& w : outages_) {
     down_ = down_ || w.covers(epoch);
@@ -35,13 +35,23 @@ void InferenceTier::begin_epoch(std::uint64_t epoch) {
 
 bool InferenceTier::add_summary(const summarize::MonitorSummary& summary) {
   if (down_) return false;
-  aggregator_.add(summary);
-  if (store_ != nullptr) store_->put_summary(epoch_, summary);
+  // Serialized once, as shipped: parsing validates the bytes, the view
+  // joins the aggregate, and the store keeps the same bytes.  Growing
+  // wire_ moves the buffers, not their bytes, so earlier views stay valid.
+  if (views_.size() == wire_.size()) wire_.emplace_back();
+  std::vector<std::uint8_t>& bytes = wire_[views_.size()];
+  summarize::serialize(summary, bytes);
+  views_.push_back(summarize::parse_summary(bytes));
+  if (store_ != nullptr) {
+    store_->put_summary(epoch_, views_.back().monitor, bytes);
+  }
   return true;
 }
 
 const inference::AggregatedSummary& InferenceTier::aggregate_epoch() {
   aggregated_ = true;
+  aggregator_.add(views_, engine_.pool());
+  views_.clear();
   aggregator_.take(aggregate_);
   return aggregate_;
 }

@@ -14,7 +14,9 @@
 // Error policy (jaal.hpp): construction throws std::invalid_argument on an
 // invalid AggregationPolicy or an inverted outage window; the per-epoch
 // path (begin_epoch / add_summary / aggregate_epoch / infer_epoch) never
-// throws.
+// throws on the summaries a deployment produces; a malformed summary
+// (add_summary) or mixed field widths (aggregate_epoch) throw as
+// inference::Aggregator::add does.
 #pragma once
 
 #include <cstdint>
@@ -51,16 +53,18 @@ class InferenceTier final {
 
   /// Returns false when the tier is down this epoch (the summary is lost);
   /// true means it joins this epoch's aggregate and, when a store is
-  /// attached, is persisted in arrival order.
+  /// attached, is persisted in arrival order.  The summary is serialized
+  /// once (summarize::serialize, float32) into a recycled buffer: the
+  /// aggregate is built from those bytes and the store appends them.
   bool add_summary(const summarize::MonitorSummary& summary);
 
   /// Summaries accepted this epoch and not yet aggregated.
-  [[nodiscard]] std::size_t pending() const noexcept {
-    return aggregator_.summaries_added();
-  }
+  [[nodiscard]] std::size_t pending() const noexcept { return views_.size(); }
 
   /// Builds this epoch's aggregate: the accepted summaries concatenated in
-  /// arrival order.  The reference stays valid until the next begin_epoch.
+  /// arrival order, reconstructed on the engine's pool
+  /// (Aggregator::add(span<SummaryView>, pool), as store replay does).
+  /// The reference stays valid until the next begin_epoch.
   [[nodiscard]] const inference::AggregatedSummary& aggregate_epoch();
 
   /// Runs the engine over this epoch's aggregate (building it first if
@@ -115,6 +119,10 @@ class InferenceTier final {
   inference::InferenceEngine engine_;
   std::vector<faults::ShardCrashWindow> outages_;
   store::DeploymentStore* store_ = nullptr;
+  /// One serialized summary per accepted summary, recycled across epochs;
+  /// views_ alias the first views_.size() of them.
+  std::vector<std::vector<std::uint8_t>> wire_;
+  std::vector<summarize::SummaryView> views_;
   inference::Aggregator aggregator_;
   inference::AggregatedSummary aggregate_;
   std::uint64_t epoch_ = 0;

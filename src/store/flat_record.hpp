@@ -17,7 +17,7 @@ namespace jaal::store {
 /// What a record's payload holds.  Values are part of the on-disk format —
 /// never renumber.
 enum class RecordKind : std::uint32_t {
-  kSummary = 1,     ///< summarize::serialize(MonitorSummary, kFloat64).
+  kSummary = 1,     ///< summarize::serialize(MonitorSummary): float32.
   kAlert = 2,       ///< One alert JSON line (inference::alert_to_json).
   kProvenance = 3,  ///< One provenance JSON line (observe::to_json).
   kEpochMeta = 4,   ///< Per-epoch commit point (store::EpochMeta).

@@ -47,7 +47,9 @@ class StoreReplayer {
   /// the point.  `base_tau_c_scale` is the deployment's configured
   /// EngineConfig::tau_c_scale; the per-epoch packet-volume scaling the
   /// controller applies on top is reproduced from each EpochMeta.
-  /// Uncommitted trailing summaries (no EpochMeta) are ignored.
+  /// Uncommitted trailing summaries (no EpochMeta) are ignored.  Throws
+  /// std::runtime_error on a summary summarize::parse_summary refuses, such
+  /// as a float64 (version 2) summary of a store written by an older build.
   [[nodiscard]] std::vector<ReplayEpoch> replay(
       inference::InferenceEngine& engine,
       double base_tau_c_scale = 1.0) const;

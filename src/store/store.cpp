@@ -117,15 +117,15 @@ void DeploymentStore::timed_append(TimeShardLog& log, std::uint64_t epoch,
   append_bytes_ += payload.size();
 }
 
+void DeploymentStore::put_summary(std::uint64_t epoch, std::uint32_t monitor,
+                                  std::span<const std::uint8_t> bytes) {
+  timed_append(*summaries_, epoch, monitor, RecordKind::kSummary, bytes);
+}
+
 void DeploymentStore::put_summary(std::uint64_t epoch,
                                   const summarize::MonitorSummary& s) {
-  // Full float64 fidelity: replaying these bytes must rebuild the exact
-  // in-memory aggregate the live controller matched against.
-  const std::vector<std::uint8_t> bytes =
-      summarize::serialize(s, summarize::WirePrecision::kFloat64);
-  const std::uint32_t monitor =
-      std::visit([](const auto& v) { return v.monitor; }, s);
-  timed_append(*summaries_, epoch, monitor, RecordKind::kSummary, bytes);
+  put_summary(epoch, std::visit([](const auto& v) { return v.monitor; }, s),
+              summarize::serialize(s));
 }
 
 void DeploymentStore::put_alert(std::uint64_t epoch,

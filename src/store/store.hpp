@@ -1,7 +1,8 @@
 // Typed persistence for one deployment: four time-sharded record logs
 // under one directory —
-//   summaries.NNNNNN.jstore   MonitorSummary payloads (float64 wire format)
-//                             plus one EpochMeta commit record per epoch;
+//   summaries.NNNNNN.jstore   summaries as monitors ship them
+//                             (summarize::serialize, float32) plus one
+//                             EpochMeta commit record per epoch;
 //   alerts.NNNNNN.jstore      alert JSON lines (inference::alert_to_json);
 //   provenance.NNNNNN.jstore  provenance JSON lines (observe::to_json);
 //   ops.NNNNNN.jstore         per-epoch operational records: one kMetrics
@@ -96,8 +97,12 @@ class DeploymentStore {
     trace_ctx_ = ctx;
   }
 
-  /// Persists one aggregated summary, full-fidelity (float64), in
-  /// aggregation order — replay reproduces the live aggregate bit-for-bit.
+  /// Persists one aggregated summary, in aggregation order, as the
+  /// serialized bytes the tier aggregated — replay parses the same bytes,
+  /// so it reproduces the live aggregate bit-for-bit.
+  void put_summary(std::uint64_t epoch, std::uint32_t monitor,
+                   std::span<const std::uint8_t> bytes);
+  /// put_summary(epoch, monitor, summarize::serialize(s)).
   void put_summary(std::uint64_t epoch, const summarize::MonitorSummary& s);
   void put_alert(std::uint64_t epoch, const inference::Alert& a,
                  double epoch_end_time);
@@ -133,8 +138,8 @@ class DeploymentStore {
 
   /// Every stored summary in append (= aggregation) order.  Return false to
   /// stop.  Throws std::runtime_error only on a payload that fails
-  /// summarize::deserialize (CRC-valid but foreign — practically a
-  /// programming error).
+  /// summarize::deserialize: CRC-valid but foreign, or a float64 (version
+  /// 2) summary of a store written by an older build.
   void each_summary(
       const std::function<bool(std::uint64_t epoch, std::uint32_t monitor,
                                const summarize::MonitorSummary&)>& fn) const;

@@ -1,6 +1,5 @@
 #include "summarize/summary.hpp"
 
-#include <bit>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -19,52 +18,23 @@ void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.insert(out.end(), b, b + 4);
 }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v & 0xFFFFFFFFu));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
+void put_scalar(std::vector<std::uint8_t>& out, double v) {
+  const float f = static_cast<float>(v);
+  std::uint32_t bits;
+  std::memcpy(&bits, &f, sizeof(bits));
+  put_u32(out, bits);
 }
-
-/// Scalar writer for the configured precision: f32 quantizes (the wire
-/// model), f64 round-trips doubles bit-exactly (the store model).
-struct ScalarWriter {
-  std::vector<std::uint8_t>& out;
-  WirePrecision precision;
-
-  void scalar(double v) const {
-    if (precision == WirePrecision::kFloat64) {
-      std::uint64_t bits;
-      std::memcpy(&bits, &v, sizeof(bits));
-      put_u64(out, bits);
-    } else {
-      const float f = static_cast<float>(v);
-      std::uint32_t bits;
-      std::memcpy(&bits, &f, sizeof(bits));
-      put_u32(out, bits);
-    }
-  }
-};
 
 std::uint32_t get_u32(const std::uint8_t* in) noexcept {
   return std::uint32_t{in[0]} | (std::uint32_t{in[1]} << 8) |
          (std::uint32_t{in[2]} << 16) | (std::uint32_t{in[3]} << 24);
 }
 
-double get_scalar(const std::uint8_t* in, WirePrecision precision) noexcept {
-  if (precision == WirePrecision::kFloat64) {
-    const std::uint64_t bits =
-        std::uint64_t{get_u32(in)} | (std::uint64_t{get_u32(in + 4)} << 32);
-    double d;
-    std::memcpy(&d, &bits, sizeof(d));
-    return d;
-  }
+double get_scalar(const std::uint8_t* in) noexcept {
   const std::uint32_t bits = get_u32(in);
   float f;
   std::memcpy(&f, &bits, sizeof(f));
   return static_cast<double>(f);
-}
-
-std::size_t scalar_bytes(WirePrecision precision) noexcept {
-  return precision == WirePrecision::kFloat64 ? 8 : 4;
 }
 
 [[noreturn]] void truncated() {
@@ -93,16 +63,14 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-WireScalars get_scalars(Reader& r, std::uint64_t count,
-                        WirePrecision precision) {
-  return {r.take(count, scalar_bytes(precision)),
-          static_cast<std::size_t>(count), precision};
+WireScalars get_scalars(Reader& r, std::uint64_t count) {
+  return {r.take(count, 4), static_cast<std::size_t>(count)};
 }
 
-void put_matrix(const ScalarWriter& w, const linalg::Matrix& m) {
-  put_u32(w.out, static_cast<std::uint32_t>(m.rows()));
-  put_u32(w.out, static_cast<std::uint32_t>(m.cols()));
-  for (double v : m.data()) w.scalar(v);
+void put_matrix(std::vector<std::uint8_t>& out, const linalg::Matrix& m) {
+  put_u32(out, static_cast<std::uint32_t>(m.rows()));
+  put_u32(out, static_cast<std::uint32_t>(m.cols()));
+  for (double v : m.data()) put_scalar(out, v);
 }
 
 /// Refuses a rows x cols matrix of more than 2^26 elements: far above any
@@ -113,12 +81,18 @@ void check_plausible(std::uint64_t rows, std::uint64_t cols) {
   }
 }
 
-WireScalars get_matrix(Reader& r, WirePrecision precision, std::size_t& rows,
-                       std::size_t& cols) {
+/// Refuses a field width no pipeline produces (kMaxSummaryCols).
+void check_width(std::size_t cols) {
+  if (cols > kMaxSummaryCols) {
+    throw std::runtime_error("summary deserialize: implausible field width");
+  }
+}
+
+WireScalars get_matrix(Reader& r, std::size_t& rows, std::size_t& cols) {
   rows = r.u32();
   cols = r.u32();
   check_plausible(rows, cols);
-  return get_scalars(r, std::uint64_t{rows} * cols, precision);
+  return get_scalars(r, std::uint64_t{rows} * cols);
 }
 
 linalg::Matrix to_matrix(const WireScalars& s, std::size_t rows,
@@ -194,18 +168,22 @@ std::size_t wire_bytes(const MonitorSummary& s) noexcept {
   return element_count(s) * 4;
 }
 
-std::vector<std::uint8_t> serialize(const MonitorSummary& s,
-                                    WirePrecision precision) {
+std::vector<std::uint8_t> serialize(const MonitorSummary& s) {
   std::vector<std::uint8_t> out;
-  out.reserve(element_count(s) * 8 + 64);
+  serialize(s, out);
+  return out;
+}
+
+void serialize(const MonitorSummary& s, std::vector<std::uint8_t>& out) {
+  out.clear();
+  out.reserve(element_count(s) * 4 + 64);
   out.push_back(kWireMagic);
-  out.push_back(static_cast<std::uint8_t>(precision));
-  const ScalarWriter w{out, precision};
+  out.push_back(kWireVersion);
   if (const auto* c = std::get_if<CombinedSummary>(&s)) {
     c->check_invariants();
     out.push_back(kTagCombined);
     put_u32(out, c->monitor);
-    put_matrix(w, c->centroids);
+    put_matrix(out, c->centroids);
     put_u32(out, static_cast<std::uint32_t>(c->counts.size()));
     for (std::uint64_t n : c->counts) {
       put_u32(out, static_cast<std::uint32_t>(n));
@@ -215,28 +193,19 @@ std::vector<std::uint8_t> serialize(const MonitorSummary& s,
     sp.check_invariants();
     out.push_back(kTagSplit);
     put_u32(out, sp.monitor);
-    put_matrix(w, sp.u_centroids);
+    put_matrix(out, sp.u_centroids);
     put_u32(out, static_cast<std::uint32_t>(sp.sigma.size()));
-    for (double v : sp.sigma) w.scalar(v);
-    put_matrix(w, sp.vt);
+    for (double v : sp.sigma) put_scalar(out, v);
+    put_matrix(out, sp.vt);
     put_u32(out, static_cast<std::uint32_t>(sp.counts.size()));
     for (std::uint64_t n : sp.counts) {
       put_u32(out, static_cast<std::uint32_t>(n));
     }
   }
-  return out;
 }
 
 void WireScalars::decode(double* out) const noexcept {
-  if (precision == WirePrecision::kFloat64 &&
-      std::endian::native == std::endian::little) {
-    if (size > 0) std::memcpy(out, bytes, size * sizeof(double));
-    return;
-  }
-  const std::size_t step = scalar_bytes(precision);
-  for (std::size_t i = 0; i < size; ++i) {
-    out[i] = get_scalar(bytes + i * step, precision);
-  }
+  for (std::size_t i = 0; i < size; ++i) out[i] = get_scalar(bytes + i * 4);
 }
 
 std::uint64_t SummaryView::count(std::size_t i) const noexcept {
@@ -250,20 +219,18 @@ SummaryView parse_summary(std::span<const std::uint8_t> bytes) {
         "summary deserialize: bad magic byte (not a serialized summary, or "
         "a pre-versioning buffer)");
   }
-  const std::uint8_t version = bytes[1];
-  if (version != static_cast<std::uint8_t>(WirePrecision::kFloat32) &&
-      version != static_cast<std::uint8_t>(WirePrecision::kFloat64)) {
+  if (bytes[1] != kWireVersion) {
     throw std::runtime_error(
         "summary deserialize: unsupported format version " +
-        std::to_string(version));
+        std::to_string(bytes[1]));
   }
-  const auto precision = static_cast<WirePrecision>(version);
   Reader r(bytes.subspan(2));
   SummaryView v;
   const std::uint8_t tag = r.u8();
   if (tag == kTagCombined) {
     v.monitor = r.u32();
-    v.centroids = get_matrix(r, precision, v.rows, v.cols);
+    v.centroids = get_matrix(r, v.rows, v.cols);
+    check_width(v.cols);
     const std::uint32_t n = r.u32();
     v.counts = r.take(n, 4);
     check_combined_dims(n, v.rows);
@@ -273,11 +240,12 @@ SummaryView parse_summary(std::span<const std::uint8_t> bytes) {
     v.split = true;
     v.monitor = r.u32();
     std::size_t u_cols = 0;
-    v.u_centroids = get_matrix(r, precision, v.rows, u_cols);
+    v.u_centroids = get_matrix(r, v.rows, u_cols);
     v.rank = r.u32();
-    v.sigma = get_scalars(r, v.rank, precision);
+    v.sigma = get_scalars(r, v.rank);
     std::size_t vt_rows = 0;
-    v.vt = get_matrix(r, precision, vt_rows, v.cols);
+    v.vt = get_matrix(r, vt_rows, v.cols);
+    check_width(v.cols);
     // The reconstructed k x p centroids: a rank-0 summary's wire matrices
     // are empty whatever k and p claim.
     check_plausible(v.rows, v.cols);

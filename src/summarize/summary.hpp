@@ -1,12 +1,14 @@
 // In-network packet summaries (§4.3).
 //
-// Two wire formats carry the same information:
+// Two summary shapes carry the same information:
 //  * CombinedSummary S1 = [X~_p | c]: k centroids in full field space plus
 //    membership counts — k(p+1) elements.
 //  * SplitSummary S2 = {U~_r, Sigma_r V_r^T, c}: k centroids in the rank-r
 //    space plus the shared factor — r(k+p+1)+k elements.
 // Monitors pick whichever is smaller for the configured (r, k, p); the
 // inference module reconstructs S2 into S1 form before aggregation (§5.1).
+// Both travel in one encoding, serialize()'s float32 bytes, which the
+// inference tier aggregates and the store keeps.
 #pragma once
 
 #include <cstddef>
@@ -56,42 +58,41 @@ using MonitorSummary = std::variant<CombinedSummary, SplitSummary>;
 [[nodiscard]] std::size_t element_count(const MonitorSummary& s) noexcept;
 
 /// Transmitted size in bytes.  Scalars go as float32 and counts as uint32 —
-/// the precision a deployment would actually ship (float64 fidelity is not
-/// needed for threshold matching).
+/// the precision serialize() ships (float64 fidelity is not needed for
+/// threshold matching).
 [[nodiscard]] std::size_t wire_bytes(const MonitorSummary& s) noexcept;
 
 /// Every serialized summary starts with this magic byte followed by a
-/// format-version byte; deserialize() rejects anything else, so a stale or
+/// format-version byte; parse_summary() rejects anything else, so a stale or
 /// foreign buffer fails loudly instead of decoding as garbage.
 inline constexpr std::uint8_t kWireMagic = 0x4A;  // 'J'
 
-/// Scalar precision of the serialized buffer, doubling as the wire format
-/// version byte.
-enum class WirePrecision : std::uint8_t {
-  /// v1: float32 scalars — what a deployment ships over the network
-  /// (matches wire_bytes()).
-  kFloat32 = 1,
-  /// v2: float64 scalars — full fidelity, used by the persistence layer
-  /// (src/store) so historical replay reproduces the live aggregate
-  /// bit-for-bit.
-  kFloat64 = 2,
-};
+/// The one format version: float32 scalars.  (Version 2, float64 scalars,
+/// was a store-only encoding; its buffers are refused.)
+inline constexpr std::uint8_t kWireVersion = 1;
+
+/// Widest field space a parsed summary may claim: far above the header
+/// fields (packet::kFieldCount = 18), and small enough that a summary's
+/// aggregate rows (8 bytes per column) stay within 128x of the 4 count
+/// bytes each row costs on the wire.
+inline constexpr std::size_t kMaxSummaryCols = 64;
 
 /// Serializes to a self-describing byte buffer: magic, version, tag, then
-/// little-endian fields at the requested scalar precision.
-[[nodiscard]] std::vector<std::uint8_t> serialize(
-    const MonitorSummary& s,
-    WirePrecision precision = WirePrecision::kFloat32);
+/// little-endian fields with float32 scalars.
+[[nodiscard]] std::vector<std::uint8_t> serialize(const MonitorSummary& s);
 
-/// A run of little-endian scalars inside a serialized buffer, read in
-/// place at the buffer's precision (float32 widens to double exactly as
-/// deserialize() does).
+/// serialize(s) into `out`, replacing its contents but keeping its
+/// capacity, so a caller recycling buffers allocates nothing once they
+/// stop growing.
+void serialize(const MonitorSummary& s, std::vector<std::uint8_t>& out);
+
+/// A run of little-endian float32 scalars inside a serialized buffer, read
+/// in place.
 struct WireScalars {
   const std::uint8_t* bytes = nullptr;
   std::size_t size = 0;  ///< Scalars, not bytes.
-  WirePrecision precision = WirePrecision::kFloat64;
 
-  /// Writes all `size` scalars to out[0, size).
+  /// Widens all `size` scalars to out[0, size).
   void decode(double* out) const noexcept;
 };
 
@@ -117,12 +118,12 @@ struct SummaryView {
 };
 
 /// The one summary parser: validates a buffer produced by serialize()
-/// (either precision) without copying it.  Throws std::runtime_error on a
-/// missing/foreign magic byte, an unsupported format version, a malformed
-/// body, or a matrix of more than 2^26 elements (on the wire, or the k x p
-/// centroids a split summary reconstructs to), and std::logic_error when
-/// the decoded dimensions break the summary's invariants (check_invariants'
-/// messages).
+/// without copying it.  Throws std::runtime_error on a missing/foreign magic
+/// byte, an unsupported format version, a malformed body, a field width
+/// above kMaxSummaryCols, or a matrix of more than 2^26 elements (on the
+/// wire, or the k x p centroids a split summary reconstructs to), and
+/// std::logic_error when the decoded dimensions break the summary's
+/// invariants (check_invariants' messages).
 [[nodiscard]] SummaryView parse_summary(std::span<const std::uint8_t> bytes);
 
 /// Materializes parse_summary(bytes); throws exactly what it throws.

@@ -39,8 +39,9 @@ TEST(Aggregator, ConcatenatesInOrder) {
   EXPECT_EQ(a.local_index[0], 0u);
   EXPECT_EQ(a.local_index[2], 0u);  // first row of monitor 1
   EXPECT_EQ(a.local_index[4], 2u);
-  EXPECT_DOUBLE_EQ(a.centroids(0, 0), 0.1);
-  EXPECT_DOUBLE_EQ(a.centroids(3, 3), 0.2);
+  // The aggregate holds what monitors ship: float32 scalars.
+  EXPECT_EQ(a.centroids(0, 0), static_cast<double>(0.1f));
+  EXPECT_EQ(a.centroids(3, 3), static_cast<double>(0.2f));
   EXPECT_EQ(a.counts[0], 10u);
   EXPECT_EQ(a.counts[2], 20u);
 }
@@ -111,13 +112,16 @@ SplitSummary random_split(summarize::MonitorId id, std::size_t k,
   return s;
 }
 
-/// What the epoch's aggregate must hold: every summary in combined form
-/// (split ones through SplitSummary::reconstruct), rows concatenated in
-/// order, compared bit for bit.
+/// What the epoch's aggregate must hold: every summary as shipped
+/// (deserialize(serialize(s))) in combined form (split ones through
+/// SplitSummary::reconstruct), rows concatenated in order, compared bit for
+/// bit.
 void expect_aggregate_of(const AggregatedSummary& a,
                          const std::vector<MonitorSummary>& epoch) {
   std::size_t row = 0;
-  for (const MonitorSummary& s : epoch) {
+  for (const MonitorSummary& sent : epoch) {
+    const MonitorSummary s =
+        summarize::deserialize(summarize::serialize(sent));
     const CombinedSummary c =
         std::holds_alternative<CombinedSummary>(s)
             ? std::get<CombinedSummary>(s)
@@ -228,8 +232,7 @@ std::vector<summarize::SummaryView> views_of(
     std::vector<std::vector<std::uint8_t>>& payloads) {
   payloads.clear();
   for (const MonitorSummary& s : epoch) {
-    payloads.push_back(
-        summarize::serialize(s, summarize::WirePrecision::kFloat64));
+    payloads.push_back(summarize::serialize(s));
   }
   std::vector<summarize::SummaryView> views;
   for (const auto& p : payloads) views.push_back(summarize::parse_summary(p));

@@ -184,44 +184,40 @@ TEST(Fuzz, BatchedAddOfMutatedPayloadsRejectsCleanly) {
     for (int i = 0; i < 4; ++i) b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
   };
 
-  for (const summarize::WirePrecision precision :
-       {summarize::WirePrecision::kFloat32,
-        summarize::WirePrecision::kFloat64}) {
-    const std::size_t sb =
-        precision == summarize::WirePrecision::kFloat64 ? 8 : 4;
-    // Offsets of every u32 dimension field: magic, version and tag come
-    // first, then the monitor id.
-    const std::vector<std::size_t> combined_dims = {7, 11, 15 + k * p * sb};
-    const std::size_t nr = 15 + k * r * sb;
-    const std::size_t vt_rows = nr + 4 + r * sb;
-    const std::vector<std::size_t> split_dims = {
-        7, 11, nr, vt_rows, vt_rows + 4, vt_rows + 8 + r * p * sb};
-    const std::pair<summarize::MonitorSummary, std::vector<std::size_t>>
-        shapes[] = {{combined, combined_dims}, {split, split_dims}};
-    for (const auto& [summary, dims] : shapes) {
-      const auto valid = summarize::serialize(summary, precision);
-      for (std::size_t len = 0; len < valid.size(); ++len) {
-        check(valid, {valid.begin(), valid.begin() + static_cast<long>(len)});
+  // Every scalar is 4 bytes on the wire.
+  constexpr std::size_t sb = 4;
+  // Offsets of every u32 dimension field: magic, version and tag come
+  // first, then the monitor id.
+  const std::vector<std::size_t> combined_dims = {7, 11, 15 + k * p * sb};
+  const std::size_t nr = 15 + k * r * sb;
+  const std::size_t vt_rows = nr + 4 + r * sb;
+  const std::vector<std::size_t> split_dims = {
+      7, 11, nr, vt_rows, vt_rows + 4, vt_rows + 8 + r * p * sb};
+  const std::pair<summarize::MonitorSummary, std::vector<std::size_t>>
+      shapes[] = {{combined, combined_dims}, {split, split_dims}};
+  for (const auto& [summary, dims] : shapes) {
+    const auto valid = summarize::serialize(summary);
+    for (std::size_t len = 0; len < valid.size(); ++len) {
+      check(valid, {valid.begin(), valid.begin() + static_cast<long>(len)});
+    }
+    for (int i = 0; i < 300; ++i) {
+      auto mutant = valid;
+      const std::size_t flips = 1 + rng() % 3;
+      for (std::size_t f = 0; f < flips; ++f) {
+        mutant[rng() % mutant.size()] ^= static_cast<std::uint8_t>(rng() | 1);
       }
-      for (int i = 0; i < 300; ++i) {
+      check(valid, mutant);
+    }
+    for (const std::size_t at : dims) {
+      const std::uint32_t v = std::uint32_t{valid[at]} |
+                              (std::uint32_t{valid[at + 1]} << 8) |
+                              (std::uint32_t{valid[at + 2]} << 16) |
+                              (std::uint32_t{valid[at + 3]} << 24);
+      for (const std::uint32_t x :
+           {0u, 1u, v - 1, v + 1, 2 * v, 1u << 20, 0xFFFFFFFFu}) {
         auto mutant = valid;
-        const std::size_t flips = 1 + rng() % 3;
-        for (std::size_t f = 0; f < flips; ++f) {
-          mutant[rng() % mutant.size()] ^= static_cast<std::uint8_t>(rng() | 1);
-        }
+        put_u32(mutant, at, x);
         check(valid, mutant);
-      }
-      for (const std::size_t at : dims) {
-        const std::uint32_t v = std::uint32_t{valid[at]} |
-                                (std::uint32_t{valid[at + 1]} << 8) |
-                                (std::uint32_t{valid[at + 2]} << 16) |
-                                (std::uint32_t{valid[at + 3]} << 24);
-        for (const std::uint32_t x :
-             {0u, 1u, v - 1, v + 1, 2 * v, 1u << 20, 0xFFFFFFFFu}) {
-          auto mutant = valid;
-          put_u32(mutant, at, x);
-          check(valid, mutant);
-        }
       }
     }
   }
@@ -243,7 +239,10 @@ TEST(Fuzz, RankZeroSummaryClaimingHugeWidthIsRefused) {
   ASSERT_NO_THROW((void)summarize::parse_summary(valid));
   // magic, version, tag, monitor, U rows, U cols, rank, V^T rows: V^T cols.
   constexpr std::size_t kVtCols = 23;
-  for (const std::uint32_t cols : {(1u << 26) + 1, 0xFFFFFFFFu}) {
+  constexpr auto kWidest =
+      static_cast<std::uint32_t>(summarize::kMaxSummaryCols);
+  for (const std::uint32_t cols :
+       {kWidest + 1, 1u << 26, (1u << 26) + 1, 0xFFFFFFFFu}) {
     auto bytes = valid;
     for (int i = 0; i < 4; ++i) {
       bytes[kVtCols + i] = static_cast<std::uint8_t>(cols >> (8 * i));
@@ -261,13 +260,13 @@ TEST(Fuzz, RankZeroSummaryClaimingHugeWidthIsRefused) {
     EXPECT_EQ(agg.summaries_added(), 0u);
     EXPECT_TRUE(agg.take().empty());
   }
-  // The bound is 2^26 elements, as for a wire matrix; parsing allocates
-  // nothing, so the largest legal width is cheap to check here.
+  // The bound is the field width (kMaxSummaryCols), so a rank-0 row costs
+  // at most 128x its 4 count bytes.
   auto widest = valid;
   for (int i = 0; i < 4; ++i) {
-    widest[kVtCols + i] = static_cast<std::uint8_t>((1u << 26) >> (8 * i));
+    widest[kVtCols + i] = static_cast<std::uint8_t>(kWidest >> (8 * i));
   }
-  EXPECT_EQ(summarize::parse_summary(widest).cols, 1u << 26);
+  EXPECT_EQ(summarize::parse_summary(widest).cols, kWidest);
 }
 
 TEST(Fuzz, ProtoDecoderThrowsCleanly) {

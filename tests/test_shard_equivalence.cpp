@@ -471,9 +471,9 @@ TEST(ShardEquivalence, OpsStreamMatchesPinnedDigest) {
 
   EXPECT_EQ(digest(run.ops_records), "117ca86af6b5fb2b");
   EXPECT_EQ(digest(run.doctor_timeline), "24565d20635a4749");
-  EXPECT_EQ(digest(run.span_jsonl), "6b735b96896fefad");
+  EXPECT_EQ(digest(run.span_jsonl), "cb1eb754c0dcd012");
   EXPECT_EQ(digest(run.alert_lines), "baa483928d8d1424");
-  EXPECT_EQ(digest(run.provenance_lines), "4d1ccdd4eced58d5");
+  EXPECT_EQ(digest(run.provenance_lines), "0793c0a4b88471d4");
   EXPECT_EQ(digest(run.flight_dump), "6def86d8b366a020");
   EXPECT_EQ(digest(run.slo_jsonl), "86b595b31e9b295d");
 }

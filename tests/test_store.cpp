@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -585,13 +586,41 @@ TEST(Store, UncommittedEpochIsDroppedOnReopen) {
                             const summarize::MonitorSummary& s) {
     EXPECT_EQ(epoch, 0u);
     EXPECT_EQ(monitor, 1u);
-    // Full-fidelity storage: scalars come back bit-identical.
+    // Stored as shipped: scalars come back float32-rounded.
     const auto& c = std::get<summarize::CombinedSummary>(s);
-    EXPECT_EQ(c.centroids(0, 1), 1.0 / 3.0);
+    EXPECT_EQ(c.centroids(0, 1), static_cast<double>(1.0f / 3.0f));
     ++summaries;
     return true;
   });
   EXPECT_EQ(summaries, 1u);  // the uncommitted epoch-1 summary is gone
+}
+
+TEST(Store, SummaryRecordIsTheShippedBytes) {
+  // One encoding from monitor to disk: a stored summary record is
+  // summarize::serialize(s) (version 1, float32) whichever put_summary
+  // form wrote it.
+  const summarize::MonitorSummary s = sample_summary(4);
+  const std::vector<std::uint8_t> shipped = summarize::serialize(s);
+  ASSERT_EQ(shipped[1], summarize::kWireVersion);
+  ASSERT_EQ(summarize::kWireVersion, 1u);
+  TempDir dir("shipped");
+  {
+    DeploymentStore store({dir.str(), 64}, /*writable=*/true);
+    store.put_summary(0, s);
+    store.put_summary(0, 4, shipped);
+    store.commit_epoch({0, 2.0, 1000, 1.0, 0.0});
+  }
+  const DeploymentStore reader({dir.str(), 64}, /*writable=*/false);
+  std::size_t records = 0;
+  reader.summaries_log().for_each([&](const RecordView& rec) {
+    if (rec.kind != RecordKind::kSummary) return true;
+    ++records;
+    EXPECT_EQ(rec.stream, 4u);
+    EXPECT_TRUE(std::equal(rec.payload.begin(), rec.payload.end(),
+                           shipped.begin(), shipped.end()));
+    return true;
+  });
+  EXPECT_EQ(records, 2u);
 }
 
 /// What a full walk of the summaries log says: the last EpochMeta's epoch,
@@ -729,8 +758,7 @@ TEST(Store, ReplayDropsEpochWithMalformedMeta) {
     // replayed — and its summaries must not leak into epoch 2's aggregate.
     TimeShardLog log({dir.str(), "summaries", 64}, /*writable=*/true);
     const auto put_summary = [&](std::uint64_t e, std::uint32_t mon) {
-      const auto bytes = summarize::serialize(
-          sample_summary(mon), summarize::WirePrecision::kFloat64);
+      const auto bytes = summarize::serialize(sample_summary(mon));
       ASSERT_TRUE(log.append(e, mon, RecordKind::kSummary, bytes));
     };
     put_summary(0, 1);
@@ -789,8 +817,7 @@ TEST(Store, ReplayReadsNonFiniteMetaAsDocumented) {
   TempDir dir("nanmeta");
   {
     TimeShardLog log({dir.str(), "summaries", 64}, /*writable=*/true);
-    const auto bytes = summarize::serialize(summarize::MonitorSummary{hit},
-                                            summarize::WirePrecision::kFloat64);
+    const auto bytes = summarize::serialize(summarize::MonitorSummary{hit});
     const EpochMeta metas[] = {{0, 2.0, 2000, kNaN, kNaN},
                                {1, 4.0, 2000, 1.0, 0.0},
                                {2, 6.0, kMax, 1.0, 0.0}};
@@ -900,8 +927,7 @@ TEST(Store, ReplayDropsSummariesOfALostCommitRecord) {
       if (e == 1 && !with_epoch_1) continue;
       for (std::uint32_t m = 0; m < 2; ++m) {
         const auto bytes = summarize::serialize(
-            summarize::MonitorSummary{question_hit(rules, m, 700 + 100 * e)},
-            summarize::WirePrecision::kFloat64);
+            summarize::MonitorSummary{question_hit(rules, m, 700 + 100 * e)});
         ASSERT_TRUE(log.append(e, m, RecordKind::kSummary, bytes));
       }
       const double end = 2.0 * static_cast<double>(e + 1);
@@ -957,8 +983,7 @@ TEST(Store, ReplayEndsAShardAtARecordClaimingAnotherShardsEpoch) {
       if (e == 0 && !with_epoch_0) continue;
       for (std::uint32_t m = 0; m < 2; ++m) {
         const auto bytes = summarize::serialize(
-            summarize::MonitorSummary{question_hit(rules, m, 700 + 100 * e)},
-            summarize::WirePrecision::kFloat64);
+            summarize::MonitorSummary{question_hit(rules, m, 700 + 100 * e)});
         ASSERT_TRUE(log.append(e, m, RecordKind::kSummary, bytes));
       }
       const double end = 2.0 * static_cast<double>(e + 1);
@@ -1031,9 +1056,9 @@ summarize::SplitSummary random_split(std::uint32_t monitor, std::size_t k,
 }
 
 TEST(Store, PooledReplayMatchesSerial) {
-  // Split and combined summaries (one float32 payload per epoch too) over
-  // shard widths that put 1, 2 and all epochs in a shard; epoch 3's commit
-  // record is malformed.  Replay must not depend on the engine's pool.
+  // Split and combined summaries over shard widths that put 1, 2 and all
+  // epochs in a shard; epoch 3's commit record is malformed.  Replay must
+  // not depend on the engine's pool.
   const auto rules = ruleset();
   std::mt19937_64 rng(21);
   std::vector<std::vector<std::vector<std::uint8_t>>> epochs(6);
@@ -1041,14 +1066,10 @@ TEST(Store, PooledReplayMatchesSerial) {
     const summarize::MonitorSummary summaries[] = {
         question_hit(rules, 0, 400 + 150 * e), random_split(1, 40, 6, rng),
         random_split(2, 25, 12, rng), question_hit(rules, 3, 300),
-        random_split(4, 60, 12, rng)};
+        random_split(4, 60, 12, rng), random_split(5, 30, 4, rng)};
     for (const summarize::MonitorSummary& s : summaries) {
-      epochs[e].push_back(
-          summarize::serialize(s, summarize::WirePrecision::kFloat64));
+      epochs[e].push_back(summarize::serialize(s));
     }
-    epochs[e].push_back(summarize::serialize(
-        summarize::MonitorSummary{random_split(5, 30, 4, rng)},
-        summarize::WirePrecision::kFloat32));
   }
   std::optional<std::vector<ReplayEpoch>> reference;
   for (const std::uint64_t width : {64u, 2u, 1u}) {
