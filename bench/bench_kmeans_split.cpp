@@ -47,21 +47,25 @@ linalg::Matrix u_batch(std::size_t b) {
       .u;
 }
 
-/// kmeans()'s k-means++ seeding alone: the SoA copy, one seed_update per
-/// seed (the last one too) and the serial pick.  Returns the seed rows.
+/// kmeans()'s k-means++ seeding alone: the float SoA copy, one seed_update
+/// per seed (the last one too) and the serial pick.  Returns the seed rows.
 std::vector<std::size_t> seed_only(const linalg::Matrix& x, std::size_t k,
                                    std::mt19937_64& rng) {
   const std::size_t n = x.rows();
-  const linalg::SoaMatrix xs = linalg::SoaMatrix::from_rows(x);
-  std::vector<double> d2(n, std::numeric_limits<double>::max());
-  std::vector<double> second(n, std::numeric_limits<double>::max());
-  std::vector<std::size_t> nearest(n, 0);
+  const std::size_t d = x.cols();
+  const auto xs = linalg::SoaMatrix<float>::from_rows(x);
+  std::vector<float> d2(n, std::numeric_limits<float>::max());
+  std::vector<float> second(n, std::numeric_limits<float>::max());
+  std::vector<std::uint32_t> nearest(n, 0);
+  std::vector<float> centres;
   std::vector<std::size_t> seeds;
   const auto add = [&](std::size_t row) {
+    for (std::size_t j = 0; j < d; ++j) centres.push_back(xs(row, j));
     seeds.push_back(row);
-    return linalg::simd::seed_update(xs.data(), xs.stride(), xs.cols(),
-                                     x.row(row).data(), seeds.size() - 1, n,
-                                     d2.data(), nearest.data(), second.data());
+    return linalg::simd::seed_update(
+        xs.data(), xs.stride(), d, centres.data() + (seeds.size() - 1) * d,
+        static_cast<std::uint32_t>(seeds.size() - 1), n, d2.data(),
+        nearest.data(), second.data());
   };
   std::uniform_real_distribution<double> unit(0.0, 1.0);
   double total = add(rng() % n);
@@ -107,10 +111,12 @@ int main() {
   for (std::size_t b = 0; b < kBatches; ++b) batches.push_back(u_batch(b));
 
   // The replica must pick exactly kmeans()'s seeds: with no Lloyd iteration
-  // the returned centroids are the seed rows.
+  // the returned centroids are the seed rows, rounded to float.
   double iterations = 0.0;
   for (std::size_t b = 0; b < kBatches; ++b) {
     const linalg::Matrix& x = batches[b];
+    const linalg::Matrix rounded =
+        linalg::SoaMatrix<float>::from_rows(x).to_rows();
     std::mt19937_64 rng_a(b);
     const auto seeds = seed_only(x, kK, rng_a);
     summarize::KMeansOptions capped;
@@ -118,7 +124,8 @@ int main() {
     std::mt19937_64 rng_b(b);
     const auto km = summarize::kmeans(x, kK, rng_b, capped);
     for (std::size_t c = 0; c < kK; ++c) {
-      if (std::memcmp(km.centroids.row(c).data(), x.row(seeds[c]).data(),
+      if (std::memcmp(km.centroids.row(c).data(),
+                      rounded.row(seeds[c]).data(),
                       x.cols() * sizeof(double)) != 0) {
         std::printf("  MISMATCH: seeding replica differs from kmeans() "
                     "(batch %zu, seed %zu)\n",

@@ -112,10 +112,10 @@ int main() {
   for (double& v : col_a) v = unit(rng);
   for (double& v : col_b) v = unit(rng);
 
-  // SoA batch + centroids for the k-means kernels.
+  // Float SoA batch + centroids for the k-means kernels.
   linalg::Matrix batch_rows(kBatch, kDims);
   for (double& v : batch_rows.data()) v = unit(rng);
-  const linalg::SoaMatrix batch = linalg::SoaMatrix::from_rows(batch_rows);
+  const auto batch = linalg::SoaMatrix<float>::from_rows(batch_rows);
   linalg::Matrix centroids(kCentroids, kDims);
   for (double& v : centroids.data()) v = unit(rng);
 
@@ -159,8 +159,8 @@ int main() {
       static_cast<double>(kColLen) * kColIters, rows);
 
   constexpr int kAssignIters = 50;
-  std::vector<std::size_t> assignment(kBatch);
-  std::vector<double> best_dist(kBatch);
+  std::vector<std::uint32_t> assignment(kBatch);
+  std::vector<float> best_dist(kBatch);
   all_identical &= report(
       "kmeans_assign",
       time_levels([&] {
@@ -176,30 +176,32 @@ int main() {
       static_cast<double>(kBatch) * kAssignIters, rows);
 
   // k-means++ D^2 update at the paper's operating point (n = 2000 rows of
-  // U_r, r = 12): one seed_update (distances, the nearest seed and the
-  // runner-up distance, plus the serial total) per chosen centre.
+  // U_r, r = 12): one seed_update (float distances, the nearest seed and
+  // the runner-up distance, plus the 16-lane total) per chosen centre.
   constexpr std::size_t kSeedRows = 2000;
   constexpr std::size_t kSeedDims = 12;
   constexpr int kSeedIters = 400;
   linalg::Matrix seed_rows(kSeedRows, kSeedDims);
   for (double& v : seed_rows.data()) v = unit(rng);
-  const linalg::SoaMatrix seed_batch = linalg::SoaMatrix::from_rows(seed_rows);
-  std::vector<double> d2(kSeedRows);
-  std::vector<std::size_t> nearest(kSeedRows);
-  std::vector<double> second(kSeedRows);
+  const auto seed_batch = linalg::SoaMatrix<float>::from_rows(seed_rows);
+  const std::vector<float> seed_centres(seed_rows.data().begin(),
+                                        seed_rows.data().end());
+  std::vector<float> d2(kSeedRows);
+  std::vector<std::uint32_t> nearest(kSeedRows);
+  std::vector<float> second(kSeedRows);
   all_identical &= report(
       "seed_update",
       time_levels([&] {
-        std::fill(d2.begin(), d2.end(), std::numeric_limits<double>::max());
+        std::fill(d2.begin(), d2.end(), std::numeric_limits<float>::max());
         std::fill(nearest.begin(), nearest.end(), 0);
         std::fill(second.begin(), second.end(),
-                  std::numeric_limits<double>::max());
+                  std::numeric_limits<float>::max());
         double acc = 0.0;
         for (int i = 0; i < kSeedIters; ++i) {
           acc += simd::seed_update(
               seed_batch.data(), seed_batch.stride(), kSeedDims,
-              seed_rows.row((i * 7) % kSeedRows).data(),
-              static_cast<std::size_t>(i), kSeedRows, d2.data(),
+              seed_centres.data() + ((i * 7) % kSeedRows) * kSeedDims,
+              static_cast<std::uint32_t>(i), kSeedRows, d2.data(),
               nearest.data(), second.data());
         }
         return acc + second[kSeedRows / 2] +

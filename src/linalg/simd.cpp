@@ -29,40 +29,43 @@ namespace {
 #ifdef JAAL_SIMD_X86
 typedef double v4d __attribute__((vector_size(32)));
 typedef double v8d __attribute__((vector_size(64)));
+typedef double v16d __attribute__((vector_size(128)));
+typedef float v8f __attribute__((vector_size(32)));
+typedef float v16f __attribute__((vector_size(64)));
 #endif
 
 // ---------------------------------------------------------------------------
-// nearest_centroids: lanes are points (SoA batch), reduction over fields is
-// serial per lane, so every level is bit-identical to the scalar scan.  The
-// runner-up is a pure selection among the same sums: a closer centroid
-// demotes the old best to second, otherwise a smaller sum replaces second.
+// nearest_centroids: lanes are points (float SoA batch), reduction over
+// fields is serial per lane, so every level is bit-identical to the scalar
+// scan.  The runner-up is a pure selection among the same sums: a closer
+// centroid demotes the old best to second, otherwise a smaller sum replaces
+// second.
 
-[[gnu::always_inline]] inline double sq_dist_lane(const double* x,
-                                                  std::size_t stride,
-                                                  std::size_t d,
-                                                  const double* c,
-                                                  std::size_t i) noexcept {
-  double acc = 0.0;
+[[gnu::always_inline]] inline float sq_dist_lane(const float* x,
+                                                 std::size_t stride,
+                                                 std::size_t d, const float* c,
+                                                 std::size_t i) noexcept {
+  float acc = 0.0f;
   for (std::size_t j = 0; j < d; ++j) {
-    const double diff = x[j * stride + i] - c[j];
+    const float diff = x[j * stride + i] - c[j];
     acc += diff * diff;
   }
   return acc;
 }
 
 [[gnu::always_inline]] inline void nearest_one(
-    const double* x, std::size_t stride, std::size_t d,
-    const double* centroids, std::size_t k, std::size_t i,
-    std::size_t* assignment, double* best_dist, double* second_dist) noexcept {
-  double best = std::numeric_limits<double>::max();
-  double second = best;
-  std::size_t best_c = 0;
+    const float* x, std::size_t stride, std::size_t d, const float* centroids,
+    std::size_t k, std::size_t i, std::uint32_t* assignment, float* best_dist,
+    float* second_dist) noexcept {
+  float best = std::numeric_limits<float>::max();
+  float second = best;
+  std::uint32_t best_c = 0;
   for (std::size_t c = 0; c < k; ++c) {
-    const double acc = sq_dist_lane(x, stride, d, centroids + c * d, i);
+    const float acc = sq_dist_lane(x, stride, d, centroids + c * d, i);
     if (acc < best) {
       second = best;
       best = acc;
-      best_c = c;
+      best_c = static_cast<std::uint32_t>(c);
     } else if (acc < second) {
       second = acc;
     }
@@ -72,11 +75,11 @@ typedef double v8d __attribute__((vector_size(64)));
   second_dist[i] = second;
 }
 
-void nearest_centroids_scalar(const double* x, std::size_t stride,
-                              std::size_t d, const double* centroids,
+void nearest_centroids_scalar(const float* x, std::size_t stride,
+                              std::size_t d, const float* centroids,
                               std::size_t k, std::size_t begin,
-                              std::size_t end, std::size_t* assignment,
-                              double* best_dist, double* second_dist) noexcept {
+                              std::size_t end, std::uint32_t* assignment,
+                              float* best_dist, float* second_dist) noexcept {
   for (std::size_t i = begin; i < end; ++i) {
     nearest_one(x, stride, d, centroids, k, i, assignment, best_dist,
                 second_dist);
@@ -84,27 +87,26 @@ void nearest_centroids_scalar(const double* x, std::size_t stride,
 }
 
 #ifdef JAAL_SIMD_X86
-template <class VD>
+template <class VF>
 [[gnu::always_inline]] inline void nearest_centroids_impl(
-    const double* x, std::size_t stride, std::size_t d,
-    const double* centroids, std::size_t k, std::size_t begin,
-    std::size_t end, std::size_t* assignment, double* best_dist,
-    double* second_dist) noexcept {
-  constexpr std::size_t kW = sizeof(VD) / sizeof(double);
-  using VI = decltype(std::declval<VD>() < std::declval<VD>());
+    const float* x, std::size_t stride, std::size_t d, const float* centroids,
+    std::size_t k, std::size_t begin, std::size_t end,
+    std::uint32_t* assignment, float* best_dist, float* second_dist) noexcept {
+  constexpr std::size_t kW = sizeof(VF) / sizeof(float);
+  using VI = decltype(std::declval<VF>() < std::declval<VF>());
   std::size_t i = begin;
   for (; i + kW <= end; i += kW) {
-    VD best = VD{} + std::numeric_limits<double>::max();
-    VD second = best;
+    VF best = VF{} + std::numeric_limits<float>::max();
+    VF second = best;
     VI best_c = {};
     VI ci = {};
     for (std::size_t c = 0; c < k; ++c, ci += 1) {
-      const double* cen = centroids + c * d;
-      VD acc = {};
+      const float* cen = centroids + c * d;
+      VF acc = {};
       for (std::size_t j = 0; j < d; ++j) {
-        VD xv;
+        VF xv;
         std::memcpy(&xv, x + j * stride + i, sizeof xv);
-        const VD diff = xv - cen[j];
+        const VF diff = xv - cen[j];
         acc += diff * diff;
       }
       const VI closer = acc < best;
@@ -112,11 +114,9 @@ template <class VD>
       best = closer ? acc : best;
       best_c = closer ? ci : best_c;
     }
-    for (std::size_t l = 0; l < kW; ++l) {
-      assignment[i + l] = static_cast<std::size_t>(best_c[l]);
-      best_dist[i + l] = best[l];
-      second_dist[i + l] = second[l];
-    }
+    std::memcpy(assignment + i, &best_c, sizeof best_c);
+    std::memcpy(best_dist + i, &best, sizeof best);
+    std::memcpy(second_dist + i, &second, sizeof second);
   }
   for (; i < end; ++i) {
     nearest_one(x, stride, d, centroids, k, i, assignment, best_dist,
@@ -125,21 +125,19 @@ template <class VD>
 }
 
 __attribute__((target("avx2"))) void nearest_centroids_avx2(
-    const double* x, std::size_t stride, std::size_t d,
-    const double* centroids, std::size_t k, std::size_t begin,
-    std::size_t end, std::size_t* assignment, double* best_dist,
-    double* second_dist) noexcept {
-  nearest_centroids_impl<v4d>(x, stride, d, centroids, k, begin, end,
+    const float* x, std::size_t stride, std::size_t d, const float* centroids,
+    std::size_t k, std::size_t begin, std::size_t end,
+    std::uint32_t* assignment, float* best_dist, float* second_dist) noexcept {
+  nearest_centroids_impl<v8f>(x, stride, d, centroids, k, begin, end,
                               assignment, best_dist, second_dist);
 }
 
 __attribute__((target("avx512f"))) void nearest_centroids_avx512(
-    const double* x, std::size_t stride, std::size_t d,
-    const double* centroids, std::size_t k, std::size_t begin,
-    std::size_t end, std::size_t* assignment, double* best_dist,
-    double* second_dist) noexcept {
-  nearest_centroids_impl<v8d>(x, stride, d, centroids, k, begin, end,
-                              assignment, best_dist, second_dist);
+    const float* x, std::size_t stride, std::size_t d, const float* centroids,
+    std::size_t k, std::size_t begin, std::size_t end,
+    std::uint32_t* assignment, float* best_dist, float* second_dist) noexcept {
+  nearest_centroids_impl<v16f>(x, stride, d, centroids, k, begin, end,
+                               assignment, best_dist, second_dist);
 }
 #endif  // JAAL_SIMD_X86
 
@@ -147,93 +145,121 @@ __attribute__((target("avx512f"))) void nearest_centroids_avx512(
 // seed_update: lanes are points; each lane is one nearest_centroids lane
 // against a single centre, folded into (d2, nearest, second) with the same
 // select as nearest_centroids.  The test is a strict less-than, so the
-// earliest centre keeps a tie (the std::min of the scalar seeder keeps d2[i],
-// and the first-index-wins scan keeps its first centroid).  The total is a
-// scalar chain in point order at every level.  The scalar lane is
-// written as selects, not an if/else chain: early seeds move d2 often, and
-// the branches cost the forced-scalar path ~30 %.
+// earliest centre keeps a tie (the first-index-wins scan keeps its first
+// centroid).  The scalar lane is written as selects, not an if/else chain:
+// early seeds move d2 often, and the branches cost the forced-scalar path
+// ~30 %.
+//
+// The total is 16 canonical double lanes, lane l = i % 16 in ascending i,
+// folded by canonical_total().  A vector level keeps 16 / W accumulators of
+// W double lanes, and the step at point i widens its d2 into the one that
+// holds lanes i % 16 to i % 16 + W - 1; the points past the last whole
+// vector go to lane[i % 16] one by one, as in the scalar loop.  Each lane's adds are
+// the same in every level, so the totals are bit-identical.
+
+constexpr std::size_t kTotalLanes = 16;
+
+double canonical_total(double* lane) noexcept {
+  for (std::size_t w = kTotalLanes / 2; w > 0; w /= 2) {
+    for (std::size_t l = 0; l < w; ++l) lane[l] += lane[l + w];
+  }
+  return lane[0];
+}
 
 [[gnu::always_inline]] inline void seed_one(
-    const double* x, std::size_t stride, std::size_t d, const double* c,
-    std::size_t c_index, std::size_t i, double* d2, std::size_t* nearest,
-    double* second) noexcept {
-  const double acc = sq_dist_lane(x, stride, d, c, i);
-  const double cur = d2[i];
-  const double sec = second[i];
+    const float* x, std::size_t stride, std::size_t d, const float* c,
+    std::uint32_t c_index, std::size_t i, float* d2, std::uint32_t* nearest,
+    float* second) noexcept {
+  const float acc = sq_dist_lane(x, stride, d, c, i);
+  const float cur = d2[i];
+  const float sec = second[i];
   const bool closer = acc < cur;
   second[i] = closer ? cur : (acc < sec ? acc : sec);
   d2[i] = closer ? acc : cur;
   nearest[i] = closer ? c_index : nearest[i];
 }
 
-double seed_update_scalar(const double* x, std::size_t stride, std::size_t d,
-                          const double* c, std::size_t c_index,
-                          std::size_t n, double* d2, std::size_t* nearest,
-                          double* second) noexcept {
-  double total = 0.0;
+double seed_update_scalar(const float* x, std::size_t stride, std::size_t d,
+                          const float* c, std::uint32_t c_index,
+                          std::size_t n, float* d2, std::uint32_t* nearest,
+                          float* second) noexcept {
+  double lane[kTotalLanes] = {};
   for (std::size_t i = 0; i < n; ++i) {
     seed_one(x, stride, d, c, c_index, i, d2, nearest, second);
-    total += d2[i];
+    lane[i % kTotalLanes] += d2[i];
   }
-  return total;
+  return canonical_total(lane);
 }
 
 #ifdef JAAL_SIMD_X86
-template <class VD>
+/// Updates points [i, i + W) of one vector step and adds their new d2,
+/// widened to double, into `total`'s lanes.
+template <class VF, class VD>
+[[gnu::always_inline]] inline void seed_step(
+    const float* x, std::size_t stride, std::size_t d, const float* c,
+    std::uint32_t c_index, std::size_t i, float* d2, std::uint32_t* nearest,
+    float* second, VD& total) noexcept {
+  using VI = decltype(std::declval<VF>() < std::declval<VF>());
+  VF acc = {};
+  for (std::size_t j = 0; j < d; ++j) {
+    VF xv;
+    std::memcpy(&xv, x + j * stride + i, sizeof xv);
+    const VF diff = xv - c[j];
+    acc += diff * diff;
+  }
+  VF cur, sec;
+  VI near;
+  std::memcpy(&cur, d2 + i, sizeof cur);
+  std::memcpy(&sec, second + i, sizeof sec);
+  std::memcpy(&near, nearest + i, sizeof near);
+  const VI closer = acc < cur;
+  sec = closer ? cur : (acc < sec ? acc : sec);
+  cur = closer ? acc : cur;
+  near = closer ? VI{} + static_cast<int>(c_index) : near;
+  std::memcpy(d2 + i, &cur, sizeof cur);
+  std::memcpy(second + i, &sec, sizeof sec);
+  std::memcpy(nearest + i, &near, sizeof near);
+  total += __builtin_convertvector(cur, VD);
+}
+
+/// VF: the float lanes of one step; VD: as many double lanes.
+template <class VF, class VD>
 [[gnu::always_inline]] inline double seed_update_impl(
-    const double* x, std::size_t stride, std::size_t d, const double* c,
-    std::size_t c_index, std::size_t n, double* d2, std::size_t* nearest,
-    double* second) noexcept {
-  constexpr std::size_t kW = sizeof(VD) / sizeof(double);
-  using VI = decltype(std::declval<VD>() < std::declval<VD>());
-  static_assert(sizeof(std::size_t) == sizeof(long long),
-                "nearest[] is loaded and stored as 64-bit index lanes");
-  const VI ci = VI{} + static_cast<long long>(c_index);
-  double total = 0.0;
+    const float* x, std::size_t stride, std::size_t d, const float* c,
+    std::uint32_t c_index, std::size_t n, float* d2, std::uint32_t* nearest,
+    float* second) noexcept {
+  constexpr std::size_t kW = sizeof(VF) / sizeof(float);
+  constexpr std::size_t kAcc = kTotalLanes / kW;
+  static_assert(kAcc * kW == kTotalLanes && sizeof(VD) == kW * sizeof(double));
+  VD total[kAcc] = {};
   std::size_t i = 0;
   for (; i + kW <= n; i += kW) {
-    VD acc = {};
-    for (std::size_t j = 0; j < d; ++j) {
-      VD xv;
-      std::memcpy(&xv, x + j * stride + i, sizeof xv);
-      const VD diff = xv - c[j];
-      acc += diff * diff;
-    }
-    VD cur, sec;
-    VI near;
-    std::memcpy(&cur, d2 + i, sizeof cur);
-    std::memcpy(&sec, second + i, sizeof sec);
-    std::memcpy(&near, nearest + i, sizeof near);
-    const VI closer = acc < cur;
-    sec = closer ? cur : (acc < sec ? acc : sec);
-    cur = closer ? acc : cur;
-    near = closer ? ci : near;
-    std::memcpy(d2 + i, &cur, sizeof cur);
-    std::memcpy(second + i, &sec, sizeof sec);
-    std::memcpy(nearest + i, &near, sizeof near);
-    for (std::size_t l = 0; l < kW; ++l) total += cur[l];
+    seed_step<VF>(x, stride, d, c, c_index, i, d2, nearest, second,
+                  total[(i / kW) % kAcc]);
   }
+  double lane[kTotalLanes];
+  std::memcpy(lane, total, sizeof lane);
   for (; i < n; ++i) {
     seed_one(x, stride, d, c, c_index, i, d2, nearest, second);
-    total += d2[i];
+    lane[i % kTotalLanes] += d2[i];
   }
-  return total;
+  return canonical_total(lane);
 }
 
 __attribute__((target("avx2"))) double seed_update_avx2(
-    const double* x, std::size_t stride, std::size_t d, const double* c,
-    std::size_t c_index, std::size_t n, double* d2, std::size_t* nearest,
-    double* second) noexcept {
-  return seed_update_impl<v4d>(x, stride, d, c, c_index, n, d2, nearest,
-                               second);
+    const float* x, std::size_t stride, std::size_t d, const float* c,
+    std::uint32_t c_index, std::size_t n, float* d2, std::uint32_t* nearest,
+    float* second) noexcept {
+  return seed_update_impl<v8f, v8d>(x, stride, d, c, c_index, n, d2, nearest,
+                                    second);
 }
 
 __attribute__((target("avx512f"))) double seed_update_avx512(
-    const double* x, std::size_t stride, std::size_t d, const double* c,
-    std::size_t c_index, std::size_t n, double* d2, std::size_t* nearest,
-    double* second) noexcept {
-  return seed_update_impl<v8d>(x, stride, d, c, c_index, n, d2, nearest,
-                               second);
+    const float* x, std::size_t stride, std::size_t d, const float* c,
+    std::uint32_t c_index, std::size_t n, float* d2, std::uint32_t* nearest,
+    float* second) noexcept {
+  return seed_update_impl<v16f, v16d>(x, stride, d, c, c_index, n, d2,
+                                      nearest, second);
 }
 #endif  // JAAL_SIMD_X86
 
@@ -463,11 +489,11 @@ void rotate_pair(double* a, double* b, std::size_t n, double cs,
   rotate_pair_scalar(a, b, n, cs, sn);
 }
 
-void nearest_centroids(const double* x, std::size_t stride, std::size_t d,
-                       const double* centroids, std::size_t k,
+void nearest_centroids(const float* x, std::size_t stride, std::size_t d,
+                       const float* centroids, std::size_t k,
                        std::size_t begin, std::size_t end,
-                       std::size_t* assignment, double* best_dist,
-                       double* second_dist) noexcept {
+                       std::uint32_t* assignment, float* best_dist,
+                       float* second_dist) noexcept {
 #ifdef JAAL_SIMD_X86
   switch (active()) {
     case Level::kAvx512:
@@ -484,9 +510,9 @@ void nearest_centroids(const double* x, std::size_t stride, std::size_t d,
                            best_dist, second_dist);
 }
 
-double seed_update(const double* x, std::size_t stride, std::size_t d,
-                   const double* c, std::size_t c_index, std::size_t n,
-                   double* d2, std::size_t* nearest, double* second) noexcept {
+double seed_update(const float* x, std::size_t stride, std::size_t d,
+                   const float* c, std::uint32_t c_index, std::size_t n,
+                   float* d2, std::uint32_t* nearest, float* second) noexcept {
 #ifdef JAAL_SIMD_X86
   switch (active()) {
     case Level::kAvx512:

@@ -23,7 +23,7 @@ SvdResult jacobi_tall(const Matrix& a, const SvdOptions& opts) {
 
   // Column-major working copy: Jacobi touches column pairs, so keep each
   // column contiguous (and padded for the vector kernels).
-  SoaMatrix w = SoaMatrix::from_rows(a);
+  SoaMatrix<double> w = SoaMatrix<double>::from_rows(a);
   Matrix v = Matrix::identity(p);
 
   int sweeps_used = 0;

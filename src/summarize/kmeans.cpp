@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -16,6 +17,8 @@
 namespace jaal::summarize {
 namespace {
 
+using Points = linalg::SoaMatrix<float>;
+
 /// Below this many points the fan-out overhead exceeds the win; the output
 /// is identical either way, so the cutoff only affects speed.
 constexpr std::size_t kParallelAssignMin = 128;
@@ -25,14 +28,21 @@ constexpr std::size_t kParallelAssignMin = 128;
 /// decomposition yields identical bits.
 constexpr std::size_t kAssignBlock = 512;
 
-/// Relative slack on every Hamerly bound.  Rounding in a computed distance,
-/// drift or bound update is ~d * 2^-53 relative; 1e-9 dwarfs it, so a bound
-/// that passes the prune test with this slack holds for the exact values.
-constexpr double kBoundSlack = 1e-9;
+/// Relative slack on every Hamerly bound, for d fields.  A computed
+/// squared distance is float arithmetic: one rounding in each difference
+/// (twice over once squared), one in each square and d - 1 in the sum, so
+/// it is within (d + 2) * 2^-24 of the exact squared distance between the
+/// stored floats, and its square root within half that.  The slack is
+/// eight times the root's error, and dwarfs the double rounding of drifts
+/// and bound updates (~2^-53).
+[[nodiscard]] double bound_slack(std::size_t d) noexcept {
+  return 4.0 * static_cast<double>(d + 2) * 0x1p-24;
+}
 
-/// Absolute floor of the prune margin: squared differences below ~1e-154
-/// underflow, so distances under this cannot be trusted to order points.
-constexpr double kUnderflowFloor = 1e-150;
+/// Absolute floor of the prune margin: float squares below ~1e-38 lose
+/// relative precision (subnormal) and underflow, so distances under ~1e-19
+/// cannot be trusted to order points.
+constexpr double kUnderflowFloor = 1e-15;
 
 /// Runs body(block, begin, end) over kAssignBlock-point blocks of [0, n),
 /// fanned out over `pool` when there is one and the batch is large enough.
@@ -49,13 +59,14 @@ void for_each_block(std::size_t n, runtime::ThreadPool* pool, Body&& body) {
   }
 }
 
-/// |x_i - c|^2 with one nearest_centroids lane's arithmetic: x[j] - c[j],
-/// squares summed in j order, no contraction.  Equal to the kernel's bits.
-[[nodiscard]] double lane_sq_dist(const linalg::SoaMatrix& xs, std::size_t i,
-                                  std::span<const double> c) noexcept {
-  double acc = 0.0;
-  for (std::size_t j = 0; j < c.size(); ++j) {
-    const double diff = xs(i, j) - c[j];
+/// |x_i - c|^2 with one nearest_centroids lane's arithmetic: float
+/// x[j] - c[j], squares summed in j order, no contraction.  Equal to the
+/// kernel's bits.
+[[nodiscard]] float lane_sq_dist(const Points& xs, std::size_t i,
+                                 const float* c) noexcept {
+  float acc = 0.0f;
+  for (std::size_t j = 0; j < xs.cols(); ++j) {
+    const float diff = xs(i, j) - c[j];
     acc += diff * diff;
   }
   return acc;
@@ -67,28 +78,30 @@ void for_each_block(std::size_t n, runtime::ThreadPool* pool, Body&& body) {
 /// seed_update builds them while it seeds, so Lloyd's first assignment
 /// pass is already done when seeding ends.
 struct Seeding {
-  Seeding(std::size_t n, std::size_t k)
+  Seeding(std::size_t n, std::size_t k, std::size_t d)
       : nearest(n, 0),
-        d2(n, std::numeric_limits<double>::max()),
-        second(n, std::numeric_limits<double>::max()) {
-    seeds.reserve(k);
+        d2(n, std::numeric_limits<float>::max()),
+        second(n, std::numeric_limits<float>::max()) {
+    centres.reserve(k * d);
   }
 
-  /// Appends row `row` of x as the next seed and folds it into every
+  /// Appends row `row` of xs as the next seed and folds it into every
   /// point's state; returns sum_i d2[i] over the seeds so far.
-  double add(const linalg::Matrix& x, const linalg::SoaMatrix& xs,
-             std::size_t row) {
-    seeds.push_back(row);
-    return linalg::simd::seed_update(xs.data(), xs.stride(), xs.cols(),
-                                     x.row(row).data(), seeds.size() - 1,
-                                     xs.rows(), d2.data(), nearest.data(),
-                                     second.data());
+  double add(const Points& xs, std::size_t row) {
+    const std::size_t d = xs.cols();
+    const std::size_t c = count++;
+    for (std::size_t j = 0; j < d; ++j) centres.push_back(xs(row, j));
+    return linalg::simd::seed_update(
+        xs.data(), xs.stride(), d, centres.data() + c * d,
+        static_cast<std::uint32_t>(c), xs.rows(), d2.data(), nearest.data(),
+        second.data());
   }
 
-  std::vector<std::size_t> seeds;
-  std::vector<std::size_t> nearest;
-  std::vector<double> d2;
-  std::vector<double> second;
+  std::size_t count = 0;        ///< Seeds so far.
+  std::vector<float> centres;   ///< The seed rows, row-major count x d.
+  std::vector<std::uint32_t> nearest;
+  std::vector<float> d2;
+  std::vector<float> second;
 };
 
 /// Exact nearest-centroid assignment with Hamerly's bounds (Hamerly 2010).
@@ -104,17 +117,18 @@ struct Seeding {
 /// assign_to_centroids().
 class BoundedAssigner {
  public:
-  BoundedAssigner(const linalg::SoaMatrix& xs, runtime::ThreadPool* pool,
+  BoundedAssigner(const Points& xs, runtime::ThreadPool* pool,
                   Seeding seeding)
       : xs_(xs),
         pool_(pool),
+        slack_(bound_slack(xs.cols())),
         lower_(xs.rows()),
         first_assignment_(std::move(seeding.nearest)),
         first_dist_(std::move(seeding.d2)),
         pack_(((xs.rows() + kAssignBlock - 1) / kAssignBlock) * kAssignBlock *
               xs.cols()) {
     for (std::size_t i = 0; i < xs.rows(); ++i) {
-      lower_[i] = std::sqrt(seeding.second[i]) * (1.0 - kBoundSlack);
+      lower_[i] = std::sqrt(double{seeding.second[i]}) * (1.0 - slack_);
     }
     // Centroids are means of points, so every distance and drift the bounds
     // track is at most the bounding-box diagonal; bound arithmetic rounds
@@ -123,9 +137,10 @@ class BoundedAssigner {
     for (std::size_t j = 0; j < xs.cols(); ++j) {
       const auto col = xs.col_span(j);
       const auto [lo, hi] = std::minmax_element(col.begin(), col.end());
-      diag2 += (*hi - *lo) * (*hi - *lo);
+      const double extent = double{*hi} - double{*lo};
+      diag2 += extent * extent;
     }
-    margin_ = kBoundSlack * std::sqrt(diag2) + kUnderflowFloor;
+    margin_ = slack_ * std::sqrt(diag2) + kUnderflowFloor;
   }
 
   /// Records how far each centroid moved (outward-rounded, one per
@@ -144,9 +159,10 @@ class BoundedAssigner {
     }
   }
 
-  void assign(const linalg::Matrix& centroids,
-              std::vector<std::size_t>& assignment,
-              std::vector<double>& best_dist) {
+  /// `centroids` is row-major k x d.
+  void assign(const std::vector<float>& centroids,
+              std::vector<std::uint32_t>& assignment,
+              std::vector<float>& best_dist) {
     if (!first_assignment_.empty()) {
       // The centroids are still the seeds: hand out the seeding scan.
       assignment = std::move(first_assignment_);
@@ -163,46 +179,49 @@ class BoundedAssigner {
 
  private:
   void assign_block(std::size_t b, std::size_t begin, std::size_t end,
-                    const linalg::Matrix& centroids,
-                    std::vector<std::size_t>& assignment,
-                    std::vector<double>& best_dist) {
+                    const std::vector<float>& centroids,
+                    std::vector<std::uint32_t>& assignment,
+                    std::vector<float>& best_dist) {
     const std::size_t d = xs_.cols();
-    double* pack = pack_.data() + b * kAssignBlock * d;
+    float* pack = pack_.data() + b * kAssignBlock * d;
     std::size_t rescan[kAssignBlock];
     std::size_t m = 0;
     for (std::size_t i = begin; i < end; ++i) {
       const std::size_t a = assignment[i];
       const double lower =
           lower_[i] - (a == max_c_ ? runner_drift_ : max_drift_);
-      const double dist = lane_sq_dist(xs_, i, centroids.row(a));
+      const float dist = lane_sq_dist(xs_, i, centroids.data() + a * d);
       lower_[i] = lower;
       best_dist[i] = dist;
-      if (std::sqrt(dist) * (1.0 + kBoundSlack) + margin_ < lower) continue;
+      if (std::sqrt(double{dist}) * (1.0 + slack_) + margin_ < lower) {
+        continue;
+      }
       for (std::size_t j = 0; j < d; ++j) pack[j * kAssignBlock + m] = xs_(i, j);
       rescan[m++] = i;
     }
     if (m == 0) return;
-    std::size_t nearest[kAssignBlock];
-    double best[kAssignBlock];
-    double second[kAssignBlock];
-    linalg::simd::nearest_centroids(pack, kAssignBlock, d,
-                                    centroids.data().data(), centroids.rows(),
-                                    0, m, nearest, best, second);
+    std::uint32_t nearest[kAssignBlock];
+    float best[kAssignBlock];
+    float second[kAssignBlock];
+    linalg::simd::nearest_centroids(pack, kAssignBlock, d, centroids.data(),
+                                    centroids.size() / d, 0, m, nearest, best,
+                                    second);
     for (std::size_t p = 0; p < m; ++p) {
       const std::size_t i = rescan[p];
       assignment[i] = nearest[p];
       best_dist[i] = best[p];
-      lower_[i] = std::sqrt(second[p]) * (1.0 - kBoundSlack);
+      lower_[i] = std::sqrt(double{second[p]}) * (1.0 - slack_);
     }
   }
 
-  const linalg::SoaMatrix& xs_;
+  const Points& xs_;
   runtime::ThreadPool* pool_;
+  double slack_;               ///< bound_slack(d).
   std::vector<double> lower_;  ///< Per point: bound on any other centroid.
   /// The seeding scan, until the first assign() hands it out.
-  std::vector<std::size_t> first_assignment_;
-  std::vector<double> first_dist_;
-  std::vector<double> pack_;   ///< Per block: SoA copy of its rescans.
+  std::vector<std::uint32_t> first_assignment_;
+  std::vector<float> first_dist_;
+  std::vector<float> pack_;    ///< Per block: SoA copy of its rescans.
   double margin_ = 0.0;        ///< Absolute slack of the prune test.
   double max_drift_ = 0.0;
   double runner_drift_ = 0.0;  ///< Largest drift of the other centroids.
@@ -212,16 +231,16 @@ class BoundedAssigner {
 /// k-means++ D^2 seeding from a given first centre: each next centre is row
 /// i with probability proportional to its squared distance to the closest
 /// centre so far.  The distance update and the total are one dispatched
-/// kernel; the total and the pick stay serial in point order.  The last seed
-/// gets its update too, with no pick, so the returned state is the full scan
-/// against all k seeds.
-Seeding seed_d2(const linalg::Matrix& x, const linalg::SoaMatrix& xs,
-                std::size_t first, std::size_t k, std::mt19937_64& rng) {
-  const std::size_t n = x.rows();
-  Seeding seeding(n, k);
+/// kernel; the pick walks the points serially in point order.  The last
+/// seed gets its update too, with no pick, so the returned state is the
+/// full scan against all k seeds.
+Seeding seed_d2(const Points& xs, std::size_t first, std::size_t k,
+                std::mt19937_64& rng) {
+  const std::size_t n = xs.rows();
+  Seeding seeding(n, k, xs.cols());
   std::uniform_real_distribution<double> unit(0.0, 1.0);
-  double total = seeding.add(x, xs, first);
-  while (seeding.seeds.size() < k) {
+  double total = seeding.add(xs, first);
+  while (seeding.count < k) {
     std::size_t pick = n - 1;
     if (total <= 0.0) {
       // All remaining points coincide with a centroid; pick arbitrarily.
@@ -236,98 +255,98 @@ Seeding seed_d2(const linalg::Matrix& x, const linalg::SoaMatrix& xs,
         }
       }
     }
-    total = seeding.add(x, xs, pick);
+    total = seeding.add(xs, pick);
   }
   return seeding;
 }
 
-Seeding seed_random(const linalg::Matrix& x, const linalg::SoaMatrix& xs,
-                    std::size_t k, std::mt19937_64& rng) {
-  Seeding seeding(x.rows(), k);
+Seeding seed_random(const Points& xs, std::size_t k, std::mt19937_64& rng) {
+  Seeding seeding(xs.rows(), k, xs.cols());
   for (std::size_t i = 0; i < k; ++i) {
-    (void)seeding.add(x, xs, rng() % x.rows());
+    (void)seeding.add(xs, rng() % xs.rows());
   }
   return seeding;
 }
 
 /// Lloyd's loop from the seeds.  The assignment step is the bounded pass;
-/// inertia, counts and centroid sums stay serial in point order.  The first
-/// assignment is the seeding scan.  A final assignment after the loop makes
+/// inertia, counts and centroid sums stay double and serial in point order,
+/// and each updated centroid is float(sum / count).  The first assignment
+/// is the seeding scan.  A final assignment after the loop makes
 /// assignment, counts and inertia describe the returned centroids.
-KMeansResult lloyd(const linalg::Matrix& x, const linalg::SoaMatrix& xs,
-                   Seeding seeding, const KMeansOptions& opts) {
-  const std::size_t n = x.rows();
-  const std::size_t d = x.cols();
-  const std::size_t k = seeding.seeds.size();
-  KMeansResult res;
-  res.centroids = linalg::Matrix(k, d);
-  for (std::size_t c = 0; c < k; ++c) {
-    const auto src = x.row(seeding.seeds[c]);
-    std::copy(src.begin(), src.end(), res.centroids.row(c).begin());
-  }
-  res.assignment.assign(n, 0);
-  res.counts.assign(k, 0);
-  std::vector<double> best_dist(n, 0.0);
+KMeansResult lloyd(const Points& xs, Seeding seeding,
+                   const KMeansOptions& opts) {
+  const std::size_t n = xs.rows();
+  const std::size_t d = xs.cols();
+  const std::size_t k = seeding.count;
+  const double slack = bound_slack(d);
+  std::vector<float> centroids = std::move(seeding.centres);
+  std::vector<std::uint32_t> assignment(n, 0);
+  std::vector<float> best_dist(n, 0.0f);
   std::vector<double> drift(k, 0.0);
-  linalg::Matrix sums(k, d);
+  std::vector<double> sums(k * d);
+  KMeansResult res;
+  res.counts.assign(k, 0);
   BoundedAssigner assigner(xs, opts.pool, std::move(seeding));
 
   const auto tally = [&](bool with_sums) {
     res.inertia = 0.0;
     std::fill(res.counts.begin(), res.counts.end(), 0);
-    if (with_sums) std::fill(sums.data().begin(), sums.data().end(), 0.0);
     for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t best_c = res.assignment[i];
       res.inertia += best_dist[i];
-      ++res.counts[best_c];
-      if (!with_sums) continue;
-      const auto row = x.row(i);
-      auto sum_row = sums.row(best_c);
-      for (std::size_t j = 0; j < d; ++j) sum_row[j] += row[j];
+      ++res.counts[assignment[i]];
+    }
+    if (!with_sums) return;
+    // Column by column: each sum still adds its points in point order.
+    std::fill(sums.begin(), sums.end(), 0.0);
+    for (std::size_t j = 0; j < d; ++j) {
+      const float* col = xs.col(j);
+      for (std::size_t i = 0; i < n; ++i) sums[assignment[i] * d + j] += col[i];
     }
   };
 
   for (std::size_t iter = 0; iter < opts.max_iterations; ++iter) {
     res.iterations = iter + 1;
-    assigner.assign(res.centroids, res.assignment, best_dist);
+    assigner.assign(centroids, assignment, best_dist);
     tally(true);
     // Update step; each centroid's drift feeds the next pass's bounds.
     double moved = 0.0;
     for (std::size_t c = 0; c < k; ++c) {
       drift[c] = 0.0;
       if (res.counts[c] == 0) continue;  // empty cluster keeps its centroid
-      auto centroid = res.centroids.row(c);
-      const auto sum_row = sums.row(c);
+      float* centroid = centroids.data() + c * d;
+      const double* sum_row = sums.data() + c * d;
       double drift2 = 0.0;
       for (std::size_t j = 0; j < d; ++j) {
-        const double updated =
-            sum_row[j] / static_cast<double>(res.counts[c]);
-        const double step = updated - centroid[j];
+        const float updated = static_cast<float>(
+            sum_row[j] / static_cast<double>(res.counts[c]));
+        const double step = double{updated} - double{centroid[j]};
         moved = std::max(moved, std::abs(step));
         drift2 += step * step;
         centroid[j] = updated;
       }
       // Rounded outward; NaN drifts become infinite so they void every
       // bound instead of slipping past the comparisons.
-      drift[c] = std::isnan(drift2)
-                     ? std::numeric_limits<double>::infinity()
-                     : std::sqrt(drift2) * (1.0 + kBoundSlack);
+      drift[c] = std::isnan(drift2) ? std::numeric_limits<double>::infinity()
+                                    : std::sqrt(drift2) * (1.0 + slack);
     }
     assigner.centroids_moved(drift);
     if (moved < opts.tolerance) break;
   }
 
-  assigner.assign(res.centroids, res.assignment, best_dist);
+  assigner.assign(centroids, assignment, best_dist);
   tally(false);
+  res.centroids = linalg::Matrix(k, d);
+  std::copy(centroids.begin(), centroids.end(), res.centroids.data().begin());
+  res.assignment.assign(assignment.begin(), assignment.end());
   return res;
 }
 
 }  // namespace
 
-void assign_to_centroids(const linalg::SoaMatrix& x,
+void assign_to_centroids(const linalg::SoaMatrix<float>& x,
                          const linalg::Matrix& centroids,
-                         std::span<std::size_t> assignment,
-                         std::span<double> best_dist,
+                         std::span<std::uint32_t> assignment,
+                         std::span<float> best_dist,
                          runtime::ThreadPool* pool) {
   const std::size_t n = x.rows();
   const std::size_t k = centroids.rows();
@@ -337,11 +356,13 @@ void assign_to_centroids(const linalg::SoaMatrix& x,
   if (assignment.size() != n || best_dist.size() != n) {
     throw std::invalid_argument("assign_to_centroids: output size mismatch");
   }
+  const std::vector<float> rows(centroids.data().begin(),
+                                centroids.data().end());
   for_each_block(n, pool, [&](std::size_t, std::size_t begin,
                               std::size_t end) {
-    double second[kAssignBlock];
+    float second[kAssignBlock];
     linalg::simd::nearest_centroids(
-        x.data() + begin, x.stride(), x.cols(), centroids.data().data(), k, 0,
+        x.data() + begin, x.stride(), x.cols(), rows.data(), k, 0,
         end - begin, assignment.data() + begin, best_dist.data() + begin,
         second);
   });
@@ -354,22 +375,24 @@ KMeansResult kmeans(const linalg::Matrix& x, std::size_t k,
   const std::size_t n = x.rows();
 
   if (k >= n) {
-    // Degenerate case: every packet is its own representative.
+    // Degenerate case: every packet is its own representative, at the
+    // float32 precision every other centroid has.
     KMeansResult res;
     res.centroids = x;
+    for (double& v : res.centroids.data()) v = static_cast<float>(v);
     res.assignment.resize(n);
     res.counts.assign(n, 1);
     for (std::size_t i = 0; i < n; ++i) res.assignment[i] = i;
     return res;
   }
 
-  // One SoA conversion per call; seeding and every assignment pass read the
-  // same column-major copy.
-  const linalg::SoaMatrix xs = linalg::SoaMatrix::from_rows(x);
+  // One float SoA conversion per call; seeding and every assignment pass
+  // read the same column-major copy.
+  const Points xs = Points::from_rows(x);
   Seeding seeding = opts.init == KMeansInit::kPlusPlus
-                        ? seed_d2(x, xs, rng() % n, k, rng)
-                        : seed_random(x, xs, k, rng);
-  return lloyd(x, xs, std::move(seeding), opts);
+                        ? seed_d2(xs, rng() % n, k, rng)
+                        : seed_random(xs, k, rng);
+  return lloyd(xs, std::move(seeding), opts);
 }
 
 }  // namespace jaal::summarize

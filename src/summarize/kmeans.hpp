@@ -14,6 +14,11 @@
 // every seed and keeps each point's nearest seed and runner-up distance,
 // which is exactly that scan, and Lloyd starts from it (DESIGN.md "Exact
 // bounded k-means").
+//
+// Clustering runs at the float32 precision a summary ships at: the points
+// are a float copy of the batch, the kernels compute float distances 8 or
+// 16 lanes wide, and each centroid is rounded to float once per update
+// from a double sum.  Serializing the centroids therefore drops no bit.
 #pragma once
 
 #include <cstdint>
@@ -44,38 +49,43 @@ struct KMeansOptions {
   /// recomputes each point's distance to its own centroid, and rescans the
   /// points the bounds cannot settle.  Results are bit-identical to the
   /// serial path: a point's bounds and nearest centroid depend only on that
-  /// point and the centroids, and all floating-point reductions (inertia,
-  /// centroid sums, the seeding totals) stay serial in point order.  Seeding runs on the
-  /// calling thread.  Null runs everything on the calling thread.
+  /// point and the centroids, and all floating-point reductions run in a
+  /// fixed order (inertia and centroid sums serially in point order, the
+  /// seeding totals in 16 canonical lanes).  Seeding runs on the calling
+  /// thread.  Null runs everything on the calling thread.
   runtime::ThreadPool* pool = nullptr;
 };
 
 struct KMeansResult {
-  linalg::Matrix centroids;             ///< k x d.
+  linalg::Matrix centroids;             ///< k x d, float32 values.
   std::vector<std::size_t> assignment;  ///< Row -> centroid index, size n.
   std::vector<std::uint64_t> counts;    ///< Cluster membership counts, size k.
   double inertia = 0.0;                 ///< Sum of squared distances.
   std::size_t iterations = 0;
 };
 
-/// Clusters the rows of `x` into k groups.  If k >= n, each row becomes its
-/// own centroid.  Throws std::invalid_argument for k == 0 or empty x.
+/// Clusters the rows of `x` into k groups at float32 precision: the rows
+/// are rounded to float, distances are float, and each centroid is the
+/// float nearest its double mean, so `centroids` holds float values that a
+/// float32 summary ships without loss.  If k >= n, each row (rounded to
+/// float) becomes its own centroid.  Throws std::invalid_argument for
+/// k == 0 or empty x.
 [[nodiscard]] KMeansResult kmeans(const linalg::Matrix& x, std::size_t k,
                                   std::mt19937_64& rng,
                                   const KMeansOptions& opts = {});
 
-/// Nearest-centroid assignment of every row of `x` (SoA layout) against
-/// `centroids` (k x d, row-major): fills assignment[i] / best_dist[i] through
-/// the dispatched SIMD kernel, fanning out over `pool` when given.  Each
-/// point is one lane, so the bits are identical across thread counts and
-/// dispatch levels.  This is the full scan that kmeans()'s bounded passes
-/// reproduce bit for bit, kept as the reference the bounded passes are
-/// tested against.  Throws std::invalid_argument on dimension or output-size
-/// mismatch.
-void assign_to_centroids(const linalg::SoaMatrix& x,
+/// Nearest-centroid assignment of every row of `x` (float SoA layout)
+/// against `centroids` (k x d, row-major, rounded to float): fills
+/// assignment[i] / best_dist[i] through the dispatched SIMD kernel, fanning
+/// out over `pool` when given.  Each point is one lane, so the bits are
+/// identical across thread counts and dispatch levels.  This is the full
+/// scan that kmeans()'s bounded passes reproduce bit for bit, kept as the
+/// reference the bounded passes are tested against.  Throws
+/// std::invalid_argument on dimension or output-size mismatch.
+void assign_to_centroids(const linalg::SoaMatrix<float>& x,
                          const linalg::Matrix& centroids,
-                         std::span<std::size_t> assignment,
-                         std::span<double> best_dist,
+                         std::span<std::uint32_t> assignment,
+                         std::span<float> best_dist,
                          runtime::ThreadPool* pool = nullptr);
 
 }  // namespace jaal::summarize

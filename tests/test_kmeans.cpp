@@ -38,33 +38,46 @@ linalg::Matrix blobs(std::size_t per_cluster, std::uint64_t seed) {
 
 // ---------------------------------------------------------------------------
 // Reference: the plain Lloyd loop k-means ran before its assignment passes
-// were bounded (scalar D^2 seeding, a full nearest-centroid scan every
-// iteration).  The bounded implementation must reproduce it bit for bit.
+// were bounded (D^2 seeding, a full nearest-centroid scan every iteration),
+// at float32 precision: float points, float distances, double centroid sums
+// rounded to float per update.  The bounded implementation must reproduce
+// it bit for bit.
 namespace reference {
 
-double sq_dist(std::span<const double> a, std::span<const double> b) {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double d = a[i] - b[i];
+using Points = linalg::SoaMatrix<float>;
+
+float sq_dist(const Points& xs, std::size_t a, std::size_t b) {
+  float sum = 0.0f;
+  for (std::size_t j = 0; j < xs.cols(); ++j) {
+    const float d = xs(a, j) - xs(b, j);
     sum += d * d;
   }
   return sum;
 }
 
-std::vector<std::size_t> seed_plus_plus(const linalg::Matrix& x, std::size_t k,
+/// The seeding total: 16 lanes (i % 16) in point order, folded as a
+/// halving tree.
+double canonical_total(const std::vector<float>& d2) {
+  double lane[16] = {};
+  for (std::size_t i = 0; i < d2.size(); ++i) lane[i % 16] += d2[i];
+  for (std::size_t w = 8; w > 0; w /= 2) {
+    for (std::size_t l = 0; l < w; ++l) lane[l] += lane[l + w];
+  }
+  return lane[0];
+}
+
+std::vector<std::size_t> seed_plus_plus(const Points& xs, std::size_t k,
                                         std::mt19937_64& rng) {
-  const std::size_t n = x.rows();
+  const std::size_t n = xs.rows();
   std::vector<std::size_t> chosen;
   chosen.push_back(rng() % n);
-  std::vector<double> d2(n, std::numeric_limits<double>::max());
+  std::vector<float> d2(n, std::numeric_limits<float>::max());
   std::uniform_real_distribution<double> unit(0.0, 1.0);
   while (chosen.size() < k) {
-    const auto last = x.row(chosen.back());
-    double total = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      d2[i] = std::min(d2[i], sq_dist(x.row(i), last));
-      total += d2[i];
+      d2[i] = std::min(d2[i], sq_dist(xs, i, chosen.back()));
     }
+    const double total = canonical_total(d2);
     if (total <= 0.0) {
       chosen.push_back(rng() % n);
       continue;
@@ -87,36 +100,34 @@ KMeansResult kmeans(const linalg::Matrix& x, std::size_t k,
                     std::mt19937_64& rng, const KMeansOptions& opts) {
   const std::size_t n = x.rows();
   const std::size_t d = x.cols();
+  const Points xs = Points::from_rows(x);
   std::vector<std::size_t> seeds;
   if (opts.init == KMeansInit::kPlusPlus) {
-    seeds = seed_plus_plus(x, k, rng);
+    seeds = seed_plus_plus(xs, k, rng);
   } else {
     for (std::size_t i = 0; i < k; ++i) seeds.push_back(rng() % n);
   }
   KMeansResult res;
   res.centroids = linalg::Matrix(k, d);
   for (std::size_t c = 0; c < k; ++c) {
-    const auto src = x.row(seeds[c]);
-    std::copy(src.begin(), src.end(), res.centroids.row(c).begin());
+    for (std::size_t j = 0; j < d; ++j) res.centroids(c, j) = xs(seeds[c], j);
   }
-  const linalg::SoaMatrix xs = linalg::SoaMatrix::from_rows(x);
-  res.assignment.assign(n, 0);
+  std::vector<std::uint32_t> assignment(n, 0);
+  std::vector<float> best_dist(n, 0.0f);
   res.counts.assign(k, 0);
-  std::vector<double> best_dist(n, 0.0);
   linalg::Matrix sums(k, d);
   for (std::size_t iter = 0; iter < opts.max_iterations; ++iter) {
     res.iterations = iter + 1;
-    assign_to_centroids(xs, res.centroids, res.assignment, best_dist);
+    assign_to_centroids(xs, res.centroids, assignment, best_dist);
     res.inertia = 0.0;
     std::fill(res.counts.begin(), res.counts.end(), 0);
     std::fill(sums.data().begin(), sums.data().end(), 0.0);
     for (std::size_t i = 0; i < n; ++i) {
-      const auto row = x.row(i);
-      const std::size_t best_c = res.assignment[i];
+      const std::size_t best_c = assignment[i];
       res.inertia += best_dist[i];
       ++res.counts[best_c];
       auto sum_row = sums.row(best_c);
-      for (std::size_t j = 0; j < d; ++j) sum_row[j] += row[j];
+      for (std::size_t j = 0; j < d; ++j) sum_row[j] += xs(i, j);
     }
     double moved = 0.0;
     for (std::size_t c = 0; c < k; ++c) {
@@ -124,21 +135,22 @@ KMeansResult kmeans(const linalg::Matrix& x, std::size_t k,
       if (res.counts[c] == 0) continue;
       const auto sum_row = sums.row(c);
       for (std::size_t j = 0; j < d; ++j) {
-        const double updated =
-            sum_row[j] / static_cast<double>(res.counts[c]);
+        const double updated = static_cast<float>(
+            sum_row[j] / static_cast<double>(res.counts[c]));
         moved = std::max(moved, std::abs(updated - centroid[j]));
         centroid[j] = updated;
       }
     }
     if (moved < opts.tolerance) break;
   }
-  assign_to_centroids(xs, res.centroids, res.assignment, best_dist);
+  assign_to_centroids(xs, res.centroids, assignment, best_dist);
   res.inertia = 0.0;
   std::fill(res.counts.begin(), res.counts.end(), 0);
   for (std::size_t i = 0; i < n; ++i) {
     res.inertia += best_dist[i];
-    ++res.counts[res.assignment[i]];
+    ++res.counts[assignment[i]];
   }
+  res.assignment.assign(assignment.begin(), assignment.end());
   return res;
 }
 
@@ -381,12 +393,19 @@ TEST(KMeans, AssignmentIsNearest) {
   }
 }
 
+/// x with every value rounded to float: the rows k-means clusters, and the
+/// centroids it returns when k >= n.
+linalg::Matrix float_rows(const linalg::Matrix& x) {
+  return linalg::SoaMatrix<float>::from_rows(x).to_rows();
+}
+
 TEST(KMeans, KGreaterOrEqualNDegeneratesToIdentity) {
   std::mt19937_64 rng(6);
   const linalg::Matrix x = blobs(2, 6);  // 6 rows
+  ASSERT_NE(float_rows(x), x);            // not float values already
   const KMeansResult res = kmeans(x, 10, rng);
   EXPECT_EQ(res.centroids.rows(), 6u);
-  EXPECT_EQ(res.centroids, x);
+  EXPECT_EQ(res.centroids, float_rows(x));
   EXPECT_DOUBLE_EQ(res.inertia, 0.0);
 }
 

@@ -469,12 +469,12 @@ TEST(ShardEquivalence, OpsStreamMatchesPinnedDigest) {
         << "no " << kind << " event in the flight dump";
   }
 
-  EXPECT_EQ(digest(run.ops_records), "117ca86af6b5fb2b");
-  EXPECT_EQ(digest(run.doctor_timeline), "24565d20635a4749");
-  EXPECT_EQ(digest(run.span_jsonl), "cb1eb754c0dcd012");
+  EXPECT_EQ(digest(run.ops_records), "ee502355c0bee9d3");
+  EXPECT_EQ(digest(run.doctor_timeline), "b20aee0f31da2565");
+  EXPECT_EQ(digest(run.span_jsonl), "8d67a4e28d36a2ab");
   EXPECT_EQ(digest(run.alert_lines), "baa483928d8d1424");
-  EXPECT_EQ(digest(run.provenance_lines), "0793c0a4b88471d4");
-  EXPECT_EQ(digest(run.flight_dump), "6def86d8b366a020");
+  EXPECT_EQ(digest(run.provenance_lines), "fcd290bea8cc29c5");
+  EXPECT_EQ(digest(run.flight_dump), "7eb9137090a29c53");
   EXPECT_EQ(digest(run.slo_jsonl), "86b595b31e9b295d");
 }
 

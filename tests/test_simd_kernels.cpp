@@ -43,6 +43,27 @@ bool bit_equal(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+bool bit_equal(float a, float b) {
+  return std::memcmp(&a, &b, sizeof(float)) == 0;
+}
+
+/// Row-major float copy of a matrix: the centroid layout the k-means
+/// kernels take.
+std::vector<float> floats(const Matrix& m) {
+  return {m.data().begin(), m.data().end()};
+}
+
+/// seed_update's total, written out: lane l sums v[i] for i % 16 == l in
+/// ascending i, then lanes fold as a halving tree.
+double canonical_total(const std::vector<float>& v) {
+  double lane[16] = {};
+  for (std::size_t i = 0; i < v.size(); ++i) lane[i % 16] += v[i];
+  for (std::size_t w = 8; w > 0; w /= 2) {
+    for (std::size_t l = 0; l < w; ++l) lane[l] += lane[l + w];
+  }
+  return lane[0];
+}
+
 TEST(SimdKernels, LevelPlumbing) {
   EXPECT_GE(detected(), Level::kScalar);
   {
@@ -127,24 +148,25 @@ TEST(SimdKernels, NearestCentroidsBitIdenticalAcrossLevels) {
       std::mt19937_64 rng(n * 100 + k);
       std::uniform_real_distribution<double> unit(0.0, 1.0);
       for (double& v : rows.data()) v = unit(rng);
-      const SoaMatrix x = SoaMatrix::from_rows(rows);
-      Matrix centroids(k, d);
-      for (double& v : centroids.data()) v = unit(rng);
+      const SoaMatrix<float> x = SoaMatrix<float>::from_rows(rows);
+      Matrix centroid_rows(k, d);
+      for (double& v : centroid_rows.data()) v = unit(rng);
+      const std::vector<float> centroids = floats(centroid_rows);
 
       ForcedLevel pin(Level::kScalar);
-      std::vector<std::size_t> assign_want(n);
-      std::vector<double> dist_want(n);
-      std::vector<double> second_want(n);
-      nearest_centroids(x.data(), x.stride(), d, centroids.data().data(), k,
-                        0, n, assign_want.data(), dist_want.data(),
+      std::vector<std::uint32_t> assign_want(n);
+      std::vector<float> dist_want(n);
+      std::vector<float> second_want(n);
+      nearest_centroids(x.data(), x.stride(), d, centroids.data(), k, 0, n,
+                        assign_want.data(), dist_want.data(),
                         second_want.data());
       for (const Level level : available_levels()) {
         force_level(level);
-        std::vector<std::size_t> assign(n);
-        std::vector<double> dist(n);
-        std::vector<double> second(n);
-        nearest_centroids(x.data(), x.stride(), d, centroids.data().data(), k,
-                          0, n, assign.data(), dist.data(), second.data());
+        std::vector<std::uint32_t> assign(n);
+        std::vector<float> dist(n);
+        std::vector<float> second(n);
+        nearest_centroids(x.data(), x.stride(), d, centroids.data(), k, 0, n,
+                          assign.data(), dist.data(), second.data());
         EXPECT_EQ(assign_want, assign)
             << "n=" << n << " k=" << k << " level=" << level_name(level);
         for (std::size_t i = 0; i < n; ++i) {
@@ -158,71 +180,73 @@ TEST(SimdKernels, NearestCentroidsBitIdenticalAcrossLevels) {
 
 TEST(SimdKernels, NearestCentroidsFirstIndexWinsTies) {
   // Two identical centroids: the scalar scan picks the first; every level
-  // must agree, and the runner-up distance equals the best one.
-  const std::size_t d = 4, n = 9, k = 3;
+  // must agree, and the runner-up distance equals the best one.  n = 19
+  // covers a whole 16-lane vector and a tail at every level.
+  const std::size_t d = 4, n = 19, k = 3;
   Matrix rows(n, d);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < d; ++j) rows(i, j) = 0.5;
   }
-  const SoaMatrix x = SoaMatrix::from_rows(rows);
-  Matrix centroids(k, d);  // all zero -> all ties
+  const SoaMatrix<float> x = SoaMatrix<float>::from_rows(rows);
+  const std::vector<float> centroids(k * d, 0.0f);  // all zero -> all ties
   for (const Level level : available_levels()) {
     ForcedLevel pin(level);
-    std::vector<std::size_t> assign(n, 99);
-    std::vector<double> dist(n);
-    std::vector<double> second(n);
-    nearest_centroids(x.data(), x.stride(), d, centroids.data().data(), k, 0,
-                      n, assign.data(), dist.data(), second.data());
+    std::vector<std::uint32_t> assign(n, 99);
+    std::vector<float> dist(n);
+    std::vector<float> second(n);
+    nearest_centroids(x.data(), x.stride(), d, centroids.data(), k, 0, n,
+                      assign.data(), dist.data(), second.data());
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(assign[i], 0u) << "level=" << level_name(level);
-      EXPECT_TRUE(bit_equal(dist[i], 1.0)) << "level=" << level_name(level);
-      EXPECT_TRUE(bit_equal(second[i], 1.0)) << "level=" << level_name(level);
+      EXPECT_TRUE(bit_equal(dist[i], 1.0f)) << "level=" << level_name(level);
+      EXPECT_TRUE(bit_equal(second[i], 1.0f)) << "level=" << level_name(level);
     }
   }
 
   // Duplicates of the nearest centroid at a later index, and a distinct
   // runner-up before it: the first copy wins and the second output is the
   // duplicate's (equal) distance, not the farther centroid's.  With one
-  // centroid there is no runner-up and the second output stays DBL_MAX.
-  Matrix mixed(4, d);
+  // centroid there is no runner-up and the second output stays FLT_MAX.
+  Matrix mixed_rows(4, d);
   for (std::size_t j = 0; j < d; ++j) {
-    mixed(0, j) = 2.0;   // distance^2 4 * 1.5^2 = 9
-    mixed(1, j) = 0.25;  // nearest: 4 * 0.25^2 = 0.25
-    mixed(2, j) = 1.5;   // 4
-    mixed(3, j) = 0.25;  // duplicate of the nearest
+    mixed_rows(0, j) = 2.0;   // distance^2 4 * 1.5^2 = 9
+    mixed_rows(1, j) = 0.25;  // nearest: 4 * 0.25^2 = 0.25
+    mixed_rows(2, j) = 1.5;   // 4
+    mixed_rows(3, j) = 0.25;  // duplicate of the nearest
   }
+  const std::vector<float> mixed = floats(mixed_rows);
   for (const Level level : available_levels()) {
     ForcedLevel pin(level);
-    std::vector<std::size_t> assign(n, 99);
-    std::vector<double> dist(n);
-    std::vector<double> second(n);
-    nearest_centroids(x.data(), x.stride(), d, mixed.data().data(), 4, 0, n,
+    std::vector<std::uint32_t> assign(n, 99);
+    std::vector<float> dist(n);
+    std::vector<float> second(n);
+    nearest_centroids(x.data(), x.stride(), d, mixed.data(), 4, 0, n,
                       assign.data(), dist.data(), second.data());
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(assign[i], 1u) << "level=" << level_name(level);
-      EXPECT_TRUE(bit_equal(dist[i], 0.25)) << "level=" << level_name(level);
-      EXPECT_TRUE(bit_equal(second[i], 0.25)) << "level=" << level_name(level);
+      EXPECT_TRUE(bit_equal(dist[i], 0.25f)) << "level=" << level_name(level);
+      EXPECT_TRUE(bit_equal(second[i], 0.25f)) << "level=" << level_name(level);
     }
     // Without the duplicate the runner-up is centroid 2.
-    nearest_centroids(x.data(), x.stride(), d, mixed.data().data(), 3, 0, n,
+    nearest_centroids(x.data(), x.stride(), d, mixed.data(), 3, 0, n,
                       assign.data(), dist.data(), second.data());
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(assign[i], 1u) << "level=" << level_name(level);
-      EXPECT_TRUE(bit_equal(second[i], 4.0)) << "level=" << level_name(level);
+      EXPECT_TRUE(bit_equal(second[i], 4.0f)) << "level=" << level_name(level);
     }
-    nearest_centroids(x.data(), x.stride(), d, mixed.data().data(), 1, 0, n,
+    nearest_centroids(x.data(), x.stride(), d, mixed.data(), 1, 0, n,
                       assign.data(), dist.data(), second.data());
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(assign[i], 0u) << "level=" << level_name(level);
-      EXPECT_EQ(second[i], std::numeric_limits<double>::max());
+      EXPECT_EQ(second[i], std::numeric_limits<float>::max());
     }
   }
 }
 
 TEST(SimdKernels, SeedUpdateBitIdenticalAcrossLevels) {
   // Against the scalar seeder's own loop: d2[i] = min(d2[i], |x_i - c|^2)
-  // over row-major rows, squares summed in field order, and the total
-  // summed in point order.
+  // over the float rows, squares summed in field order in float, and the
+  // total summed in the 16 canonical lanes.
   const std::size_t d = 12;
   for (const std::size_t n : kSizes) {
     Matrix rows(n, d);
@@ -233,33 +257,33 @@ TEST(SimdKernels, SeedUpdateBitIdenticalAcrossLevels) {
     if (n > 2) {
       for (std::size_t j = 0; j < d; ++j) rows(n - 1, j) = rows(0, j);
     }
-    const SoaMatrix x = SoaMatrix::from_rows(rows);
+    const SoaMatrix<float> x = SoaMatrix<float>::from_rows(rows);
+    const std::vector<float> frows = floats(rows);
     const std::size_t centres[] = {0, n / 2, n - 1, 0};
-    std::vector<double> want(n, std::numeric_limits<double>::max());
+    std::vector<float> want(n, std::numeric_limits<float>::max());
     std::vector<double> want_total;
     for (const std::size_t c : centres) {
-      const auto centre = rows.row(c);
-      double total = 0.0;
+      const float* centre = frows.data() + c * d;
       for (std::size_t i = 0; i < n; ++i) {
-        double sum = 0.0;
+        float sum = 0.0f;
         for (std::size_t j = 0; j < d; ++j) {
-          const double diff = rows(i, j) - centre[j];
+          const float diff = frows[i * d + j] - centre[j];
           sum += diff * diff;
         }
         want[i] = std::min(want[i], sum);
-        total += want[i];
       }
-      want_total.push_back(total);
+      want_total.push_back(canonical_total(want));
     }
     for (const Level level : available_levels()) {
       ForcedLevel pin(level);
-      std::vector<double> got(n, std::numeric_limits<double>::max());
-      std::vector<std::size_t> nearest(n, 0);
-      std::vector<double> second(n, std::numeric_limits<double>::max());
+      std::vector<float> got(n, std::numeric_limits<float>::max());
+      std::vector<std::uint32_t> nearest(n, 0);
+      std::vector<float> second(n, std::numeric_limits<float>::max());
       for (std::size_t s = 0; s < std::size(centres); ++s) {
         const double total = seed_update(
-            x.data(), x.stride(), d, rows.row(centres[s]).data(), s, n,
-            got.data(), nearest.data(), second.data());
+            x.data(), x.stride(), d, frows.data() + centres[s] * d,
+            static_cast<std::uint32_t>(s), n, got.data(), nearest.data(),
+            second.data());
         EXPECT_TRUE(bit_equal(want_total[s], total))
             << "n=" << n << " centre " << s << " level=" << level_name(level);
       }
@@ -267,6 +291,56 @@ TEST(SimdKernels, SeedUpdateBitIdenticalAcrossLevels) {
         EXPECT_TRUE(bit_equal(want[i], got[i]))
             << "n=" << n << " i=" << i << " level=" << level_name(level);
       }
+    }
+  }
+}
+
+TEST(SimdKernels, SeedUpdateTotalIsTheCanonicalLaneSum) {
+  // The total is the 16-lane canonical sum of the updated d2 at every
+  // level, never a serial chain: whole 16-point groups, a lone 8-point
+  // vector and scalar tails after them.  Float d2 values of one magnitude
+  // sum exactly in double in any order, so every fifth point sits 1e5
+  // farther out: then a serial chain of 2000 adds rounds differently.
+  const std::size_t d = 12;
+  for (const std::size_t n : {16ul, 24ul, 29ul, 2000ul, 2013ul}) {
+    Matrix rows(n, d);
+    std::mt19937_64 rng(n);
+    std::uniform_real_distribution<double> unit(-1.0, 1.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < d; ++j) {
+        rows(i, j) = unit(rng) * (i % 5 == 0 ? 1e5 : 1.0);
+      }
+    }
+    const SoaMatrix<float> x = SoaMatrix<float>::from_rows(rows);
+    const std::vector<float> frows = floats(rows);
+    bool serial_differs = false;
+    std::vector<double> scalar_totals;
+    for (const Level level : available_levels()) {
+      ForcedLevel pin(level);
+      std::vector<float> d2(n, std::numeric_limits<float>::max());
+      std::vector<std::uint32_t> nearest(n, 0);
+      std::vector<float> second(n, std::numeric_limits<float>::max());
+      for (std::uint32_t s = 0; s < 5; ++s) {
+        const double total =
+            seed_update(x.data(), x.stride(), d,
+                        frows.data() + ((s * 37) % n) * d, s, n, d2.data(),
+                        nearest.data(), second.data());
+        const std::string label = "n=" + std::to_string(n) + " seed " +
+                                  std::to_string(s) + " level=" +
+                                  std::string(level_name(level));
+        EXPECT_TRUE(bit_equal(canonical_total(d2), total)) << label;
+        if (level == Level::kScalar) {
+          scalar_totals.push_back(total);
+        } else {
+          EXPECT_TRUE(bit_equal(scalar_totals[s], total)) << label;
+        }
+        double serial = 0.0;
+        for (const float v : d2) serial += v;
+        serial_differs = serial_differs || !bit_equal(serial, total);
+      }
+    }
+    if (n >= 2000) {
+      EXPECT_TRUE(serial_differs) << "n=" << n << ": the serial sum matched";
     }
   }
 }
@@ -283,32 +357,34 @@ TEST(SimdKernels, SeedUpdateTracksNearestAndRunnerUp) {
       std::mt19937_64 rng(n * 13 + (tied ? 1 : 0));
       std::uniform_real_distribution<double> unit(-1.0, 1.0);
       for (double& v : rows.data()) v = tied ? 0.5 : unit(rng);
-      const SoaMatrix x = SoaMatrix::from_rows(rows);
+      const SoaMatrix<float> x = SoaMatrix<float>::from_rows(rows);
+      const std::vector<float> frows = floats(rows);
       for (const std::size_t k : {1ul, 2ul, 6ul}) {
         // Every third seed repeats the seed two before it.
         std::vector<std::size_t> seeds;
         for (std::size_t c = 0; c < k; ++c) {
           seeds.push_back(c % 3 == 2 ? seeds[c - 2] : (c * 5 + 1) % n);
         }
-        Matrix centroids(k, d);
-        for (std::size_t c = 0; c < k; ++c) {
-          const auto src = rows.row(seeds[c]);
-          std::copy(src.begin(), src.end(), centroids.row(c).begin());
+        std::vector<float> centroids;
+        for (const std::size_t s : seeds) {
+          centroids.insert(centroids.end(), frows.begin() + s * d,
+                           frows.begin() + (s + 1) * d);
         }
         for (const Level level : available_levels()) {
           ForcedLevel pin(level);
-          std::vector<std::size_t> want_nearest(n);
-          std::vector<double> want_best(n);
-          std::vector<double> want_second(n);
-          nearest_centroids(x.data(), x.stride(), d, centroids.data().data(),
-                            k, 0, n, want_nearest.data(), want_best.data(),
+          std::vector<std::uint32_t> want_nearest(n);
+          std::vector<float> want_best(n);
+          std::vector<float> want_second(n);
+          nearest_centroids(x.data(), x.stride(), d, centroids.data(), k, 0,
+                            n, want_nearest.data(), want_best.data(),
                             want_second.data());
-          std::vector<double> d2(n, std::numeric_limits<double>::max());
-          std::vector<std::size_t> nearest(n, 0);
-          std::vector<double> second(n, std::numeric_limits<double>::max());
+          std::vector<float> d2(n, std::numeric_limits<float>::max());
+          std::vector<std::uint32_t> nearest(n, 0);
+          std::vector<float> second(n, std::numeric_limits<float>::max());
           for (std::size_t c = 0; c < k; ++c) {
             (void)seed_update(x.data(), x.stride(), d,
-                              rows.row(seeds[c]).data(), c, n, d2.data(),
+                              frows.data() + seeds[c] * d,
+                              static_cast<std::uint32_t>(c), n, d2.data(),
                               nearest.data(), second.data());
           }
           const std::string label = "n=" + std::to_string(n) +
@@ -407,15 +483,15 @@ TEST(SimdKernels, SummarizerByteIdenticalAcrossLevelsAndThreads) {
 }
 
 TEST(SimdKernels, AssignToCentroidsValidatesShapes) {
-  const SoaMatrix x(10, 4);
+  const SoaMatrix<float> x(10, 4);
   Matrix centroids(3, 5);  // wrong d
-  std::vector<std::size_t> assign(10);
-  std::vector<double> dist(10);
+  std::vector<std::uint32_t> assign(10);
+  std::vector<float> dist(10);
   EXPECT_THROW(
       summarize::assign_to_centroids(x, centroids, assign, dist, nullptr),
       std::invalid_argument);
   Matrix ok_centroids(3, 4);
-  std::vector<std::size_t> short_assign(9);
+  std::vector<std::uint32_t> short_assign(9);
   EXPECT_THROW(summarize::assign_to_centroids(x, ok_centroids, short_assign,
                                               dist, nullptr),
                std::invalid_argument);
@@ -426,7 +502,7 @@ TEST(SoaMatrix, RoundTripsAndPads) {
   std::mt19937_64 rng(2);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
   for (double& v : m.data()) v = unit(rng);
-  const SoaMatrix soa = SoaMatrix::from_rows(m);
+  const SoaMatrix<double> soa = SoaMatrix<double>::from_rows(m);
   EXPECT_EQ(soa.rows(), 5u);
   EXPECT_EQ(soa.cols(), 3u);
   EXPECT_EQ(soa.stride(), 8u);  // padded to a multiple of 8
@@ -440,6 +516,19 @@ TEST(SoaMatrix, RoundTripsAndPads) {
   const Matrix back = soa.to_rows();
   EXPECT_TRUE(
       std::equal(back.data().begin(), back.data().end(), m.data().begin()));
+
+  // The float copy k-means clusters rounds each value to the nearest float
+  // and pads to 16 floats, also one 64-byte vector.
+  const SoaMatrix<float> fsoa = SoaMatrix<float>::from_rows(m);
+  EXPECT_EQ(fsoa.stride(), 16u);
+  for (std::size_t r = 0; r < 5; ++r) {
+    for (std::size_t c = 0; c < 3; ++c) {
+      EXPECT_EQ(fsoa(r, c), static_cast<float>(m(r, c)));
+    }
+  }
+  for (std::size_t c = 0; c < 3; ++c) {
+    for (std::size_t r = 5; r < 16; ++r) EXPECT_EQ(fsoa.col(c)[r], 0.0f);
+  }
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "summarize/summary.hpp"
 #include "trace/background.hpp"
 
 namespace jaal::summarize {
@@ -145,6 +148,35 @@ TEST(Summarizer, DeterministicAcrossInstancesWithSameSeed) {
   const auto ob = b.summarize(packets);
   EXPECT_EQ(oa.assignment, ob.assignment);
   EXPECT_EQ(serialize(oa.summary), serialize(ob.summary));
+}
+
+TEST(Summarizer, CentroidsSurviveTheWireBitForBit) {
+  // k-means clusters at float32 precision, so the centroids a summary
+  // carries are float values and the float32 wire drops none of their bits
+  // (sigma and V^T are still rounded by it).  Both formats.
+  for (const SummaryFormat format :
+       {SummaryFormat::kSplit, SummaryFormat::kCombined}) {
+    SummarizerConfig cfg = config(900, 12, 80);
+    cfg.format = format;
+    Summarizer s(cfg);
+    const auto out = s.summarize(batch(900, 6));
+    const auto bytes = serialize(out.summary);
+    const SummaryView view = parse_summary(bytes);
+    const linalg::Matrix& want =
+        format == SummaryFormat::kSplit
+            ? std::get<SplitSummary>(out.summary).u_centroids
+            : std::get<CombinedSummary>(out.summary).centroids;
+    const WireScalars& wire =
+        format == SummaryFormat::kSplit ? view.u_centroids : view.centroids;
+    ASSERT_EQ(wire.size, want.data().size());
+    std::vector<double> got(wire.size);
+    wire.decode(got.data());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(std::memcmp(&got[i], &want.data()[i], sizeof(double)), 0)
+          << (format == SummaryFormat::kSplit ? "split" : "combined")
+          << " element " << i;
+    }
+  }
 }
 
 TEST(Summarizer, TinyRankStillWorks) {
