@@ -2,7 +2,9 @@
 //
 // Two loop families dominate a monitor's epoch latency: the k-means
 // point-to-centroid distance search (O(n k p) per Lloyd iteration) and the
-// one-sided Jacobi column sweeps of the SVD (O(n p^2) per sweep).  This
+// SVD's O(n p^2) passes over the batch: truncated_svd's Gram matrix is one
+// pass of dot(); pair_dots and rotate_pair serve only the one-sided Jacobi
+// sweeps of svd() and of truncated_svd's fallback (linalg/svd.hpp).  This
 // header exposes portable kernels for both, written with GCC vector
 // extensions and dispatched at runtime (scalar everywhere, AVX2 / AVX-512
 // on x86-64 hosts that support them; JAAL_SIMD=scalar|avx2|avx512
@@ -65,7 +67,8 @@ struct PairDots {
 [[nodiscard]] double dot(const double* a, const double* b,
                          std::size_t n) noexcept;
 
-/// The three Jacobi dot products in one fused pass (same canonical order).
+/// The three one-sided Jacobi dot products in one fused pass (same
+/// canonical order).
 [[nodiscard]] PairDots pair_dots(const double* a, const double* b,
                                  std::size_t n) noexcept;
 

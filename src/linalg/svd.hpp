@@ -1,9 +1,21 @@
-// Singular value decomposition via one-sided Jacobi rotations.
+// Singular value decomposition for Jaal's n x p header batches (p = 18).
 //
-// Jaal decomposes batches of normalized packet headers (n x p, p = 18) to
-// reduce the fields mode (§4.2 of the paper).  One-sided Jacobi is a good
-// fit: it is simple, numerically robust, and fast when p is small even if n
-// is large (cost is O(n p^2) per sweep).
+// Jaal decomposes batches of normalized packet headers to reduce the fields
+// mode (§4.2 of the paper).  Two algorithms serve it:
+//  * svd() is one-sided Jacobi: plane rotations orthogonalize the columns
+//    of A, O(n p^2) per sweep.  It resolves singular values down to ~1e-17
+//    and handles any rank, so it serves the full SVD and every fallback.
+//  * truncated_svd() on a tall matrix (n >= p) takes the Gram path: one
+//    O(n p^2) pass forms G = A^T A, a cyclic Jacobi eigensolve of the p x p
+//    G gives V and sigma = sqrt(lambda), and only the r columns of
+//    U_r = A V_r Sigma_r^{-1} are formed.  Squaring A squares its condition
+//    number: the relative error is ~ eps (sigma_1 / sigma_r)^2.  So the
+//    path gives up when lambda_r < 2^-20 lambda_1 (sigma_r / sigma_1 <
+//    2^-10, error <= 2^-32, 8 bits below the float32 wire's 2^-24) or
+//    lambda_1 <= 0, and truncated_svd() returns svd(a) cut to r columns,
+//    bit for bit.  Wide inputs (n < p) take svd() too.  DESIGN.md
+//    "Gram-path truncated SVD" derives the bound.
+// Both paths are bit-identical at every SIMD dispatch level.
 #pragma once
 
 #include <cstddef>
@@ -33,19 +45,15 @@ struct SvdResult {
   [[nodiscard]] std::size_t rank_for_energy(double fraction) const;
 };
 
-struct SvdOptions {
-  double tolerance = 1e-12;   ///< Column-orthogonality stopping threshold.
-  int max_sweeps = 60;        ///< Hard cap on Jacobi sweeps.
-};
-
 /// Computes the thin SVD of `a`.  Throws std::invalid_argument on an empty
 /// matrix and std::runtime_error if Jacobi fails to converge (never observed
 /// for matrices in [0,1]^{n x p}; the cap is a safety net).
-[[nodiscard]] SvdResult svd(const Matrix& a, const SvdOptions& opts = {});
+[[nodiscard]] SvdResult svd(const Matrix& a);
 
 /// Truncated SVD keeping the top-r singular triplets: U_r (n x r),
-/// sigma_r (r), V_r (p x r).  Throws if r == 0 or r > min(n, p).
-[[nodiscard]] SvdResult truncated_svd(const Matrix& a, std::size_t r,
-                                      const SvdOptions& opts = {});
+/// sigma_r (r), V_r (p x r), by the Gram path when it is accurate enough
+/// and by svd() otherwise (see above).  `sweeps` counts the sweeps of
+/// whichever Jacobi ran.  Throws if r == 0 or r > min(n, p).
+[[nodiscard]] SvdResult truncated_svd(const Matrix& a, std::size_t r);
 
 }  // namespace jaal::linalg

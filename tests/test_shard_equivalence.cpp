@@ -469,12 +469,12 @@ TEST(ShardEquivalence, OpsStreamMatchesPinnedDigest) {
         << "no " << kind << " event in the flight dump";
   }
 
-  EXPECT_EQ(digest(run.ops_records), "ee502355c0bee9d3");
-  EXPECT_EQ(digest(run.doctor_timeline), "b20aee0f31da2565");
-  EXPECT_EQ(digest(run.span_jsonl), "8d67a4e28d36a2ab");
+  EXPECT_EQ(digest(run.ops_records), "af90467dd4568301");
+  EXPECT_EQ(digest(run.doctor_timeline), "83c5698b404b9999");
+  EXPECT_EQ(digest(run.span_jsonl), "67688f2f8a4831c1");
   EXPECT_EQ(digest(run.alert_lines), "baa483928d8d1424");
   EXPECT_EQ(digest(run.provenance_lines), "fcd290bea8cc29c5");
-  EXPECT_EQ(digest(run.flight_dump), "7eb9137090a29c53");
+  EXPECT_EQ(digest(run.flight_dump), "016506a6650d9fe8");
   EXPECT_EQ(digest(run.slo_jsonl), "86b595b31e9b295d");
 }
 

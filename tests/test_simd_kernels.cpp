@@ -403,27 +403,67 @@ TEST(SimdKernels, SeedUpdateTracksNearestAndRunnerUp) {
   }
 }
 
+void expect_same_svd(const SvdResult& want, const SvdResult& got,
+                     const std::string& label) {
+  EXPECT_EQ(want.sweeps, got.sweeps) << label;
+  ASSERT_EQ(want.sigma.size(), got.sigma.size()) << label;
+  for (std::size_t i = 0; i < want.sigma.size(); ++i) {
+    EXPECT_TRUE(bit_equal(want.sigma[i], got.sigma[i])) << label << " i=" << i;
+  }
+  ASSERT_EQ(want.u.data().size(), got.u.data().size()) << label;
+  for (std::size_t i = 0; i < want.u.data().size(); ++i) {
+    ASSERT_TRUE(bit_equal(want.u.data()[i], got.u.data()[i]))
+        << label << " i=" << i;
+  }
+  ASSERT_EQ(want.v.data().size(), got.v.data().size()) << label;
+  for (std::size_t i = 0; i < want.v.data().size(); ++i) {
+    ASSERT_TRUE(bit_equal(want.v.data()[i], got.v.data()[i]))
+        << label << " i=" << i;
+  }
+}
+
+/// True when `got` holds svd(a)'s first r triplets bit for bit: the
+/// truncation fell back to one-sided Jacobi.
+bool is_one_sided_cut(const Matrix& a, const SvdResult& got) {
+  const SvdResult full = svd(a);
+  const std::size_t r = got.sigma.size();
+  for (std::size_t c = 0; c < r; ++c) {
+    if (!bit_equal(full.sigma[c], got.sigma[c])) return false;
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+      if (!bit_equal(full.u(i, c), got.u(i, c))) return false;
+    }
+    for (std::size_t i = 0; i < a.cols(); ++i) {
+      if (!bit_equal(full.v(i, c), got.v(i, c))) return false;
+    }
+  }
+  return true;
+}
+
 TEST(SimdKernels, TruncatedSvdIdenticalAcrossLevels) {
   Matrix a(37, 9);
   std::mt19937_64 rng(4242);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
   for (double& v : a.data()) v = unit(rng);
+  // Rank 3 (rows repeat three random rows, scaled), truncated above it.
+  Matrix deficient(37, 9);
+  for (std::size_t i = 0; i < 37; ++i) {
+    for (std::size_t j = 0; j < 9; ++j) {
+      deficient(i, j) = a(i % 3, j) * static_cast<double>(1 + i % 5);
+    }
+  }
 
   ForcedLevel pin(Level::kScalar);
   const SvdResult want = truncated_svd(a, 6);
+  const SvdResult want_deficient = truncated_svd(deficient, 6);
+  // `a` takes the Gram path and `deficient` the one-sided fallback.
+  EXPECT_FALSE(is_one_sided_cut(a, want));
+  EXPECT_TRUE(is_one_sided_cut(deficient, want_deficient));
   for (const Level level : available_levels()) {
     force_level(level);
-    const SvdResult got = truncated_svd(a, 6);
-    ASSERT_EQ(want.sigma.size(), got.sigma.size());
-    for (std::size_t i = 0; i < want.sigma.size(); ++i) {
-      EXPECT_TRUE(bit_equal(want.sigma[i], got.sigma[i])) << "i=" << i;
-    }
-    for (std::size_t i = 0; i < want.u.data().size(); ++i) {
-      ASSERT_TRUE(bit_equal(want.u.data()[i], got.u.data()[i])) << "i=" << i;
-    }
-    for (std::size_t i = 0; i < want.v.data().size(); ++i) {
-      ASSERT_TRUE(bit_equal(want.v.data()[i], got.v.data()[i])) << "i=" << i;
-    }
+    const std::string name(level_name(level));
+    expect_same_svd(want, truncated_svd(a, 6), "gram level=" + name);
+    expect_same_svd(want_deficient, truncated_svd(deficient, 6),
+                    "fallback level=" + name);
   }
 }
 

@@ -3,8 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
+#include <span>
 #include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "payload/term_matrix.hpp"
+#include "summarize/normalize.hpp"
+#include "trace/background.hpp"
 
 namespace jaal::linalg {
 namespace {
@@ -132,6 +140,88 @@ TEST(Svd, TruncatedSvdValidatesRank) {
   const Matrix a = random_matrix(10, 4, 8);
   EXPECT_THROW((void)truncated_svd(a, 0), std::invalid_argument);
   EXPECT_THROW((void)truncated_svd(a, 5), std::invalid_argument);
+}
+
+/// Checks a truncated SVD against one-sided Jacobi's factors (svd(a)): sigma
+/// within sigma_tol * sigma_1, each U and V column within vec_tol up to sign.
+void expect_matches_one_sided(const SvdResult& got, const SvdResult& want,
+                              std::size_t r, double sigma_tol, double vec_tol,
+                              const std::string& label) {
+  ASSERT_EQ(got.sigma.size(), r) << label;
+  ASSERT_EQ(got.u.cols(), r) << label;
+  ASSERT_EQ(got.v.cols(), r) << label;
+  for (std::size_t c = 0; c < r; ++c) {
+    EXPECT_NEAR(got.sigma[c], want.sigma[c], sigma_tol * want.sigma[0])
+        << label << " sigma " << c;
+    const double sign = got.v(0, c) * want.v(0, c) < 0.0 ? -1.0 : 1.0;
+    double u_err = 0.0;
+    double v_err = 0.0;
+    for (std::size_t i = 0; i < got.u.rows(); ++i) {
+      u_err = std::max(u_err, std::abs(got.u(i, c) - sign * want.u(i, c)));
+    }
+    for (std::size_t i = 0; i < got.v.rows(); ++i) {
+      v_err = std::max(v_err, std::abs(got.v(i, c) - sign * want.v(i, c)));
+    }
+    EXPECT_LE(u_err, vec_tol) << label << " U column " << c;
+    EXPECT_LE(v_err, vec_tol) << label << " V column " << c;
+  }
+}
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// True when `got` is svd(a) cut to its first r columns, bit for bit.
+bool is_one_sided_cut(const Matrix& a, const SvdResult& got) {
+  const SvdResult full = svd(a);
+  const std::size_t r = got.sigma.size();
+  const std::vector<double> sigma(full.sigma.begin(),
+                                  full.sigma.begin() + static_cast<std::ptrdiff_t>(r));
+  return same_bits(got.sigma, sigma) &&
+         same_bits(got.u.data(), full.u.left_cols(r).data()) &&
+         same_bits(got.v.data(), full.v.left_cols(r).data());
+}
+
+TEST(Svd, GramTruncationMatchesOneSidedJacobi) {
+  // Normalized trace-1 header batches at the pipeline's sizes and ranks.
+  for (const std::size_t n : {500u, 2000u}) {
+    trace::BackgroundTraffic gen(trace::trace1_profile(), 11 + n);
+    const Matrix a = summarize::to_normalized_matrix(trace::take(gen, n));
+    const SvdResult full = svd(a);
+    for (const std::size_t r : {10u, 12u, 15u}) {
+      const std::string label =
+          "n=" + std::to_string(n) + " r=" + std::to_string(r);
+      // Well inside the Gram path's 2^-10 conditioning bound...
+      ASSERT_GE(full.sigma[r - 1], 0x1p-10 * full.sigma[0]) << label;
+      const SvdResult got = truncated_svd(a, r);
+      // ...so the result is the Gram path's, not svd(a)'s bits.
+      EXPECT_FALSE(is_one_sided_cut(a, got)) << label;
+      expect_matches_one_sided(got, full, r, 1e-12, 1e-10, label);
+    }
+  }
+}
+
+TEST(Svd, IllConditionedTruncationFallsBack) {
+  // Rank 3 (a 40 x 3 times 3 x 8 product) truncated to r = 5 > rank.
+  const Matrix left = random_matrix(40, 3, 21);
+  const Matrix right = random_matrix(3, 8, 22);
+  Matrix low_rank(40, 8);
+  for (std::size_t i = 0; i < 40; ++i) {
+    for (std::size_t j = 0; j < 8; ++j) {
+      for (std::size_t k = 0; k < 3; ++k) low_rank(i, j) += left(i, k) * right(k, j);
+    }
+  }
+  EXPECT_TRUE(is_one_sided_cut(low_rank, truncated_svd(low_rank, 5)));
+
+  // A payload term matrix: three distinct rows over twelve terms.
+  const payload::Vocabulary vocab = payload::default_vocabulary();
+  std::vector<std::string> payloads;
+  const char* kinds[] = {"GET /index.html", "wget http://a/b.exe",
+                         "SSH-2.0-OpenSSH ../../etc"};
+  for (std::size_t i = 0; i < 60; ++i) payloads.emplace_back(kinds[i % 3]);
+  const Matrix terms = payload::term_frequency_matrix(vocab, payloads);
+  EXPECT_TRUE(is_one_sided_cut(terms, truncated_svd(terms, 4)));
 }
 
 TEST(Svd, RankForEnergy) {
