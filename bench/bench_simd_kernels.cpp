@@ -105,7 +105,7 @@ int main() {
   std::mt19937_64 rng(99);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
 
-  // Column-pair inputs for the Jacobi kernels: one long column pair.
+  // Column-pair inputs for dot: one long column pair.
   constexpr std::size_t kColLen = kBatch;
   constexpr int kColIters = 2000;
   std::vector<double> col_a(kColLen), col_b(kColLen);
@@ -130,31 +130,6 @@ int main() {
           acc += simd::dot(col_a.data(), col_b.data(), kColLen);
         }
         return acc;
-      }),
-      static_cast<double>(kColLen) * kColIters, rows);
-
-  all_identical &= report(
-      "pair_dots",
-      time_levels([&] {
-        double acc = 0.0;
-        for (int i = 0; i < kColIters; ++i) {
-          const simd::PairDots d =
-              simd::pair_dots(col_a.data(), col_b.data(), kColLen);
-          acc += d.alpha + d.beta + d.gamma;
-        }
-        return acc;
-      }),
-      static_cast<double>(kColLen) * kColIters, rows);
-
-  all_identical &= report(
-      "rotate_pair",
-      time_levels([&] {
-        std::vector<double> a = col_a;
-        std::vector<double> b = col_b;
-        for (int i = 0; i < kColIters; ++i) {
-          simd::rotate_pair(a.data(), b.data(), kColLen, 0.8, 0.6);
-        }
-        return a[kColLen / 2] + b[kColLen / 3];
       }),
       static_cast<double>(kColLen) * kColIters, rows);
 

@@ -50,7 +50,6 @@ FLOORS = {
     "simd_kernels": {
         "kernel_kmeans_assign": {"speedup": 2.0},
         "kernel_full_summarize": {"speedup": 2.0},
-        "kernel_pair_dots": {"speedup": 1.3},
         "kernel_seed_update": {"speedup": 1.3},
         # Carry-less-multiply fold vs the slicing-by-8 table (~11x measured).
         "kernel_crc32": {"speedup": 4.0},

@@ -138,13 +138,6 @@ Matrix Matrix::diagonal(std::span<const double> diag) {
   return out;
 }
 
-Matrix Matrix::top_rows(std::size_t r) const {
-  if (r > rows_) throw std::invalid_argument("Matrix::top_rows: r > rows()");
-  Matrix out(r, cols_);
-  std::copy_n(data_.begin(), r * cols_, out.data_.begin());
-  return out;
-}
-
 Matrix Matrix::left_cols(std::size_t c) const {
   if (c > cols_) throw std::invalid_argument("Matrix::left_cols: c > cols()");
   Matrix out(rows_, c);

@@ -81,9 +81,6 @@ class Matrix {
   /// Diagonal matrix from a vector of diagonal entries.
   [[nodiscard]] static Matrix diagonal(std::span<const double> diag);
 
-  /// Keep the first `r` rows (view-copy).  Throws if r > rows().
-  [[nodiscard]] Matrix top_rows(std::size_t r) const;
-
   /// Keep the first `c` columns (view-copy).  Throws if c > cols().
   [[nodiscard]] Matrix left_cols(std::size_t c) const;
 

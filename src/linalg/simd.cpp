@@ -12,8 +12,8 @@
 // does not, breaking the bit-identity contract between levels.
 //
 // Codegen rule: never build a vector lane by lane inside a hot loop.  Splat
-// a scalar with GCC's vector-scalar operators (`xv - c[j]`, `cs * av`) and
-// step index vectors with `+= 1`.  gcc 12 at -O2 folds a lane-by-lane splat
+// a scalar with GCC's vector-scalar operators (`xv - cen[j]`) and step index
+// vectors with `+= 1`.  gcc 12 at -O2 folds a lane-by-lane splat
 // into one broadcast, but -O3 (Release) turned each one into 8 masked
 // vbroadcastsd inside the innermost loop and made the k-means kernels ~3x
 // slower.  Vector-scalar forms give the same loop at both levels.
@@ -284,31 +284,6 @@ double dot_scalar(const double* a, const double* b, std::size_t n) noexcept {
   return (lane[0] + lane[1]) + (lane[2] + lane[3]);
 }
 
-PairDots pair_dots_scalar(const double* a, const double* b,
-                          std::size_t n) noexcept {
-  double la[4] = {0.0, 0.0, 0.0, 0.0};
-  double lb[4] = {0.0, 0.0, 0.0, 0.0};
-  double lg[4] = {0.0, 0.0, 0.0, 0.0};
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    for (std::size_t l = 0; l < 4; ++l) {
-      la[l] += a[i + l] * a[i + l];
-      lb[l] += b[i + l] * b[i + l];
-      lg[l] += a[i + l] * b[i + l];
-    }
-  }
-  for (std::size_t t = 0; i + t < n; ++t) {
-    la[t] += a[i + t] * a[i + t];
-    lb[t] += b[i + t] * b[i + t];
-    lg[t] += a[i + t] * b[i + t];
-  }
-  PairDots out;
-  out.alpha = (la[0] + la[1]) + (la[2] + la[3]);
-  out.beta = (lb[0] + lb[1]) + (lb[2] + lb[3]);
-  out.gamma = (lg[0] + lg[1]) + (lg[2] + lg[3]);
-  return out;
-}
-
 #ifdef JAAL_SIMD_X86
 __attribute__((target("avx2"))) double dot_avx2(const double* a,
                                                 const double* b,
@@ -326,78 +301,6 @@ __attribute__((target("avx2"))) double dot_avx2(const double* a,
   return (lane[0] + lane[1]) + (lane[2] + lane[3]);
 }
 
-__attribute__((target("avx2"))) PairDots pair_dots_avx2(
-    const double* a, const double* b, std::size_t n) noexcept {
-  v4d aa = {}, bb = {}, ab = {};
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    v4d av, bv;
-    std::memcpy(&av, a + i, sizeof av);
-    std::memcpy(&bv, b + i, sizeof bv);
-    aa += av * av;
-    bb += bv * bv;
-    ab += av * bv;
-  }
-  double la[4] = {aa[0], aa[1], aa[2], aa[3]};
-  double lb[4] = {bb[0], bb[1], bb[2], bb[3]};
-  double lg[4] = {ab[0], ab[1], ab[2], ab[3]};
-  for (std::size_t t = 0; i + t < n; ++t) {
-    la[t] += a[i + t] * a[i + t];
-    lb[t] += b[i + t] * b[i + t];
-    lg[t] += a[i + t] * b[i + t];
-  }
-  PairDots out;
-  out.alpha = (la[0] + la[1]) + (la[2] + la[3]);
-  out.beta = (lb[0] + lb[1]) + (lb[2] + lb[3]);
-  out.gamma = (lg[0] + lg[1]) + (lg[2] + lg[3]);
-  return out;
-}
-#endif  // JAAL_SIMD_X86
-
-// ---------------------------------------------------------------------------
-// rotate_pair: elementwise, so any width is bit-identical.
-
-void rotate_pair_scalar(double* a, double* b, std::size_t n, double cs,
-                        double sn) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double ai = a[i];
-    a[i] = cs * ai - sn * b[i];
-    b[i] = sn * ai + cs * b[i];
-  }
-}
-
-#ifdef JAAL_SIMD_X86
-template <class VD>
-[[gnu::always_inline]] inline void rotate_pair_impl(double* a, double* b,
-                                                    std::size_t n, double cs,
-                                                    double sn) noexcept {
-  constexpr std::size_t kW = sizeof(VD) / sizeof(double);
-  std::size_t i = 0;
-  for (; i + kW <= n; i += kW) {
-    VD av, bv;
-    std::memcpy(&av, a + i, sizeof av);
-    std::memcpy(&bv, b + i, sizeof bv);
-    const VD ar = cs * av - sn * bv;
-    const VD br = sn * av + cs * bv;
-    std::memcpy(a + i, &ar, sizeof ar);
-    std::memcpy(b + i, &br, sizeof br);
-  }
-  for (; i < n; ++i) {
-    const double ai = a[i];
-    a[i] = cs * ai - sn * b[i];
-    b[i] = sn * ai + cs * b[i];
-  }
-}
-
-__attribute__((target("avx2"))) void rotate_pair_avx2(
-    double* a, double* b, std::size_t n, double cs, double sn) noexcept {
-  rotate_pair_impl<v4d>(a, b, n, cs, sn);
-}
-
-__attribute__((target("avx512f"))) void rotate_pair_avx512(
-    double* a, double* b, std::size_t n, double cs, double sn) noexcept {
-  rotate_pair_impl<v8d>(a, b, n, cs, sn);
-}
 #endif  // JAAL_SIMD_X86
 
 // ---------------------------------------------------------------------------
@@ -465,28 +368,6 @@ double dot(const double* a, const double* b, std::size_t n) noexcept {
   if (active() != Level::kScalar) return dot_avx2(a, b, n);
 #endif
   return dot_scalar(a, b, n);
-}
-
-PairDots pair_dots(const double* a, const double* b, std::size_t n) noexcept {
-#ifdef JAAL_SIMD_X86
-  if (active() != Level::kScalar) return pair_dots_avx2(a, b, n);
-#endif
-  return pair_dots_scalar(a, b, n);
-}
-
-void rotate_pair(double* a, double* b, std::size_t n, double cs,
-                 double sn) noexcept {
-#ifdef JAAL_SIMD_X86
-  switch (active()) {
-    case Level::kAvx512:
-      return rotate_pair_avx512(a, b, n, cs, sn);
-    case Level::kAvx2:
-      return rotate_pair_avx2(a, b, n, cs, sn);
-    case Level::kScalar:
-      break;
-  }
-#endif
-  rotate_pair_scalar(a, b, n, cs, sn);
 }
 
 void nearest_centroids(const float* x, std::size_t stride, std::size_t d,

@@ -1,16 +1,17 @@
 // Runtime-dispatched SIMD kernels for the summarization hot path.
 //
 // Two loop families dominate a monitor's epoch latency: the k-means
-// point-to-centroid distance search (O(n k p) per Lloyd iteration) and the
-// SVD's O(n p^2) passes over the batch: truncated_svd's Gram matrix is one
-// pass of dot(); pair_dots and rotate_pair serve only the one-sided Jacobi
-// sweeps of svd() and of truncated_svd's fallback (linalg/svd.hpp).  This
-// header exposes portable kernels for both, written with GCC vector
-// extensions and dispatched at runtime (scalar everywhere, AVX2 / AVX-512
-// on x86-64 hosts that support them; JAAL_SIMD=scalar|avx2|avx512
-// overrides, force_level() pins a level for tests and benches).  The SVD
-// kernels run 4/8 doubles per operation; the k-means kernels cluster at the
-// float32 precision summaries ship at and run 8/16 floats.
+// point-to-centroid distance search (O(n k p) per Lloyd iteration) and
+// truncated_svd's Gram matrix, one O(n p^2) pass of dot() over the batch
+// (linalg/svd.hpp).  One-sided Jacobi, which serves svd() and the Gram
+// path's fallback, builds each pair's Gram block from dot() too and
+// rotates in plain scalar code.  This header exposes portable kernels for
+// both families, written with GCC vector extensions and dispatched at
+// runtime (scalar everywhere, AVX2 / AVX-512 on x86-64 hosts that support
+// them; JAAL_SIMD=scalar|avx2|avx512 overrides, force_level() pins a level
+// for tests and benches).  dot() runs 4 doubles per operation; the k-means
+// kernels cluster at the float32 precision summaries ship at and run 8/16
+// floats.
 //
 // Determinism contract (see DESIGN.md "SIMD kernels & SoA layout"):
 //  * Per-point kernels (nearest_centroids, seed_update) reduce over the p
@@ -20,11 +21,9 @@
 //    subtraction, squares summed in the same order) and one select, so a
 //    point's seeding state is what a full scan against the seeds returns.
 //    seed_update's total sums 16 canonical double lanes in one fixed order.
-//  * Reduction kernels (dot, pair_dots) use a fixed canonical 4-accumulator
-//    order at every level; the 8-wide level deliberately runs the 4-wide
-//    reduction body because folding 8 lanes to 4 would regroup the sums.
-//  * Elementwise kernels (rotate_pair) perform the same arithmetic per
-//    element in every lane — trivially bit-identical.
+//  * The reduction kernel dot uses a fixed canonical 4-accumulator order at
+//    every level; the 8-wide level deliberately runs the 4-wide body
+//    because folding 8 lanes to 4 would regroup the sums.
 // Together: seeded Summarizer output is byte-identical across dispatch
 // levels and thread counts.
 #pragma once
@@ -36,9 +35,8 @@
 namespace jaal::linalg::simd {
 
 /// Dispatch level, ordered by vector width.  kAvx2 runs 4 doubles or 8
-/// floats per operation, kAvx512 runs 8 doubles or 16 floats (except the
-/// double reductions, which stay 4-wide — see the determinism contract
-/// above).
+/// floats per operation, kAvx512 runs 8 doubles or 16 floats (except dot,
+/// which stays 4-wide — see the determinism contract above).
 enum class Level : std::uint8_t { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 /// Best level this CPU supports (computed once).
@@ -55,27 +53,9 @@ Level force_level(Level level) noexcept;
 
 [[nodiscard]] std::string_view level_name(Level level) noexcept;
 
-/// alpha = <a,a>, beta = <b,b>, gamma = <a,b> in one pass — the Gram block
-/// a Jacobi rotation needs for one column pair.
-struct PairDots {
-  double alpha = 0.0;
-  double beta = 0.0;
-  double gamma = 0.0;
-};
-
 /// Dot product over n entries, canonical 4-accumulator reduction order.
 [[nodiscard]] double dot(const double* a, const double* b,
                          std::size_t n) noexcept;
-
-/// The three one-sided Jacobi dot products in one fused pass (same
-/// canonical order).
-[[nodiscard]] PairDots pair_dots(const double* a, const double* b,
-                                 std::size_t n) noexcept;
-
-/// Elementwise plane rotation: (a[i], b[i]) <- (cs*a[i] - sn*b[i],
-/// sn*a[i] + cs*b[i]).
-void rotate_pair(double* a, double* b, std::size_t n, double cs,
-                 double sn) noexcept;
 
 /// Nearest-centroid search for points [begin, end) of a float SoA batch:
 /// column j of the batch lives at x + j*stride.  `centroids` is row-major

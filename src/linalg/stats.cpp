@@ -19,29 +19,19 @@ double variance(std::span<const double> values) noexcept {
   return sum / static_cast<double>(values.size());
 }
 
-double weighted_mean(std::span<const double> values,
-                     std::span<const std::uint64_t> weights) {
-  if (values.size() != weights.size()) {
-    throw std::invalid_argument("weighted_mean: size mismatch");
-  }
-  double sum = 0.0;
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    sum += values[i] * static_cast<double>(weights[i]);
-    total += weights[i];
-  }
-  return total == 0 ? 0.0 : sum / static_cast<double>(total);
-}
-
 double weighted_variance(std::span<const double> values,
                          std::span<const std::uint64_t> weights) {
   if (values.size() != weights.size()) {
     throw std::invalid_argument("weighted_variance: size mismatch");
   }
+  double weighted_sum = 0.0;
   std::uint64_t total = 0;
-  for (std::uint64_t w : weights) total += w;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    weighted_sum += values[i] * static_cast<double>(weights[i]);
+    total += weights[i];
+  }
   if (total < 2) return 0.0;
-  const double m = weighted_mean(values, weights);
+  const double m = weighted_sum / static_cast<double>(total);
   double sum = 0.0;
   for (std::size_t i = 0; i < values.size(); ++i) {
     sum += static_cast<double>(weights[i]) * (values[i] - m) * (values[i] - m);

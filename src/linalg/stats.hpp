@@ -13,11 +13,6 @@ namespace jaal::linalg {
 /// Population variance.  Returns 0 for spans of size < 2.
 [[nodiscard]] double variance(std::span<const double> values) noexcept;
 
-/// Mean of values where values[i] occurs weights[i] times (weights >= 0).
-/// Throws std::invalid_argument on size mismatch.
-[[nodiscard]] double weighted_mean(std::span<const double> values,
-                                   std::span<const std::uint64_t> weights);
-
 /// Population variance of the expanded multiset where values[i] occurs
 /// weights[i] times.  This is exactly what Algorithm 2 computes when it adds
 /// x_i(h) to Z c_i times.  Throws std::invalid_argument on size mismatch.

@@ -65,6 +65,15 @@ void rotate_cols(Matrix& v, std::size_t i, std::size_t j, const Rotation& q) {
   }
 }
 
+/// Applies the rotation to the n-entry columns a and b of the SoA batch.
+void rotate_cols(double* a, double* b, std::size_t n, const Rotation& q) {
+  for (std::size_t r = 0; r < n; ++r) {
+    const double ar = a[r];
+    a[r] = q.cs * ar - q.sn * b[r];
+    b[r] = q.sn * ar + q.cs * b[r];
+  }
+}
+
 /// Indices of `values` sorted descending, ties in index order.
 std::vector<std::size_t> descending(const std::vector<double>& values) {
   std::vector<std::size_t> order(values.size());
@@ -77,11 +86,10 @@ std::vector<std::size_t> descending(const std::vector<double>& values) {
 
 /// One-sided Jacobi on an n x p SoA matrix with n >= p, keeping the top
 /// `keep` triplets.  Orthogonalizes the columns of W by plane rotations,
-/// accumulating them in V; afterwards W = U * diag(sigma).  The two O(n)
-/// inner loops — the Gram dot products and the rotation itself — run
-/// through the dispatched SIMD kernels; reductions use the canonical lane
-/// order of linalg/simd.hpp so the result is bit-identical at every
-/// dispatch level.
+/// accumulating them in V; afterwards W = U * diag(sigma).  Each pair's
+/// Gram block is three simd::dot sums in the canonical lane order and the
+/// rotation is scalar, so the result is bit-identical at every dispatch
+/// level.
 SvdResult jacobi_tall(SoaMatrix<double> w, std::size_t keep) {
   const std::size_t n = w.rows();
   const std::size_t p = w.cols();
@@ -93,11 +101,15 @@ SvdResult jacobi_tall(SoaMatrix<double> w, std::size_t keep) {
     bool rotated = false;
     for (std::size_t i = 0; i + 1 < p; ++i) {
       for (std::size_t j = i + 1; j < p; ++j) {
-        const simd::PairDots dots = simd::pair_dots(w.col(i), w.col(j), n);
-        if (settled(dots.alpha, dots.beta, dots.gamma)) continue;
+        double* ci = w.col(i);
+        double* cj = w.col(j);
+        const double alpha = simd::dot(ci, ci, n);
+        const double beta = simd::dot(cj, cj, n);
+        const double gamma = simd::dot(ci, cj, n);
+        if (settled(alpha, beta, gamma)) continue;
         rotated = true;
-        const Rotation q = rotation(dots.alpha, dots.beta, dots.gamma);
-        simd::rotate_pair(w.col(i), w.col(j), n, q.cs, q.sn);
+        const Rotation q = rotation(alpha, beta, gamma);
+        rotate_cols(ci, cj, n, q);
         rotate_cols(v, i, j, q);
       }
     }

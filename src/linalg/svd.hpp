@@ -15,7 +15,9 @@
 //    lambda_1 <= 0, and truncated_svd() returns svd(a) cut to r columns,
 //    bit for bit.  Wide inputs (n < p) take svd() too.  DESIGN.md
 //    "Gram-path truncated SVD" derives the bound.
-// Both paths are bit-identical at every SIMD dispatch level.
+// Both paths are bit-identical at every SIMD dispatch level: simd::dot,
+// whose canonical lane order is the same at every level, is the only
+// dispatched kernel either one calls.
 #pragma once
 
 #include <cstddef>

@@ -79,6 +79,16 @@ class Reader {
     pos_ += n;
     return s;
   }
+  /// A u32 element count, refused when that many elements of `each` bytes
+  /// cannot fit in the rest of the frame: the count is untrusted, and it
+  /// sizes a reserve() before the elements are read.
+  std::uint32_t count(std::size_t each) {
+    const std::uint32_t n = u32();
+    if (n > (bytes_.size() - pos_) / each) {
+      throw std::runtime_error("proto: element count exceeds frame body");
+    }
+    return n;
+  }
   std::span<const std::uint8_t> blob() {
     const std::uint32_t n = u32();
     need(n);
@@ -194,7 +204,7 @@ Message decode(std::span<const std::uint8_t> frame) {
     case kTagRawRequest: {
       RawPacketRequest m;
       m.epoch = r.u32();
-      const std::uint32_t n = r.u32();
+      const std::uint32_t n = r.count(4);
       m.centroids.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) m.centroids.push_back(r.u32());
       r.expect_end();
@@ -203,7 +213,7 @@ Message decode(std::span<const std::uint8_t> frame) {
     case kTagRawResponse: {
       RawPacketResponse m;
       m.epoch = r.u32();
-      const std::uint32_t n = r.u32();
+      const std::uint32_t n = r.count(8 + packet::kHeadersBytes);
       m.packets.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) m.packets.push_back(get_packet(r));
       r.expect_end();

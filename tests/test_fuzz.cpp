@@ -296,6 +296,41 @@ TEST(Fuzz, FrameReaderSurvivesGarbageAfterValidFrames) {
   }
 }
 
+/// Runs `f` and expects the proto decoder's refusal of an element count,
+/// not another error and not std::bad_alloc.
+template <class F>
+void expect_count_refused(F&& f, const std::string& label) {
+  try {
+    f();
+    ADD_FAILURE() << label << ": accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("count"), std::string::npos)
+        << label << ": " << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << label << ": " << typeid(e).name() << " " << e.what();
+  }
+}
+
+TEST(Fuzz, ProtoCountBeyondFrameIsRefused) {
+  // A 13-byte raw-packet request (tag 3) or response (tag 4) frame whose
+  // element count cannot fit in its body: the decoder refuses the count
+  // before it reserves room for it (2^27 packet records are 8 GiB).
+  for (const std::uint8_t tag : {std::uint8_t{3}, std::uint8_t{4}}) {
+    for (const std::uint32_t n : {1u << 27, 0xFFFFFFFFu}) {
+      std::vector<std::uint8_t> frame = {9, 0, 0, 0, tag, 7, 0, 0, 0};
+      for (int i = 0; i < 4; ++i) {
+        frame.push_back(static_cast<std::uint8_t>(n >> (8 * i)));
+      }
+      const std::string label =
+          "tag " + std::to_string(tag) + " n " + std::to_string(n);
+      expect_count_refused([&] { (void)proto::decode(frame); }, label);
+      proto::FrameReader reader;
+      reader.feed(frame);
+      expect_count_refused([&] { (void)reader.next(); }, label + " stream");
+    }
+  }
+}
+
 TEST(Fuzz, RuleParserThrowsNotCrashes) {
   std::mt19937_64 rng(7);
   const std::string alphabet =

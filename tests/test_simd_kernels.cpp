@@ -92,54 +92,6 @@ TEST(SimdKernels, DotBitIdenticalAcrossLevels) {
   }
 }
 
-TEST(SimdKernels, PairDotsBitIdenticalAcrossLevels) {
-  for (const std::size_t n : kSizes) {
-    const auto a = random_vec(n, 31 + n);
-    const auto b = random_vec(n, 47 + n);
-    ForcedLevel pin(Level::kScalar);
-    const PairDots want = pair_dots(a.data(), b.data(), n);
-    for (const Level level : available_levels()) {
-      force_level(level);
-      const PairDots got = pair_dots(a.data(), b.data(), n);
-      EXPECT_TRUE(bit_equal(want.alpha, got.alpha)) << "n=" << n;
-      EXPECT_TRUE(bit_equal(want.beta, got.beta)) << "n=" << n;
-      EXPECT_TRUE(bit_equal(want.gamma, got.gamma)) << "n=" << n;
-    }
-  }
-}
-
-TEST(SimdKernels, PairDotsMatchesSeparateDots) {
-  const std::size_t n = 33;
-  const auto a = random_vec(n, 3);
-  const auto b = random_vec(n, 5);
-  const PairDots d = pair_dots(a.data(), b.data(), n);
-  EXPECT_TRUE(bit_equal(d.alpha, dot(a.data(), a.data(), n)));
-  EXPECT_TRUE(bit_equal(d.beta, dot(b.data(), b.data(), n)));
-  EXPECT_TRUE(bit_equal(d.gamma, dot(a.data(), b.data(), n)));
-}
-
-TEST(SimdKernels, RotatePairBitIdenticalAcrossLevels) {
-  const double cs = 0.8, sn = 0.6;
-  for (const std::size_t n : kSizes) {
-    const auto a0 = random_vec(n, 7 + n);
-    const auto b0 = random_vec(n, 13 + n);
-    ForcedLevel pin(Level::kScalar);
-    auto a_want = a0;
-    auto b_want = b0;
-    rotate_pair(a_want.data(), b_want.data(), n, cs, sn);
-    for (const Level level : available_levels()) {
-      force_level(level);
-      auto a = a0;
-      auto b = b0;
-      rotate_pair(a.data(), b.data(), n, cs, sn);
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_TRUE(bit_equal(a_want[i], a[i])) << "n=" << n << " i=" << i;
-        EXPECT_TRUE(bit_equal(b_want[i], b[i])) << "n=" << n << " i=" << i;
-      }
-    }
-  }
-}
-
 TEST(SimdKernels, NearestCentroidsBitIdenticalAcrossLevels) {
   const std::size_t d = 18;
   for (const std::size_t n : kSizes) {

@@ -27,13 +27,6 @@ TEST(Stats, VarianceOfConstantIsZero) {
   EXPECT_NEAR(variance(v), 0.0, 1e-24);  // float residue only
 }
 
-TEST(Stats, WeightedMeanMatchesExpansion) {
-  const double values[] = {1.0, 10.0};
-  const std::uint64_t weights[] = {3, 1};
-  // Expanded: {1,1,1,10} -> mean 3.25
-  EXPECT_DOUBLE_EQ(weighted_mean(values, weights), 3.25);
-}
-
 TEST(Stats, WeightedVarianceMatchesExpansion) {
   const double values[] = {2.0, 4.0, 9.0};
   const std::uint64_t weights[] = {2, 3, 1};
@@ -45,7 +38,6 @@ TEST(Stats, WeightedVarianceMatchesExpansion) {
 TEST(Stats, WeightedSizeMismatchThrows) {
   const double values[] = {1.0};
   const std::uint64_t weights[] = {1, 2};
-  EXPECT_THROW((void)weighted_mean(values, weights), std::invalid_argument);
   EXPECT_THROW((void)weighted_variance(values, weights), std::invalid_argument);
 }
 

@@ -10,7 +10,9 @@
 #include <string>
 #include <vector>
 
+#include "linalg/simd.hpp"
 #include "payload/term_matrix.hpp"
+#include "simd_levels.hpp"
 #include "summarize/normalize.hpp"
 #include "trace/background.hpp"
 
@@ -222,6 +224,49 @@ TEST(Svd, IllConditionedTruncationFallsBack) {
   for (std::size_t i = 0; i < 60; ++i) payloads.emplace_back(kinds[i % 3]);
   const Matrix terms = payload::term_frequency_matrix(vocab, payloads);
   EXPECT_TRUE(is_one_sided_cut(terms, truncated_svd(terms, 4)));
+}
+
+/// FNV-1a over the bits of sigma, U and V, in that order.
+std::uint64_t digest(const SvdResult& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::span<const double> part :
+       {std::span<const double>(s.sigma), std::span<const double>(s.u.data()),
+        std::span<const double>(s.v.data())}) {
+    for (const double x : part) {
+      unsigned char bytes[sizeof(double)];
+      std::memcpy(bytes, &x, sizeof bytes);
+      for (const unsigned char b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ull;
+      }
+    }
+  }
+  return h;
+}
+
+TEST(Svd, OneSidedJacobiBitsArePinned) {
+  // One-sided Jacobi's exact output.  Dispatch levels agreeing with each
+  // other cannot show that a rewrite of its loops kept the bits; fixed
+  // digests can.
+  const Matrix tall = random_matrix(2000, 18, 31);
+  const Matrix wide = random_matrix(12, 18, 32);  // the transpose branch
+  // TruncatedSvdIdenticalAcrossLevels's rank-3 batch, which falls back.
+  const Matrix base = random_matrix(37, 9, 4242);
+  Matrix deficient(37, 9);
+  for (std::size_t i = 0; i < 37; ++i) {
+    for (std::size_t j = 0; j < 9; ++j) {
+      deficient(i, j) = base(i % 3, j) * static_cast<double>(1 + i % 5);
+    }
+  }
+  for (const simd::Level level : test::available_levels()) {
+    test::ForcedLevel pin(level);
+    const std::string name(simd::level_name(level));
+    EXPECT_EQ(digest(svd(tall)), 0x33819870b5227033ull) << name;
+    EXPECT_EQ(digest(svd(wide)), 0x83ccaef406f8655bull) << name;
+    const SvdResult cut = truncated_svd(deficient, 6);
+    EXPECT_TRUE(is_one_sided_cut(deficient, cut)) << name;
+    EXPECT_EQ(digest(cut), 0x4c966c4d04d0c562ull) << name;
+  }
 }
 
 TEST(Svd, RankForEnergy) {
