@@ -109,7 +109,7 @@ int main() {
   {
     store::DeploymentStore store({big.string(), 64}, /*writable=*/false);
     const auto t0 = std::chrono::steady_clock::now();
-    store.summaries_log().for_each([&](const store::RecordView& r) {
+    store.log().for_each([&](const store::RecordView& r) {
       scanned_bytes += r.payload.size();
       ++scanned_records;
       return true;

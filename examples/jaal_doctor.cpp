@@ -322,11 +322,6 @@ int run_store_mode(const std::string& dir, long long epoch_query, bool json) {
                 static_cast<unsigned long long>(diag.flight_events),
                 static_cast<unsigned long long>(diag.metrics_records),
                 static_cast<unsigned long long>(diag.provenance_records));
-    if (diag.shard_count > 1) {
-      // Informational only: the timeline itself is shard-count-invariant.
-      std::printf("written by a sharded inference tier (%llu shards)\n",
-                  static_cast<unsigned long long>(diag.shard_count));
-    }
     std::printf("health reconstruction %s, drift cross-check: %llu "
                 "mismatched epochs\n\n",
                 diag.health_complete ? "complete" : "partial (no ops stream)",

@@ -276,7 +276,7 @@ void JaalController::close_out(EpochResult& result, std::uint64_t epoch,
       tier_.engine().stats().feedback_fallbacks - fallbacks_before;
   rec_.close_epoch(result, health_, fallbacks);
   // Store commit: alerts and provenance land first, then the recorder's ops
-  // batch, then the EpochMeta record in the summaries log marks the epoch
+  // batch, then the EpochMeta record marks the epoch
   // durable — a crash between any of these appends leaves an uncommitted
   // epoch that recovery truncates wholesale on the next open.
   if (store_) {

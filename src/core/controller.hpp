@@ -87,8 +87,8 @@ struct JaalConfig : DeploymentConfig {
   /// — all default on).
   observe::ObserveConfig observe;
   /// Persistence (src/store): when non-empty, every closed epoch's
-  /// aggregated summaries, alerts and provenance are appended to
-  /// time-sharded mmap'd logs under this directory, with one EpochMeta
+  /// aggregated summaries, alerts and provenance are appended to one
+  /// time-sharded log under this directory, closed by one EpochMeta
   /// commit record per epoch.  A controller constructed over an existing
   /// store resumes at the epoch after the last committed one (torn shard
   /// tails and uncommitted epochs are truncated on open); subsequent
@@ -100,8 +100,8 @@ struct JaalConfig : DeploymentConfig {
   /// persistence.  Store I/O failures never interrupt the deployment: the
   /// store goes inert (see store::DeploymentStore::failed).
   std::string store_dir;
-  /// Epochs per .jstore shard file (shard roll = msync + truncate of the
-  /// finished shard).
+  /// Epochs per .jstore shard file of the store log (shard roll =
+  /// fdatasync of the finished shard).
   std::uint64_t store_epochs_per_shard = 64;
   /// Persist the operational timeline: one kMetrics record (the metrics
   /// registry's delta since the previous commit — deterministic metrics
@@ -109,7 +109,7 @@ struct JaalConfig : DeploymentConfig {
   /// epoch, committed under the epoch's EpochMeta.  jaal_doctor --store
   /// replays them offline into the exact live HealthReport / SLO summary.
   /// Requires store_dir; the metrics side additionally requires telemetry.
-  /// Off by default (the ops log then stays empty).
+  /// Off by default (the store then holds no kMetrics / kEvents records).
   bool store_metrics = false;
 };
 

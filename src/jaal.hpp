@@ -40,8 +40,8 @@
 //                   examples/jaal_doctor is the reference consumer)
 //   persistence     store::StoreConfig, store::DeploymentStore,
 //                   store::StoreReplayer, store::EpochMeta,
-//                   store::diagnose_store (mmap'd time-sharded .jstore
-//                   logs of summaries/alerts/provenance/ops, crash-safe
+//                   store::diagnose_store (one time-sharded .jstore log
+//                   of summaries/alerts/provenance/ops, crash-safe
 //                   restart, retroactive rule replay, offline timeline
 //                   diagnosis — JaalConfig::store_dir wires it in;
 //                   examples/retroactive_query and jaal_doctor --store

@@ -34,7 +34,8 @@ namespace jaal::shard {
 
 /// Carries no settings: the tier is one engine.  It stays only because the
 /// end-to-end benchmark (perfbench/) still constructs it, and goes with the
-/// next change to that benchmark.
+/// next change to that benchmark — as do shard_count() and
+/// store::EpochMeta::shard_count, which the store ignores.
 struct ShardingConfig {};
 
 class InferenceTier final {
@@ -83,7 +84,7 @@ class InferenceTier final {
     return engine_.infer(aggregate, fetch, parent);
   }
 
-  /// Always 1; stored in EpochMeta::shard_count.
+  /// Always 1 (see ShardingConfig).
   [[nodiscard]] std::size_t shard_count() const noexcept { return 1; }
 
   /// The engine: decision phase, stats, questions, rules.  The mutable

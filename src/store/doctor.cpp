@@ -56,7 +56,6 @@ StoreDiagnosis diagnose_store(const DeploymentStore& store,
 
   store.each_epoch_meta([&](const EpochMeta& m) {
     out.metas.push_back(m);
-    if (m.shard_count > out.shard_count) out.shard_count = m.shard_count;
     return true;
   });
   out.epochs = out.metas.size();

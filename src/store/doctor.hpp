@@ -14,9 +14,9 @@
 // re-derived transitions — a mismatch means the store and the build
 // disagree about the drift arithmetic and is surfaced, not hidden.
 //
-// Stores written without the ops stream (older deployments, or
-// store_metrics off) still diagnose: epoch/alert/SLO timeline from
-// EpochMeta and the alert log, with health_complete() false.
+// Stores written without ops records (store_metrics off) still diagnose:
+// epoch/alert/SLO timeline from EpochMeta and the alert records, with
+// health_complete() false.
 #pragma once
 
 #include <cstdint>
@@ -52,11 +52,6 @@ struct StoreDiagnosis {
   /// health reconstruction saw everything the live tracker saw.
   bool health_complete = false;
   std::size_t monitor_count = 0;      ///< As used for reconstruction.
-  /// Largest inference-tier shard count any committed epoch ran with (see
-  /// EpochMeta::shard_count).  Purely informational: the
-  /// diagnosis arithmetic is shard-agnostic, and the timeline stays
-  /// byte-identical across shard counts.
-  std::uint64_t shard_count = 1;
 
   observe::HealthReport health;       ///< Reconstructed (scoreboard empty).
   std::string slo_jsonl;              ///< Reconstructed slo_summary line.

@@ -5,93 +5,35 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <utility>
-
 namespace jaal::store {
 
 FlatMmap::~FlatMmap() { close(); }
 
-FlatMmap::FlatMmap(FlatMmap&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)),
-      writable_(std::exchange(other.writable_, false)),
-      data_(std::exchange(other.data_, nullptr)),
-      size_(std::exchange(other.size_, 0)) {}
-
-FlatMmap& FlatMmap::operator=(FlatMmap&& other) noexcept {
-  if (this != &other) {
-    close();
-    fd_ = std::exchange(other.fd_, -1);
-    writable_ = std::exchange(other.writable_, false);
-    data_ = std::exchange(other.data_, nullptr);
-    size_ = std::exchange(other.size_, 0);
-  }
-  return *this;
-}
-
-bool FlatMmap::open(const std::string& path, bool writable) {
+bool FlatMmap::open(const std::string& path) {
   close();
-  const int flags = writable ? (O_RDWR | O_CREAT | O_CLOEXEC)
-                             : (O_RDONLY | O_CLOEXEC);
-  fd_ = ::open(path.c_str(), flags, 0644);
-  if (fd_ < 0) return false;
-  writable_ = writable;
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
   struct stat st{};
-  if (::fstat(fd_, &st) != 0) {
-    close();
-    return false;
+  bool ok = ::fstat(fd, &st) == 0;
+  if (ok && st.st_size > 0) {
+    const auto size = static_cast<std::size_t>(st.st_size);
+    void* p = ::mmap(nullptr, size, PROT_READ, MAP_SHARED, fd, 0);
+    ok = p != MAP_FAILED;
+    if (ok) {
+      data_ = static_cast<const std::uint8_t*>(p);
+      size_ = size;
+    }
   }
-  if (st.st_size > 0 && !remap(static_cast<std::size_t>(st.st_size))) {
-    close();
-    return false;
-  }
-  return true;
-}
-
-bool FlatMmap::remap(std::size_t new_size) {
-  if (data_ != nullptr) {
-    ::munmap(data_, size_);
-    data_ = nullptr;
-    size_ = 0;
-  }
-  if (new_size == 0) return true;
-  const int prot = writable_ ? (PROT_READ | PROT_WRITE) : PROT_READ;
-  void* p = ::mmap(nullptr, new_size, prot, MAP_SHARED, fd_, 0);
-  if (p == MAP_FAILED) return false;
-  data_ = static_cast<std::uint8_t*>(p);
-  size_ = new_size;
-  return true;
-}
-
-bool FlatMmap::ensure_capacity(std::size_t bytes) {
-  if (fd_ < 0 || !writable_) return false;
-  if (bytes <= size_) return true;
-  if (::ftruncate(fd_, static_cast<off_t>(bytes)) != 0) return false;
-  return remap(bytes);
-}
-
-bool FlatMmap::truncate_to(std::size_t bytes) {
-  if (fd_ < 0 || !writable_) return false;
-  if (::ftruncate(fd_, static_cast<off_t>(bytes)) != 0) return false;
-  return remap(bytes);
-}
-
-bool FlatMmap::sync(std::size_t bytes) noexcept {
-  if (fd_ < 0 || data_ == nullptr || bytes == 0) return true;
-  if (bytes > size_) bytes = size_;
-  return ::msync(data_, bytes, MS_SYNC) == 0;
+  ::close(fd);  // the mapping outlives the descriptor
+  return ok;
 }
 
 void FlatMmap::close() noexcept {
   if (data_ != nullptr) {
-    ::munmap(data_, size_);
+    ::munmap(const_cast<std::uint8_t*>(data_), size_);
     data_ = nullptr;
     size_ = 0;
   }
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  writable_ = false;
 }
 
 }  // namespace jaal::store

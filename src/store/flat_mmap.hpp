@@ -1,13 +1,11 @@
-// Memory-mapped flat file: the lowest layer of src/store.
+// Read-only memory-mapped file: the lowest layer of src/store.
 //
-// One FlatMmap owns one file descriptor and one MAP_SHARED mapping.  A
-// writable mapping grows by ftruncate + remap (capacity is the file size;
-// the logical data length is the caller's business — shards track it via
-// record framing and walk-on-open).  Everything here returns bool instead
-// of throwing: store writes sit on the controller's per-epoch hot path,
-// which is throw-free by the library error policy (jaal.hpp), so an I/O
-// failure degrades the owning store to inert rather than unwinding an
-// epoch.
+// One FlatMmap maps one file's contents at open (MAP_SHARED, PROT_READ) and
+// unmaps them on close.  Shard walks read through it; appends never do —
+// the writer pwrites to a plain descriptor (flat_timeshard), so a file is
+// exactly the bytes written to it.  open() returns bool instead of
+// throwing: store walks sit under the controller's throw-free per-epoch
+// path (jaal.hpp error policy).
 #pragma once
 
 #include <cstddef>
@@ -21,41 +19,21 @@ class FlatMmap {
   FlatMmap() = default;
   ~FlatMmap();
 
-  FlatMmap(FlatMmap&& other) noexcept;
-  FlatMmap& operator=(FlatMmap&& other) noexcept;
   FlatMmap(const FlatMmap&) = delete;
   FlatMmap& operator=(const FlatMmap&) = delete;
 
-  /// Opens `path` and maps its current contents.  Writable mode creates the
-  /// file when missing (0 bytes, no mapping until ensure_capacity).
+  /// Maps the current contents of `path` (an empty file maps nothing).
   /// Returns false on any syscall failure; the object is then closed.
-  [[nodiscard]] bool open(const std::string& path, bool writable);
-
-  /// Grows the file (and remaps) so at least `bytes` are addressable.
-  /// Never shrinks.  Writable mappings only.
-  [[nodiscard]] bool ensure_capacity(std::size_t bytes);
-
-  /// Shrinks the file to exactly `bytes` and remaps.  Writable only.
-  [[nodiscard]] bool truncate_to(std::size_t bytes);
-
-  /// msync the first `bytes` of the mapping to stable storage (MS_SYNC).
-  [[nodiscard]] bool sync(std::size_t bytes) noexcept;
+  [[nodiscard]] bool open(const std::string& path);
 
   void close() noexcept;
 
-  [[nodiscard]] bool is_open() const noexcept { return fd_ >= 0; }
-  [[nodiscard]] bool writable() const noexcept { return writable_; }
-  /// Mapped length == file length.
+  /// Mapped length == file length at open.
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] std::uint8_t* data() noexcept { return data_; }
   [[nodiscard]] const std::uint8_t* data() const noexcept { return data_; }
 
  private:
-  [[nodiscard]] bool remap(std::size_t new_size);
-
-  int fd_ = -1;
-  bool writable_ = false;
-  std::uint8_t* data_ = nullptr;
+  const std::uint8_t* data_ = nullptr;
   std::size_t size_ = 0;
 };
 

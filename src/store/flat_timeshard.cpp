@@ -1,5 +1,9 @@
 #include "store/flat_timeshard.hpp"
 
+#include <fcntl.h>
+#include <sys/uio.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -50,8 +54,8 @@ bool magic_landed(const FlatMmap& map) noexcept {
 }
 
 /// Offset just past the last non-zero byte at or after `from`: the extent
-/// of bytes actually written.  Growth pre-zeroes mmap capacity, so trailing
-/// zeros are unused allocation, not torn record data.
+/// of bytes actually written.  A crash can leave a file extended before its
+/// bytes landed, so trailing zeros are not torn record data.
 std::size_t data_extent(const FlatMmap& map, std::size_t from) noexcept {
   std::size_t end = map.size();
   const std::uint8_t* d = map.data();
@@ -76,7 +80,7 @@ TimeShardLog::TimeShardLog(TimeShardConfig cfg, bool writable,
     tel_rolls_ = &m.counter("jaal_store_shards_rolled_total");
     tel_torn_bytes_ = &m.counter("jaal_store_torn_bytes_truncated_total");
     tel_scan_bytes_ = &m.counter("jaal_store_scan_bytes_total");
-    tel_msync_ms_ = &m.histogram("jaal_store_msync_ms");
+    tel_sync_ms_ = &m.histogram("jaal_store_msync_ms");
   }
   std::error_code ec;
   if (writable_) fs::create_directories(cfg_.dir, ec);
@@ -110,7 +114,7 @@ TimeShardLog::TimeShardLog(TimeShardConfig cfg, bool writable,
   for (std::size_t i = 0; i < shard_indices_.size();) {
     const std::uint64_t idx = shard_indices_[i];
     FlatMmap map;
-    if (!map.open(shard_path(idx), false)) {
+    if (!map.open(shard_path(idx))) {
       throw std::invalid_argument("TimeShardLog: cannot open shard " +
                                   shard_path(idx));
     }
@@ -140,7 +144,10 @@ TimeShardLog::TimeShardLog(TimeShardConfig cfg, bool writable,
   }
 }
 
-TimeShardLog::~TimeShardLog() { finalize(); }
+TimeShardLog::~TimeShardLog() {
+  finalize();
+  close_tail();
+}
 
 std::string TimeShardLog::shard_path(std::uint64_t index) const {
   char name[64];
@@ -164,57 +171,71 @@ bool TimeShardLog::open_tail_for_write() {
   while (!shard_indices_.empty()) {
     const std::uint64_t idx = shard_indices_.back();
     const std::string path = shard_path(idx);
-    if (!tail_.open(path, true)) return false;
-    if (!header_ok(tail_, idx)) {
-      if (magic_landed(tail_)) {
-        // A fully-rolled shard whose header disagrees with this build or
-        // config: refuse the whole store rather than silently dropping
-        // data.  (The constructor pre-validation already throws for this;
-        // kept as a defensive backstop.)
-        return false;
-      }
-      // Crash during a shard roll: the magic never fully landed.  The file
-      // holds no committed data — delete it and fall back to the previous
-      // shard.
-      torn_bytes_ += data_extent(tail_, 0);
-      tail_.close();
+    FlatMmap map;
+    if (!map.open(path)) return false;
+    if (!header_ok(map, idx)) {
+      // Crash during a shard roll: the magic never fully landed (the
+      // constructor refused every other header mismatch).  The file holds
+      // no committed data — delete it and fall back to the previous shard.
+      torn_bytes_ += data_extent(map, 0);
+      map.close();
       std::error_code ec;
       fs::remove(path, ec);
       shard_indices_.pop_back();
       continue;
     }
     // One walk finds the torn tail and resumes the epoch-ordering guard.
-    const std::span<const std::uint8_t> bytes(tail_.data(), tail_.size());
+    const std::span<const std::uint8_t> bytes(map.data(), map.size());
     std::size_t end = kShardHeaderBytes;
     while (auto rec = next_in_shard(bytes, end, idx)) {
       last_append_epoch_ = rec->epoch;
     }
-    torn_bytes_ += data_extent(tail_, end) - end;
-    if (!tail_.truncate_to(end)) return false;
-    tail_used_ = end;
-    tail_index_ = idx;
-    return true;
+    torn_bytes_ += data_extent(map, end) - end;
+    return open_tail(idx, end);
   }
   return true;  // empty log; the first append creates shard 0+.
 }
 
+bool TimeShardLog::open_tail(std::uint64_t index, std::size_t size) {
+  close_tail();
+  tail_fd_ = ::open(shard_path(index).c_str(), O_RDWR | O_CLOEXEC);
+  if (tail_fd_ < 0 || ::ftruncate(tail_fd_, static_cast<off_t>(size)) != 0) {
+    close_tail();
+    return false;
+  }
+  tail_used_ = size;
+  tail_index_ = index;
+  return true;
+}
+
+void TimeShardLog::close_tail() noexcept {
+  if (tail_fd_ >= 0) ::close(tail_fd_);
+  tail_fd_ = -1;
+  tail_used_ = 0;
+}
+
 bool TimeShardLog::roll_to(std::uint64_t index) {
-  if (tail_.is_open()) {
+  if (tail_fd_ >= 0) {
     finalize();
+    close_tail();
     if (tel_rolls_ != nullptr) tel_rolls_->add(1);
   }
-  if (!tail_.open(shard_path(index), true)) return false;
-  if (!tail_.ensure_capacity(64 * 1024)) return false;
-  std::uint8_t* h = tail_.data();
-  std::memset(h, 0, kShardHeaderBytes);
+  tail_fd_ = ::open(shard_path(index).c_str(),
+                    O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (tail_fd_ < 0) return false;
+  std::uint8_t h[kShardHeaderBytes] = {};
   std::memcpy(h, kShardMagic, sizeof(kShardMagic));
   put_u32_at(h + 8, kShardFormatVersion);
   put_u32_at(h + 12, kRecordSchemaHash);
   put_u64_at(h + 16, index * cfg_.epochs_per_shard);
   put_u64_at(h + 24, cfg_.epochs_per_shard);
-  tail_used_ = kShardHeaderBytes;
   tail_index_ = index;
   shard_indices_.push_back(index);
+  if (::pwrite(tail_fd_, h, sizeof(h), 0) !=
+      static_cast<ssize_t>(sizeof(h))) {
+    return false;
+  }
+  tail_used_ = kShardHeaderBytes;
   return true;
 }
 
@@ -229,7 +250,7 @@ bool TimeShardLog::append(std::uint64_t epoch, std::uint32_t stream,
     return false;
   }
   const std::uint64_t index = epoch / cfg_.epochs_per_shard;
-  if (!tail_.is_open() || index > tail_index_) {
+  if (tail_fd_ < 0 || index > tail_index_) {
     if (!roll_to(index)) {
       fail();
       return false;
@@ -238,49 +259,45 @@ bool TimeShardLog::append(std::uint64_t epoch, std::uint32_t stream,
     fail();
     return false;
   }
-  const std::size_t end =
-      tail_used_ + kRecordHeaderBytes + payload.size();
-  if (end > tail_.size()) {
-    std::size_t cap = std::max<std::size_t>(tail_.size() * 2, 64 * 1024);
-    cap = std::max(cap, end);
-    if (!tail_.ensure_capacity(cap)) {
-      fail();
-      return false;
-    }
-  }
   RecordHeader h;
   h.payload_len = static_cast<std::uint32_t>(payload.size());
   h.crc32 = crc32(payload);
   h.epoch = epoch;
   h.stream = stream;
   h.kind = static_cast<std::uint32_t>(kind);
-  encode_record_header(h, tail_.data() + tail_used_);
-  if (!payload.empty()) {
-    std::memcpy(tail_.data() + tail_used_ + kRecordHeaderBytes,
-                payload.data(), payload.size());
+  std::uint8_t header[kRecordHeaderBytes];
+  encode_record_header(h, header);
+  const iovec iov[2] = {
+      {header, kRecordHeaderBytes},
+      {const_cast<std::uint8_t*>(payload.data()), payload.size()}};
+  const std::size_t bytes = kRecordHeaderBytes + payload.size();
+  // A short write leaves a torn frame; the next writer open truncates it.
+  if (::pwritev(tail_fd_, iov, 2, static_cast<off_t>(tail_used_)) !=
+      static_cast<ssize_t>(bytes)) {
+    fail();
+    return false;
   }
-  tail_used_ = end;
+  tail_used_ += bytes;
   last_append_epoch_ = epoch;
   ++records_appended_;
   if (tel_records_ != nullptr) {
     tel_records_->add(1);
-    tel_bytes_->add(kRecordHeaderBytes + payload.size());
+    tel_bytes_->add(bytes);
   }
   return true;
 }
 
 bool TimeShardLog::sync() {
-  if (!writable_ || !tail_.is_open()) return true;
+  if (!writable_ || tail_fd_ < 0) return true;
   const auto start = std::chrono::steady_clock::now();
-  const bool ok = tail_.sync(tail_used_);
-  if (tel_msync_ms_ != nullptr) tel_msync_ms_->observe(ms_since(start));
+  const bool ok = ::fdatasync(tail_fd_) == 0;
+  if (tel_sync_ms_ != nullptr) tel_sync_ms_->observe(ms_since(start));
   return ok;
 }
 
 void TimeShardLog::finalize() {
-  if (!writable_ || !tail_.is_open()) return;
+  if (!writable_ || tail_fd_ < 0) return;
   const auto start = std::chrono::steady_clock::now();
-  (void)tail_.truncate_to(tail_used_);
   (void)sync();
   finalize_ms_accum_ += ms_since(start);
   ++finalizes_;
@@ -288,48 +305,44 @@ void TimeShardLog::finalize() {
 
 bool TimeShardLog::truncate_after_epoch(std::optional<std::uint64_t> epoch) {
   if (!writable_ || failed_) return false;
+  close_tail();  // reopened below on the boundary shard
   // Shards whose whole range lies beyond the epoch go away entirely (all of
   // them when wiping).
   while (!shard_indices_.empty() &&
          (!epoch.has_value() ||
           shard_indices_.back() * cfg_.epochs_per_shard > *epoch)) {
-    const std::uint64_t idx = shard_indices_.back();
-    if (tail_.is_open() && tail_index_ == idx) tail_.close();
     std::error_code ec;
-    fs::remove(shard_path(idx), ec);
+    fs::remove(shard_path(shard_indices_.back()), ec);
     shard_indices_.pop_back();
   }
   if (shard_indices_.empty()) {
-    tail_.close();
-    tail_used_ = 0;
     last_append_epoch_.reset();
     return true;
   }
   // The boundary shard may still hold records past the epoch: cut at the
-  // first one (or at its torn tail, where the walk ends).
+  // first one (or at its torn tail, where the walk ends).  It becomes the
+  // append tail.
   const std::uint64_t idx = shard_indices_.back();
-  if (!tail_.is_open() || tail_index_ != idx) {
-    if (!tail_.open(shard_path(idx), true) || !header_ok(tail_, idx)) {
+  std::size_t cut = kShardHeaderBytes;
+  std::optional<std::uint64_t> last;
+  {
+    FlatMmap map;
+    if (!map.open(shard_path(idx)) || !header_ok(map, idx)) {
       fail();
       return false;
     }
-    tail_used_ = tail_.size();
-    tail_index_ = idx;
+    const std::span<const std::uint8_t> bytes(map.data(), map.size());
+    std::size_t offset = cut;
+    while (auto rec = next_in_shard(bytes, offset, idx)) {
+      if (rec->epoch > *epoch) break;
+      cut = offset;
+      last = rec->epoch;
+    }
   }
-  const std::span<const std::uint8_t> bytes(tail_.data(), tail_used_);
-  std::size_t offset = kShardHeaderBytes;
-  std::size_t cut = offset;
-  std::optional<std::uint64_t> last;
-  while (auto rec = next_in_shard(bytes, offset, idx)) {
-    if (rec->epoch > *epoch) break;
-    cut = offset;
-    last = rec->epoch;
-  }
-  if (!tail_.truncate_to(cut)) {
+  if (!open_tail(idx, cut)) {
     fail();
     return false;
   }
-  tail_used_ = cut;
   last_append_epoch_ = last;
   return true;
 }
@@ -348,14 +361,9 @@ bool TimeShardLog::walk_shard(
     std::uint64_t index,
     const std::function<bool(const RecordView&)>& fn) const {
   FlatMmap map;
-  std::span<const std::uint8_t> bytes;
-  if (writable_ && tail_.is_open() && index == tail_index_) {
-    bytes = {tail_.data(), tail_used_};
-  } else {
-    if (!map.open(shard_path(index), false)) return false;
-    if (!header_ok(map, index)) return false;  // torn roll
-    bytes = {map.data(), map.size()};
-  }
+  if (!map.open(shard_path(index))) return false;
+  if (!header_ok(map, index)) return false;  // torn roll
+  const std::span<const std::uint8_t> bytes(map.data(), map.size());
   std::size_t offset = kShardHeaderBytes;
   while (auto rec = next_in_shard(bytes, offset, index)) {
     if (tel_scan_bytes_ != nullptr) {

@@ -3,11 +3,13 @@
 //
 // Each shard starts with a 64-byte versioned header (magic, format version,
 // record schema hash, the shard's first epoch and the log's shard width);
-// CRC-framed records follow (flat_record.hpp).  Writes are append-only and
-// crash-safe by construction:
-//   * a shard is msync'd and truncated to its exact data length when the
-//     log rolls past it (and again at destruction), so finalized shards are
-//     durable and tight;
+// CRC-framed records follow (flat_record.hpp).  The writer appends the tail
+// shard with pwritev on a plain file descriptor — one frame header plus
+// payload per call — so every file is exactly its header and records; walks
+// map shards read-only (flat_mmap.hpp).  Writes are crash-safe by
+// construction:
+//   * a shard is fdatasync'd when the log rolls past it (and again at
+//     destruction), so finalized shards are durable;
 //   * the tail shard is recovered on open by walking its frames — the first
 //     frame that fails validation marks the torn tail, which is truncated
 //     (an interrupted append can never resurface as data);
@@ -41,7 +43,9 @@ namespace jaal::store {
 ///   [24,32) epochs per shard (the log's shard width)
 ///   [32,64) reserved, zero
 inline constexpr std::size_t kShardHeaderBytes = 64;
-inline constexpr std::uint32_t kShardFormatVersion = 1;
+/// 2 since the store keeps one commit-ordered log per deployment; version 1
+/// stores (four per-stream logs) are refused by the header check.
+inline constexpr std::uint32_t kShardFormatVersion = 2;
 inline constexpr char kShardMagic[8] = {'J', 'S', 'T', 'O', 'R', 'E',
                                         '1', '\0'};
 
@@ -70,11 +74,11 @@ class TimeShardLog {
   bool append(std::uint64_t epoch, std::uint32_t stream, RecordKind kind,
               std::span<const std::uint8_t> payload);
 
-  /// msync the tail shard's written bytes.
+  /// fdatasync the tail shard.
   bool sync();
 
-  /// Truncates the tail shard to its data and msyncs it (what a roll does);
-  /// called by the destructor.
+  /// sync() timed into take_finalize_stats (what a roll does); called by
+  /// the destructor.
   void finalize();
 
   /// Removes every record with epoch > `epoch` (writer only): shards
@@ -94,9 +98,9 @@ class TimeShardLog {
   void for_each(const std::function<bool(const RecordView&)>& fn) const;
 
   /// Point query: every valid record of exactly `epoch`, in append order.
-  /// Walks the one shard that can hold the epoch (the writer's tail from
-  /// its mapping) and stops at the first record past it, so it visits at
-  /// most one shard's bytes (jaal_store_scan_bytes_total counts them).
+  /// Walks the one shard that can hold the epoch and stops at the first
+  /// record past it, so it visits at most one shard's bytes
+  /// (jaal_store_scan_bytes_total counts them).
   void for_each_in_epoch(
       std::uint64_t epoch,
       const std::function<bool(const RecordView&)>& fn) const;
@@ -108,8 +112,8 @@ class TimeShardLog {
       std::optional<RecordKind> kind = std::nullopt) const;
 
   /// Torn record bytes removed by recovery when the writer opened (counted
-  /// to the last non-zero byte: zeroed pre-allocated capacity is not torn
-  /// data).
+  /// to the last non-zero byte: zeros past the data, which a crash can leave
+  /// in a file extended before its bytes landed, are not torn data).
   [[nodiscard]] std::uint64_t torn_bytes_truncated() const noexcept {
     return torn_bytes_;
   }
@@ -121,7 +125,7 @@ class TimeShardLog {
     return records_appended_;
   }
 
-  /// Wall time spent in finalize() (shard roll truncate + msync)
+  /// Wall time spent in finalize() (shard roll fdatasync)
   /// since the last take, with the number of finalizes — consumed by the
   /// store's per-epoch 'index_finalize' profiling span.  Resets on read.
   [[nodiscard]] std::pair<double, std::uint64_t> take_finalize_stats()
@@ -141,6 +145,9 @@ class TimeShardLog {
   [[nodiscard]] bool header_ok(const FlatMmap& map,
                                std::uint64_t index) const noexcept;
   [[nodiscard]] bool open_tail_for_write();
+  /// Opens shard `index` as the append tail, cut to `size` bytes.
+  [[nodiscard]] bool open_tail(std::uint64_t index, std::size_t size);
+  void close_tail() noexcept;
   [[nodiscard]] bool roll_to(std::uint64_t index);
   /// next_record, ending the walk of shard `index` (torn-tail rule) at a
   /// record whose epoch lies outside the shard's range: the writer never
@@ -148,8 +155,8 @@ class TimeShardLog {
   [[nodiscard]] std::optional<RecordView> next_in_shard(
       std::span<const std::uint8_t> bytes, std::size_t& offset,
       std::uint64_t index) const noexcept;
-  /// Walks shard `index` (the writer's tail from its mapping), counting
-  /// scanned bytes; false when `fn` stopped or the shard is unreadable.
+  /// Walks shard `index`, counting scanned bytes; false when `fn` stopped
+  /// or the shard is unreadable.
   bool walk_shard(std::uint64_t index,
                   const std::function<bool(const RecordView&)>& fn) const;
   void fail() noexcept { failed_ = true; }
@@ -158,9 +165,9 @@ class TimeShardLog {
   bool writable_ = false;
   bool failed_ = false;
   std::vector<std::uint64_t> shard_indices_;  ///< Sorted, ascending.
-  FlatMmap tail_;            ///< Writable mapping of the last shard.
-  std::size_t tail_used_ = 0;
-  std::uint64_t tail_index_ = 0;  ///< Shard index of tail_ (when open).
+  int tail_fd_ = -1;              ///< Append descriptor of the last shard.
+  std::size_t tail_used_ = 0;     ///< Its size: the next append's offset.
+  std::uint64_t tail_index_ = 0;  ///< Shard index of tail_fd_ (when open).
   std::uint64_t torn_bytes_ = 0;
   std::uint64_t records_appended_ = 0;
   double finalize_ms_accum_ = 0.0;
@@ -172,7 +179,7 @@ class TimeShardLog {
   telemetry::Counter* tel_rolls_ = nullptr;
   telemetry::Counter* tel_torn_bytes_ = nullptr;
   telemetry::Counter* tel_scan_bytes_ = nullptr;
-  telemetry::Histogram* tel_msync_ms_ = nullptr;
+  telemetry::Histogram* tel_sync_ms_ = nullptr;
 };
 
 }  // namespace jaal::store

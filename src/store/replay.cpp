@@ -10,7 +10,8 @@ StoreReplayer::StoreReplayer(const StoreConfig& cfg)
 std::vector<ReplayEpoch> StoreReplayer::replay(
     inference::InferenceEngine& engine, double base_tau_c_scale) const {
   std::vector<ReplayEpoch> epochs;
-  // Summaries of an epoch precede its EpochMeta in the log, so one pass
+  // An epoch's summaries precede its EpochMeta in the log (its alert,
+  // provenance and ops records in between are skipped), so one pass
   // suffices: hold the epoch's parsed summaries, which alias the shard
   // mapping, until the commit record closes the epoch, then rebuild the
   // aggregate on the engine's pool.  The walk serves an epoch's records
@@ -23,7 +24,7 @@ std::vector<ReplayEpoch> StoreReplayer::replay(
   inference::AggregatedSummary aggregate;
   std::vector<summarize::SummaryView> pending;
   std::uint64_t pending_epoch = 0;
-  store_.summaries_log().for_each([&](const RecordView& rec) {
+  store_.log().for_each([&](const RecordView& rec) {
     if (rec.epoch != pending_epoch) pending.clear();
     pending_epoch = rec.epoch;
     if (rec.kind == RecordKind::kSummary) {
@@ -49,7 +50,6 @@ std::vector<ReplayEpoch> StoreReplayer::replay(
     out.packets = meta->packets;
     out.report_fraction = meta->report_fraction;
     out.caution = meta->caution;
-    out.shard_count = meta->shard_count;
     out.summaries = aggregator.summaries_added();
     // Restore the engine knobs the live controller set for this epoch.
     engine.set_tau_c_scale(base_tau_c_scale *

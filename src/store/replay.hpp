@@ -2,7 +2,7 @@
 // ISP-scale operation: translate a *new* Snort rule today and run it over
 // last week's summaries without the raw packets.
 //
-// The replayer walks the summaries log epoch by epoch (zero-copy shard
+// The replayer walks the store's log epoch by epoch (zero-copy shard
 // iteration), rebuilds each committed epoch's aggregate in the exact order
 // the live controller aggregated it, restores the engine's per-epoch state
 // from the EpochMeta commit record (tau_c volume scale, report fraction,
@@ -28,10 +28,6 @@ struct ReplayEpoch {
   std::uint64_t packets = 0;
   double report_fraction = 1.0;
   double caution = 0.0;
-  /// Shard count of the writing deployment (see EpochMeta::shard_count).
-  /// Replay is shard-agnostic: summaries were persisted in arrival order,
-  /// so the rebuilt aggregate equals the live tier's.
-  std::uint64_t shard_count = 1;
   std::size_t summaries = 0;  ///< Summaries aggregated this epoch.
   std::vector<inference::Alert> alerts;
 };

@@ -45,71 +45,48 @@ std::string_view as_view(std::span<const std::uint8_t> bytes) noexcept {
 
 std::vector<std::uint8_t> encode_epoch_meta(const EpochMeta& m) {
   std::vector<std::uint8_t> out;
-  out.reserve(40);
+  out.reserve(32);
   put_u64_le(out, double_bits(m.end_time));
   put_u64_le(out, m.packets);
   put_u64_le(out, double_bits(m.report_fraction));
   put_u64_le(out, double_bits(m.caution));
-  // Sharded deployments append their shard count; the one-shard encoding is
-  // byte-identical to the pre-sharding format.
-  if (m.shard_count != 1) put_u64_le(out, m.shard_count);
   return out;
 }
 
 std::optional<EpochMeta> decode_epoch_meta(
     std::uint64_t epoch, std::span<const std::uint8_t> payload) {
-  if (payload.size() != 32 && payload.size() != 40) return std::nullopt;
+  if (payload.size() != 32) return std::nullopt;
   EpochMeta m;
   m.epoch = epoch;
   m.end_time = bits_double(get_u64_le(payload.data()));
   m.packets = get_u64_le(payload.data() + 8);
   m.report_fraction = bits_double(get_u64_le(payload.data() + 16));
   m.caution = bits_double(get_u64_le(payload.data() + 24));
-  if (payload.size() == 40) {
-    m.shard_count = get_u64_le(payload.data() + 32);
-    if (m.shard_count == 0) return std::nullopt;
-  }
   return m;
 }
 
 DeploymentStore::DeploymentStore(const StoreConfig& cfg, bool writable,
                                  telemetry::Telemetry* tel)
-    : writable_(writable), tel_(tel) {
-  summaries_ = std::make_unique<TimeShardLog>(
-      TimeShardConfig{cfg.dir, "summaries", cfg.epochs_per_shard}, writable,
-      tel);
-  alerts_ = std::make_unique<TimeShardLog>(
-      TimeShardConfig{cfg.dir, "alerts", cfg.epochs_per_shard}, writable,
-      tel);
-  provenance_ = std::make_unique<TimeShardLog>(
-      TimeShardConfig{cfg.dir, "provenance", cfg.epochs_per_shard}, writable,
-      tel);
-  ops_ = std::make_unique<TimeShardLog>(
-      TimeShardConfig{cfg.dir, "ops", cfg.epochs_per_shard}, writable, tel);
-  // The last EpochMeta in the summaries log is the store's commit horizon;
-  // finding it walks only the newest shards, back to the first holding one.
-  last_committed_ = summaries_->last_epoch(RecordKind::kEpochMeta);
-  if (writable) {
-    // Drop everything newer than the horizon from all four logs: records
-    // of a half-written epoch (summaries appended, meta never landed — or
-    // alerts / metrics persisted for an epoch whose meta was torn away)
-    // must not resurface as data after a restart.
-    (void)summaries_->truncate_after_epoch(last_committed_);
-    (void)alerts_->truncate_after_epoch(last_committed_);
-    (void)provenance_->truncate_after_epoch(last_committed_);
-    (void)ops_->truncate_after_epoch(last_committed_);
-  }
+    : log_({cfg.dir, "summaries", cfg.epochs_per_shard}, writable, tel),
+      // The last EpochMeta is the store's commit horizon; finding it walks
+      // only the newest shards, back to the first holding one.
+      last_committed_(log_.last_epoch(RecordKind::kEpochMeta)),
+      writable_(writable),
+      tel_(tel) {
+  // Records of a half-written epoch (appended, but its meta never landed)
+  // must not resurface as data after a restart.
+  if (writable) (void)log_.truncate_after_epoch(last_committed_);
 }
 
-void DeploymentStore::timed_append(TimeShardLog& log, std::uint64_t epoch,
-                                   std::uint32_t stream, RecordKind kind,
+void DeploymentStore::timed_append(std::uint64_t epoch, std::uint32_t stream,
+                                   RecordKind kind,
                                    std::span<const std::uint8_t> payload) {
   if (!profiling()) {
-    (void)log.append(epoch, stream, kind, payload);
+    (void)log_.append(epoch, stream, kind, payload);
     return;
   }
   const auto start = std::chrono::steady_clock::now();
-  (void)log.append(epoch, stream, kind, payload);
+  (void)log_.append(epoch, stream, kind, payload);
   append_ms_ += std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - start)
                     .count();
@@ -119,7 +96,7 @@ void DeploymentStore::timed_append(TimeShardLog& log, std::uint64_t epoch,
 
 void DeploymentStore::put_summary(std::uint64_t epoch, std::uint32_t monitor,
                                   std::span<const std::uint8_t> bytes) {
-  timed_append(*summaries_, epoch, monitor, RecordKind::kSummary, bytes);
+  timed_append(epoch, monitor, RecordKind::kSummary, bytes);
 }
 
 void DeploymentStore::put_summary(std::uint64_t epoch,
@@ -132,32 +109,31 @@ void DeploymentStore::put_alert(std::uint64_t epoch,
                                 const inference::Alert& a,
                                 double epoch_end_time) {
   const std::string line = inference::alert_to_json(a, epoch_end_time);
-  timed_append(*alerts_, epoch, a.sid, RecordKind::kAlert, as_bytes(line));
+  timed_append(epoch, a.sid, RecordKind::kAlert, as_bytes(line));
 }
 
 void DeploymentStore::put_provenance(std::uint64_t epoch, std::uint32_t sid,
                                      const observe::AlertProvenance& p) {
   const std::string line = observe::to_json(p);
-  timed_append(*provenance_, epoch, sid, RecordKind::kProvenance,
-               as_bytes(line));
+  timed_append(epoch, sid, RecordKind::kProvenance, as_bytes(line));
 }
 
 void DeploymentStore::put_metrics(std::uint64_t epoch,
                                   const telemetry::MetricsSnapshot& delta) {
   const std::vector<std::uint8_t> payload = encode_metrics_delta(delta);
-  timed_append(*ops_, epoch, 0, RecordKind::kMetrics, payload);
+  timed_append(epoch, 0, RecordKind::kMetrics, payload);
 }
 
 void DeploymentStore::put_events(
     std::uint64_t epoch, std::span<const observe::FlightEvent> events) {
   const std::vector<std::uint8_t> payload = encode_flight_events(events);
-  timed_append(*ops_, epoch, 0, RecordKind::kEvents, payload);
+  timed_append(epoch, 0, RecordKind::kEvents, payload);
 }
 
 void DeploymentStore::commit_epoch(const EpochMeta& meta) {
   const std::vector<std::uint8_t> payload = encode_epoch_meta(meta);
   if (!profiling()) {
-    if (summaries_->append(meta.epoch, 0, RecordKind::kEpochMeta, payload)) {
+    if (log_.append(meta.epoch, 0, RecordKind::kEpochMeta, payload)) {
       last_committed_ = meta.epoch;
     }
     return;
@@ -174,21 +150,14 @@ void DeploymentStore::commit_epoch(const EpochMeta& meta) {
   {
     telemetry::Span commit_span =
         tel_->tracer.span("store_commit", trace_ctx_);
-    if (summaries_->append(meta.epoch, 0, RecordKind::kEpochMeta, payload)) {
+    if (log_.append(meta.epoch, 0, RecordKind::kEpochMeta, payload)) {
       last_committed_ = meta.epoch;
     }
   }
-  // Shard rolls (truncate + msync) since the last commit, including one the
+  // Shard rolls (fdatasync) since the last commit, including one the
   // commit append itself may have triggered.  The span keeps its pinned
   // name 'index_finalize' (profile stage 14).
-  double fin_ms = 0.0;
-  std::uint64_t fins = 0;
-  for (TimeShardLog* log :
-       {summaries_.get(), alerts_.get(), provenance_.get(), ops_.get()}) {
-    const auto [ms, n] = log->take_finalize_stats();
-    fin_ms += ms;
-    fins += n;
-  }
+  const auto [fin_ms, fins] = log_.take_finalize_stats();
   if (fins > 0) {
     telemetry::Span fin_span =
         tel_->tracer.span("index_finalize", trace_ctx_);
@@ -200,40 +169,36 @@ void DeploymentStore::commit_epoch(const EpochMeta& meta) {
   append_bytes_ = 0;
 }
 
-void DeploymentStore::sync() {
-  (void)summaries_->sync();
-  (void)alerts_->sync();
-  (void)provenance_->sync();
-  (void)ops_->sync();
+void DeploymentStore::each_committed(
+    RecordKind kind, const std::function<bool(const RecordView&)>& fn) const {
+  log_.for_each([&](const RecordView& rec) {
+    // Epochs are non-decreasing, so the first record past the commit
+    // horizon ends the committed prefix.
+    if (!visible(rec.epoch)) return false;
+    return rec.kind != kind || fn(rec);
+  });
 }
 
-bool DeploymentStore::failed() const noexcept {
-  return summaries_->failed() || alerts_->failed() ||
-         provenance_->failed() || ops_->failed();
-}
-
-std::uint64_t DeploymentStore::torn_bytes_truncated() const noexcept {
-  return summaries_->torn_bytes_truncated() +
-         alerts_->torn_bytes_truncated() +
-         provenance_->torn_bytes_truncated() + ops_->torn_bytes_truncated();
+void DeploymentStore::each_in_epoch(
+    std::uint64_t epoch, RecordKind kind,
+    const std::function<bool(const RecordView&)>& fn) const {
+  if (!visible(epoch)) return;
+  log_.for_each_in_epoch(epoch, [&](const RecordView& rec) {
+    return rec.kind != kind || fn(rec);
+  });
 }
 
 void DeploymentStore::each_summary(
     const std::function<bool(std::uint64_t, std::uint32_t,
                              const summarize::MonitorSummary&)>& fn) const {
-  summaries_->for_each([&](const RecordView& rec) {
-    if (rec.kind != RecordKind::kSummary) return true;
-    // Epochs are non-decreasing, so the first record past the commit
-    // horizon ends the committed prefix.
-    if (!visible(rec.epoch)) return false;
+  each_committed(RecordKind::kSummary, [&](const RecordView& rec) {
     return fn(rec.epoch, rec.stream, summarize::deserialize(rec.payload));
   });
 }
 
 void DeploymentStore::each_epoch_meta(
     const std::function<bool(const EpochMeta&)>& fn) const {
-  summaries_->for_each([&](const RecordView& rec) {
-    if (rec.kind != RecordKind::kEpochMeta) return true;
+  each_committed(RecordKind::kEpochMeta, [&](const RecordView& rec) {
     const auto meta = decode_epoch_meta(rec.epoch, rec.payload);
     return !meta || fn(*meta);
   });
@@ -242,9 +207,7 @@ void DeploymentStore::each_epoch_meta(
 void DeploymentStore::each_alert_line(
     const std::function<bool(std::uint64_t, std::uint32_t, std::string_view)>&
         fn) const {
-  alerts_->for_each([&](const RecordView& rec) {
-    if (rec.kind != RecordKind::kAlert) return true;
-    if (!visible(rec.epoch)) return false;
+  each_committed(RecordKind::kAlert, [&](const RecordView& rec) {
     return fn(rec.epoch, rec.stream, as_view(rec.payload));
   });
 }
@@ -252,9 +215,7 @@ void DeploymentStore::each_alert_line(
 void DeploymentStore::each_provenance_line(
     const std::function<bool(std::uint64_t, std::uint32_t, std::string_view)>&
         fn) const {
-  provenance_->for_each([&](const RecordView& rec) {
-    if (rec.kind != RecordKind::kProvenance) return true;
-    if (!visible(rec.epoch)) return false;
+  each_committed(RecordKind::kProvenance, [&](const RecordView& rec) {
     return fn(rec.epoch, rec.stream, as_view(rec.payload));
   });
 }
@@ -267,17 +228,25 @@ namespace {
                            "written by an incompatible build)");
 }
 
+telemetry::MetricsSnapshot metrics_of(const RecordView& rec) {
+  auto snap = decode_metrics_delta(rec.payload);
+  if (!snap) refuse_ops_payload("kMetrics");
+  return std::move(*snap);
+}
+
+std::vector<observe::FlightEvent> events_of(const RecordView& rec) {
+  auto events = decode_flight_events(rec.payload);
+  if (!events) refuse_ops_payload("kEvents");
+  return std::move(*events);
+}
+
 }  // namespace
 
 void DeploymentStore::each_metrics_delta(
     const std::function<bool(std::uint64_t,
                              const telemetry::MetricsSnapshot&)>& fn) const {
-  ops_->for_each([&](const RecordView& rec) {
-    if (rec.kind != RecordKind::kMetrics) return true;
-    if (!visible(rec.epoch)) return false;
-    const auto snap = decode_metrics_delta(rec.payload);
-    if (!snap) refuse_ops_payload("kMetrics");
-    return fn(rec.epoch, *snap);
+  each_committed(RecordKind::kMetrics, [&](const RecordView& rec) {
+    return fn(rec.epoch, metrics_of(rec));
   });
 }
 
@@ -285,21 +254,15 @@ void DeploymentStore::each_flight_events(
     const std::function<bool(std::uint64_t,
                              const std::vector<observe::FlightEvent>&)>& fn)
     const {
-  ops_->for_each([&](const RecordView& rec) {
-    if (rec.kind != RecordKind::kEvents) return true;
-    if (!visible(rec.epoch)) return false;
-    const auto events = decode_flight_events(rec.payload);
-    if (!events) refuse_ops_payload("kEvents");
-    return fn(rec.epoch, *events);
+  each_committed(RecordKind::kEvents, [&](const RecordView& rec) {
+    return fn(rec.epoch, events_of(rec));
   });
 }
 
 std::optional<EpochMeta> DeploymentStore::epoch_meta_at(
     std::uint64_t epoch) const {
-  if (!visible(epoch)) return std::nullopt;
   std::optional<EpochMeta> out;
-  summaries_->for_each_in_epoch(epoch, [&](const RecordView& rec) {
-    if (rec.kind != RecordKind::kEpochMeta) return true;
+  each_in_epoch(epoch, RecordKind::kEpochMeta, [&](const RecordView& rec) {
     out = decode_epoch_meta(rec.epoch, rec.payload);
     return false;
   });
@@ -308,28 +271,19 @@ std::optional<EpochMeta> DeploymentStore::epoch_meta_at(
 
 std::optional<telemetry::MetricsSnapshot> DeploymentStore::metrics_delta_at(
     std::uint64_t epoch) const {
-  if (!visible(epoch)) return std::nullopt;
   std::optional<telemetry::MetricsSnapshot> out;
-  bool refused = false;
-  ops_->for_each_in_epoch(epoch, [&](const RecordView& rec) {
-    if (rec.kind != RecordKind::kMetrics) return true;
-    out = decode_metrics_delta(rec.payload);
-    refused = !out.has_value();
+  each_in_epoch(epoch, RecordKind::kMetrics, [&](const RecordView& rec) {
+    out = metrics_of(rec);
     return false;
   });
-  if (refused) refuse_ops_payload("kMetrics");
   return out;
 }
 
 std::vector<observe::FlightEvent> DeploymentStore::events_at(
     std::uint64_t epoch) const {
   std::vector<observe::FlightEvent> out;
-  if (!visible(epoch)) return out;
-  ops_->for_each_in_epoch(epoch, [&](const RecordView& rec) {
-    if (rec.kind != RecordKind::kEvents) return true;
-    auto events = decode_flight_events(rec.payload);
-    if (!events) refuse_ops_payload("kEvents");
-    out = std::move(*events);
+  each_in_epoch(epoch, RecordKind::kEvents, [&](const RecordView& rec) {
+    out = events_of(rec);
     return false;
   });
   return out;
@@ -338,9 +292,7 @@ std::vector<observe::FlightEvent> DeploymentStore::events_at(
 void DeploymentStore::each_alert_line_in_epoch(
     std::uint64_t epoch,
     const std::function<bool(std::uint32_t, std::string_view)>& fn) const {
-  if (!visible(epoch)) return;
-  alerts_->for_each_in_epoch(epoch, [&](const RecordView& rec) {
-    if (rec.kind != RecordKind::kAlert) return true;
+  each_in_epoch(epoch, RecordKind::kAlert, [&](const RecordView& rec) {
     return fn(rec.stream, as_view(rec.payload));
   });
 }

@@ -1,26 +1,22 @@
-// Typed persistence for one deployment: four time-sharded record logs
-// under one directory —
-//   summaries.NNNNNN.jstore   summaries as monitors ship them
-//                             (summarize::serialize, float32) plus one
-//                             EpochMeta commit record per epoch;
-//   alerts.NNNNNN.jstore      alert JSON lines (inference::alert_to_json);
-//   provenance.NNNNNN.jstore  provenance JSON lines (observe::to_json);
-//   ops.NNNNNN.jstore         per-epoch operational records: one kMetrics
-//                             MetricsSnapshot delta and one kEvents
-//                             flight-event batch (store/metrics_codec) —
-//                             the telemetry timeline jaal_doctor --store
-//                             replays offline.  Absent from stores written
-//                             before this stream existed; those stay
-//                             readable.
+// Typed persistence for one deployment: one time-sharded record log,
+// `summaries.NNNNNN.jstore` under one directory (the stem is older than the
+// single log; tools that count replay-scan bytes by it keep working).  Each
+// epoch appends, in order:
+//   kSummary     summaries as monitors ship them (summarize::serialize,
+//                float32), in aggregation order;
+//   kAlert       alert JSON lines (inference::alert_to_json), each followed
+//   kProvenance  by its provenance JSON line (observe::to_json);
+//   kEvents      the flight events raised closing the epoch and the
+//   kMetrics     registry's MetricsSnapshot delta (store/metrics_codec) —
+//                the telemetry timeline jaal_doctor --store replays;
+//   kEpochMeta   the commit record, last.
 //
-// Crash-safety protocol: everything an epoch produced is appended first,
-// then one EpochMeta record lands in the summaries log — that record IS the
-// epoch's commit point.  A writer opening the store truncates torn shard
-// tails (flat_timeshard walk-on-open) and then drops every record newer
-// than the last committed EpochMeta from all four logs (an uncommitted
-// epoch's kMetrics/kEvents roll back with it), so a half-written epoch can
-// never resurface.  last_committed_epoch() tells a restarted deployment
-// where to resume.
+// Crash-safety protocol: the EpochMeta record IS the epoch's commit point.
+// A writer opening the store truncates the torn tail (flat_timeshard
+// walk-on-open), finds the last EpochMeta and drops every record after it,
+// so a half-written epoch can never resurface.  last_committed_epoch()
+// tells a restarted deployment where to resume.  Stores of the older
+// four-log layout (shard format version 1) are refused at open.
 //
 // Error policy: construction throws std::invalid_argument on an unusable
 // directory or incompatible shards; the per-epoch append path never throws —
@@ -30,7 +26,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -58,16 +53,15 @@ struct EpochMeta {
   std::uint64_t packets = 0;     ///< Packets ingested this epoch.
   double report_fraction = 1.0;  ///< Delivered / expected summaries.
   double caution = 0.0;          ///< Drift caution at decision time.
-  /// Inference-tier shard count the writing deployment ran with: always 1
-  /// now, but stores written by sharded builds carry larger values and stay
-  /// readable.  Encoded only when != 1 (the original 32-byte payload).
+  /// Ignored: neither encoded nor decoded.  It stays, like
+  /// shard::ShardingConfig, only because the end-to-end benchmark
+  /// (perfbench/) still assigns it, and goes with the next change there.
   std::uint64_t shard_count = 1;
 };
 
-/// Little-endian payload (epoch rides in the record header): 32 bytes, plus
-/// a trailing shard-count u64 only when shard_count != 1.
+/// Little-endian 32-byte payload (epoch rides in the record header).
 [[nodiscard]] std::vector<std::uint8_t> encode_epoch_meta(const EpochMeta& m);
-/// nullopt on a malformed payload.
+/// nullopt on a payload of any other size.
 [[nodiscard]] std::optional<EpochMeta> decode_epoch_meta(
     std::uint64_t epoch, std::span<const std::uint8_t> payload);
 
@@ -119,14 +113,16 @@ class DeploymentStore {
   /// Commits the epoch: after this record is appended, the epoch is
   /// durable-on-truncate (walk-on-open keeps everything up to it).
   void commit_epoch(const EpochMeta& meta);
-  /// msync all four tail shards (shard rolls and destruction sync
+  /// fdatasync the tail shard (shard rolls and destruction sync
   /// automatically; call this for an explicit durability point).
-  void sync();
+  void sync() { (void)log_.sync(); }
 
-  /// True after any log hit an unrecoverable I/O failure (store inert).
-  [[nodiscard]] bool failed() const noexcept;
-  /// Bytes removed by torn-tail recovery at open, across the four logs.
-  [[nodiscard]] std::uint64_t torn_bytes_truncated() const noexcept;
+  /// True after the log hit an unrecoverable I/O failure (store inert).
+  [[nodiscard]] bool failed() const noexcept { return log_.failed(); }
+  /// Bytes removed by torn-tail recovery at open.
+  [[nodiscard]] std::uint64_t torn_bytes_truncated() const noexcept {
+    return log_.torn_bytes_truncated();
+  }
 
   // ---- read path ----
   //
@@ -189,19 +185,9 @@ class DeploymentStore {
       const std::function<bool(std::uint32_t sid, std::string_view line)>&
           fn) const;
 
-  /// Underlying logs, for tests and tooling.
-  [[nodiscard]] const TimeShardLog& summaries_log() const noexcept {
-    return *summaries_;
-  }
-  [[nodiscard]] const TimeShardLog& alerts_log() const noexcept {
-    return *alerts_;
-  }
-  [[nodiscard]] const TimeShardLog& provenance_log() const noexcept {
-    return *provenance_;
-  }
-  [[nodiscard]] const TimeShardLog& ops_log() const noexcept {
-    return *ops_;
-  }
+  /// The underlying log (every record kind), for replay, tests and
+  /// tooling.
+  [[nodiscard]] const TimeShardLog& log() const noexcept { return log_; }
 
  private:
   /// True for committed records; readers stop at the commit horizon.
@@ -213,15 +199,18 @@ class DeploymentStore {
   [[nodiscard]] bool profiling() const noexcept {
     return tel_ != nullptr && trace_ctx_.span_id != 0;
   }
-  /// Appends through `log`, accumulating wall time when profiling.
-  void timed_append(TimeShardLog& log, std::uint64_t epoch,
-                    std::uint32_t stream, RecordKind kind,
-                    std::span<const std::uint8_t> payload);
+  /// Appends one record, accumulating wall time when profiling.
+  void timed_append(std::uint64_t epoch, std::uint32_t stream,
+                    RecordKind kind, std::span<const std::uint8_t> payload);
+  /// The committed records of `kind` in append order; `fn` returns false
+  /// to stop.
+  void each_committed(RecordKind kind,
+                      const std::function<bool(const RecordView&)>& fn) const;
+  /// The committed records of `kind` in `epoch` (one shard's walk).
+  void each_in_epoch(std::uint64_t epoch, RecordKind kind,
+                     const std::function<bool(const RecordView&)>& fn) const;
 
-  std::unique_ptr<TimeShardLog> summaries_;
-  std::unique_ptr<TimeShardLog> alerts_;
-  std::unique_ptr<TimeShardLog> provenance_;
-  std::unique_ptr<TimeShardLog> ops_;
+  TimeShardLog log_;
   std::optional<std::uint64_t> last_committed_;
   bool writable_ = false;
   telemetry::Telemetry* tel_ = nullptr;

@@ -476,24 +476,27 @@ TEST(Fuzz, FlightEventsDecoderOnMutatedValidPayload) {
 }
 
 TEST(Fuzz, EpochMetaDecoderOnMutatedValidPayload) {
+  // shard_count is ignored: the payload is the fixed 32 bytes.
   const auto valid = store::encode_epoch_meta({7, 3.5, 4000, 0.75, 0.25, 4});
-  ASSERT_EQ(valid.size(), 40u);
-  // Strict prefixes are refused, except that the first 32 bytes are by
-  // design a complete single-engine (shard_count 1) payload.
+  ASSERT_EQ(valid.size(), 32u);
+  // Every strict prefix and every extension is refused.
   for (std::size_t cut = 0; cut < valid.size(); ++cut) {
-    EXPECT_EQ(store::decode_epoch_meta(7, {valid.data(), cut}).has_value(),
-              cut == 32)
+    EXPECT_FALSE(store::decode_epoch_meta(7, {valid.data(), cut}).has_value())
         << "cut=" << cut;
   }
+  for (std::size_t extra = 1; extra <= 8; ++extra) {
+    auto longer = valid;
+    longer.resize(valid.size() + extra, 1);
+    EXPECT_FALSE(store::decode_epoch_meta(7, longer).has_value())
+        << "extra=" << extra;
+  }
   // The fields are fixed-width and take any bit pattern, so a flipped
-  // payload decodes unless its shard-count word became zero.
+  // payload always decodes.
   std::mt19937_64 rng(11);
   for (int i = 0; i < 2000; ++i) {
     auto mutated = valid;
     (void)flip_bits(mutated, rng);
-    const bool zero_shards = std::all_of(mutated.begin() + 32, mutated.end(),
-                                         [](std::uint8_t b) { return b == 0; });
-    EXPECT_EQ(store::decode_epoch_meta(7, mutated).has_value(), !zero_shards);
+    EXPECT_TRUE(store::decode_epoch_meta(7, mutated).has_value());
   }
 }
 

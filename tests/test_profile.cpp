@@ -266,7 +266,7 @@ TEST(Profile, StageIdsRoundTrip) {
   EXPECT_EQ(profile_stage_name(255), "other");
 }
 
-// kSpan flight events persist these ids in the ops log, so a stage may be
+// kSpan flight events persist these ids in the store, so a stage may be
 // retired but never removed or reordered: every id stays where it is.
 TEST(Profile, StageIdsArePinned) {
   const char* const names[] = {

@@ -115,25 +115,23 @@ TEST(EpochMetaCodec, SingleShardEncodingIsThePreShardingFormat) {
   EXPECT_EQ(bytes.size(), 32u);
   const auto back = store::decode_epoch_meta(7, bytes);
   ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->shard_count, 1u);
   EXPECT_EQ(back->packets, 1200u);
   EXPECT_EQ(back->report_fraction, 0.75);
 }
 
-TEST(EpochMetaCodec, ShardedEncodingRoundTripsAndRejectsGarbage) {
+TEST(EpochMetaCodec, ShardCountIsIgnoredAndFortyBytesAreRefused) {
   store::EpochMeta m{9, 4.0, 800, 1.0, 0.0};
   m.shard_count = 4;
   const auto bytes = store::encode_epoch_meta(m);
-  EXPECT_EQ(bytes.size(), 40u);
-  const auto back = store::decode_epoch_meta(9, bytes);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->shard_count, 4u);
-  // A zero shard count and odd sizes are malformed.
-  auto zero = bytes;
-  for (std::size_t i = 32; i < 40; ++i) zero[i] = 0;
-  EXPECT_FALSE(store::decode_epoch_meta(9, zero).has_value());
+  EXPECT_EQ(bytes, store::encode_epoch_meta({9, 4.0, 800, 1.0, 0.0}));
+  // The 40-byte payload sharded builds wrote (a trailing shard count) and
+  // other odd sizes are malformed.
+  auto sharded = bytes;
+  sharded.resize(40);
+  sharded[32] = 4;
+  EXPECT_FALSE(store::decode_epoch_meta(9, sharded).has_value());
   auto truncated = bytes;
-  truncated.resize(36);
+  truncated.resize(28);
   EXPECT_FALSE(store::decode_epoch_meta(9, truncated).has_value());
 }
 
@@ -143,14 +141,13 @@ struct ShardRun {
   std::vector<EpochResult> epochs;
   std::vector<std::string> alert_lines;       ///< Stored alert JSON.
   std::vector<std::string> provenance_lines;  ///< Stored provenance JSON.
-  /// Canonical rendering of every record in the summaries log, with
-  /// EpochMeta decoded (shard_count separately asserted, not rendered).
-  /// Summary records render as "kind=<k> epoch=<e> ...".
+  /// Canonical rendering of every summary and EpochMeta record in the
+  /// store log, with EpochMeta decoded.  Summary records render as
+  /// "kind=<k> epoch=<e> ...".
   std::vector<std::string> summary_records;
-  /// Raw ops-log records (kind/epoch/payload bytes, hex).
+  /// Raw kMetrics / kEvents records (kind/epoch/payload bytes, hex).
   std::vector<std::string> ops_records;
   std::string doctor_timeline;
-  std::uint64_t doctor_shard_count = 1;
   /// Deterministic span export (include_timings = false).
   std::string span_jsonl;
   /// JaalController::last_flight_dump() at the end of the run.
@@ -222,30 +219,40 @@ ShardRun run_sharded(std::size_t threads,
         out.provenance_lines.emplace_back(line);
         return true;
       });
-  reader.summaries_log().for_each([&](const store::RecordView& rec) {
+  reader.log().for_each([&](const store::RecordView& rec) {
     std::ostringstream line;
     line.precision(17);
-    if (rec.kind == store::RecordKind::kEpochMeta) {
-      const auto meta = store::decode_epoch_meta(rec.epoch, rec.payload);
-      EXPECT_TRUE(meta.has_value());
-      if (meta) {
-        EXPECT_EQ(meta->shard_count, 1u) << "epoch " << rec.epoch;
-        line << "meta epoch=" << meta->epoch << " end=" << meta->end_time
-             << " packets=" << meta->packets
-             << " rf=" << meta->report_fraction
-             << " caution=" << meta->caution;
+    switch (rec.kind) {
+      case store::RecordKind::kEpochMeta: {
+        const auto meta = store::decode_epoch_meta(rec.epoch, rec.payload);
+        EXPECT_TRUE(meta.has_value());
+        if (meta) {
+          line << "meta epoch=" << meta->epoch << " end=" << meta->end_time
+               << " packets=" << meta->packets
+               << " rf=" << meta->report_fraction
+               << " caution=" << meta->caution;
+        }
+        break;
       }
-    } else {
-      line << "kind=" << static_cast<int>(rec.kind) << " epoch=" << rec.epoch
-           << " stream=" << rec.stream << " bytes=";
-      for (const std::uint8_t b : rec.payload) {
-        line << std::hex << static_cast<int>(b) << std::dec;
-      }
+      case store::RecordKind::kSummary:
+        line << "kind=" << static_cast<int>(rec.kind)
+             << " epoch=" << rec.epoch << " stream=" << rec.stream
+             << " bytes=";
+        for (const std::uint8_t b : rec.payload) {
+          line << std::hex << static_cast<int>(b) << std::dec;
+        }
+        break;
+      default:
+        return true;
     }
     out.summary_records.push_back(line.str());
     return true;
   });
-  reader.ops_log().for_each([&](const store::RecordView& rec) {
+  reader.log().for_each([&](const store::RecordView& rec) {
+    if (rec.kind != store::RecordKind::kMetrics &&
+        rec.kind != store::RecordKind::kEvents) {
+      return true;
+    }
     std::ostringstream line;
     line << "kind=" << static_cast<int>(rec.kind) << " epoch=" << rec.epoch
          << " bytes=";
@@ -260,7 +267,6 @@ ShardRun run_sharded(std::size_t threads,
   dcfg.observe = cfg.observe;
   const store::StoreDiagnosis diag = store::diagnose_store(reader, dcfg);
   out.doctor_timeline = diag.timeline_jsonl;
-  out.doctor_shard_count = diag.shard_count;
   return out;
 }
 
@@ -297,7 +303,6 @@ void expect_identical(const ShardRun& base, const ShardRun& got,
 TEST(ShardEquivalence, CleanRunByteIdenticalAcrossShardsAndThreads) {
   TempDir base_dir("clean_base");
   const ShardRun base = run_sharded(1, {}, base_dir.str());
-  EXPECT_EQ(base.doctor_shard_count, 1u);
 
   for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
     TempDir dir("clean_t" + std::to_string(threads));
@@ -393,7 +398,6 @@ TEST(ShardEquivalence, ShardedStoreReplaysLikeSingleEngine) {
   const auto replayed = replayer.replay(engine, cfg.engine.tau_c_scale);
   ASSERT_EQ(replayed.size(), live.size());
   for (std::size_t i = 0; i < live.size(); ++i) {
-    EXPECT_EQ(replayed[i].shard_count, 1u);
     ASSERT_EQ(replayed[i].alerts.size(), live[i].alerts.size())
         << "epoch " << i;
     for (std::size_t j = 0; j < live[i].alerts.size(); ++j) {

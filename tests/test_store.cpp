@@ -267,6 +267,27 @@ TEST(TimeShard, RollsShardsAndFinalizesThemTight) {
   EXPECT_EQ(n, 10u);
 }
 
+TEST(TimeShard, ShardFileIsExactlyItsRecords) {
+  // The writer pwrites each frame at the end of the tail shard, so with no
+  // finalize (no roll past it, no destructor) the open tail is already its
+  // header plus its frames: no capacity past the data.
+  TempDir dir("exact");
+  TimeShardLog log({dir.str(), "t", 4}, /*writable=*/true);
+  std::uintmax_t expect = kShardHeaderBytes;
+  for (std::uint64_t e = 0; e < 4; ++e) {
+    const auto payload = bytes_of(std::string(1 + 700 * e, 'p'));
+    ASSERT_TRUE(log.append(e, 0, RecordKind::kAlert, payload));
+    expect += kRecordHeaderBytes + payload.size();
+    EXPECT_EQ(fs::file_size(log.shard_paths().back()), expect)
+        << "epoch " << e;
+  }
+  // A roll starts the next shard at its header plus the first frame.
+  ASSERT_TRUE(log.append(4, 0, RecordKind::kAlert, bytes_of("x")));
+  ASSERT_EQ(log.shard_paths().size(), 2u);
+  EXPECT_EQ(fs::file_size(log.shard_paths().back()),
+            kShardHeaderBytes + kRecordHeaderBytes + 1);
+}
+
 TEST(TimeShard, EpochOrderingIsEnforced) {
   TempDir dir("order");
   TimeShardLog log({dir.str(), "t", 64}, /*writable=*/true);
@@ -376,8 +397,8 @@ TEST(TimeShard, TornBytesCountOnlyGarbageNotPreallocatedCapacity) {
   const auto clean_size = fs::file_size(tail_path);
   const std::vector<char> zeros(1 << 20, 0);
   {
-    // Crash mid-append: two bytes of a torn frame, then the zeroed
-    // pre-allocated capacity the doubling growth policy left behind.
+    // Crash mid-append: two bytes of a torn frame, then zeros where the
+    // file grew before the rest of its bytes landed.
     std::ofstream f(tail_path, std::ios::binary | std::ios::app);
     f << "XY";
     f.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
@@ -388,7 +409,7 @@ TEST(TimeShard, TornBytesCountOnlyGarbageNotPreallocatedCapacity) {
   }
   EXPECT_EQ(fs::file_size(tail_path), clean_size);
   {
-    // Pure pre-allocated capacity (all zeros past the data) is not torn.
+    // Zeros alone past the data are not torn.
     std::ofstream f(tail_path, std::ios::binary | std::ios::app);
     f.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
   }
@@ -612,7 +633,7 @@ TEST(Store, SummaryRecordIsTheShippedBytes) {
   }
   const DeploymentStore reader({dir.str(), 64}, /*writable=*/false);
   std::size_t records = 0;
-  reader.summaries_log().for_each([&](const RecordView& rec) {
+  reader.log().for_each([&](const RecordView& rec) {
     if (rec.kind != RecordKind::kSummary) return true;
     ++records;
     EXPECT_EQ(rec.stream, 4u);
@@ -882,6 +903,51 @@ TEST(Store, AlertAndProvenanceLinesRoundTrip) {
   EXPECT_EQ(lines, 1u);
 }
 
+TEST(Store, FourLogStoreIsRefused) {
+  // A store of the older four-log layout (shard format version 1): the
+  // summaries log held the commit records, alerts, provenance and ops
+  // records sat in logs of their own.  Reader and writer refuse it, and
+  // the refusal changes no file.
+  TempDir dir("fourlog");
+  {
+    DeploymentStore store({dir.str(), 64}, /*writable=*/true);
+    store.put_summary(0, sample_summary(1));
+    store.commit_epoch({0, 2.0, 100, 1.0, 0.0});
+  }
+  const std::pair<const char*, RecordKind> streams[] = {
+      {"alerts", RecordKind::kAlert},
+      {"provenance", RecordKind::kProvenance},
+      {"ops", RecordKind::kMetrics}};
+  for (const auto& [stem, kind] : streams) {
+    TimeShardLog log({dir.str(), stem, 64}, /*writable=*/true);
+    ASSERT_TRUE(log.append(0, 7, kind, bytes_of(stem)));
+  }
+  for (const auto& entry : fs::directory_iterator(dir.path)) {
+    std::fstream f(entry.path(),
+                   std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(8);  // the format version field
+    const char v1[4] = {1, 0, 0, 0};
+    f.write(v1, 4);
+  }
+  const auto files = [&] {
+    std::map<std::string, std::string> out;
+    for (const auto& entry : fs::directory_iterator(dir.path)) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      out[entry.path().filename().string()] = {
+          std::istreambuf_iterator<char>(in), {}};
+    }
+    return out;
+  };
+  const auto before = files();
+  ASSERT_EQ(before.size(), 4u);
+  EXPECT_THROW(DeploymentStore({dir.str(), 64}, /*writable=*/false),
+               std::invalid_argument);
+  EXPECT_THROW(DeploymentStore({dir.str(), 64}, /*writable=*/true),
+               std::invalid_argument);
+  EXPECT_THROW(StoreReplayer({dir.str(), 64}), std::invalid_argument);
+  EXPECT_EQ(files(), before);
+}
+
 // ------------------------------------------------ live pipeline + replay
 
 core::JaalConfig store_config(const std::string& dir) {
@@ -1115,7 +1181,6 @@ TEST(Store, PooledReplayMatchesSerial) {
                               sizeof(double)),
                   0);
         EXPECT_EQ(std::memcmp(&a.caution, &b.caution, sizeof(double)), 0);
-        EXPECT_EQ(a.shard_count, b.shard_count);
         EXPECT_EQ(a.summaries, b.summaries);
         EXPECT_EQ(alert_lines(a), alert_lines(b)) << "epoch " << a.epoch;
       }

@@ -304,11 +304,11 @@ TEST(StoreMetrics, ReaderHidesUncommittedTail) {
 
 // -------------------------------------------------------- version refusal
 
-/// Flips the payload version byte of the first record of `kind` in the ops
-/// log's first shard and re-stamps the frame CRC — simulating a CRC-valid
-/// record written by a build with a newer payload schema.
+/// Flips the payload version byte of the first record of `kind` in the
+/// store log's first shard and re-stamps the frame CRC — simulating a
+/// CRC-valid record written by a build with a newer payload schema.
 void bump_payload_version(const fs::path& dir, RecordKind kind) {
-  const fs::path shard = dir / "ops.000000.jstore";
+  const fs::path shard = dir / "summaries.000000.jstore";
   ASSERT_TRUE(fs::exists(shard));
   std::fstream f(shard, std::ios::in | std::ios::out | std::ios::binary);
   ASSERT_TRUE(f.is_open());
@@ -319,9 +319,6 @@ void bump_payload_version(const fs::path& dir, RecordKind kind) {
   std::size_t off = kShardHeaderBytes;
   while (off + kRecordHeaderBytes <= bytes.size()) {
     RecordHeader h = decode_record_header(bytes.data() + off);
-    if (h.payload_len == 0 && h.crc32 == 0 && h.epoch == 0 && h.kind == 0) {
-      break;  // pre-allocated tail
-    }
     const std::size_t payload_at = off + kRecordHeaderBytes;
     ASSERT_LE(payload_at + h.payload_len, bytes.size());
     if (h.kind == static_cast<std::uint32_t>(kind)) {
