@@ -4,16 +4,19 @@
 // capture happens in the engine's serial decision phase from distances
 // Algorithm 1 computes anyway, the drift monitors are three EWMA updates
 // per monitor per epoch, and the operational layer added on top — flight
-// recorder, SLO tracking, telemetry, and per-epoch kMetrics/kEvents store
-// records — is a handful of struct copies plus one small mmap append.
+// recorder, SLO tracking, telemetry and per-epoch kMetrics/kEvents store
+// records — is a handful of struct copies plus a few store appends.
+// Provenance stays on the in-memory alerts; the store never writes it.
 //
 // This bench drives the same seeded 4-monitor deployment through
 // JaalController::close_epoch under four settings — everything off,
 // drift-only, detection observability (provenance + drift), and the full
-// operational stack (flight recorder + SLO + telemetry + store_metrics) —
-// plus a fifth, tracing_full, which adds the per-epoch critical-path
-// profiler (span drain + tree rebuild + straggler scan, both duration
-// modes) on top of full_ops.
+// operational stack (flight recorder + SLO + telemetry + a store with
+// store_metrics) — plus a fifth, tracing_full, which adds the per-epoch
+// critical-path profiler (span drain + tree rebuild + straggler scan, both
+// duration modes) on top of full_ops.  Only full_ops and tracing_full
+// write a store, so their ratios include the store's serial appends of
+// the epoch's summaries, alerts, ops records and commit record.
 //
 // Host drift must not decide the verdict, so the modes are interleaved:
 // every round closes one epoch in each mode (the starting mode rotates

@@ -4,7 +4,8 @@
 //
 //   provenance   every alert carries its full causal chain (matched
 //                centroids, margins vs tau_d1/tau_d2, threshold case,
-//                feedback outcome); dumped as JSONL
+//                feedback outcome), checked and dumped as JSONL from the
+//                live alerts (the store keeps no provenance)
 //   drift        per-monitor summary-fidelity baselines (SVD energy,
 //                k-means inertia, reconstruction error) flag the mid-run
 //                traffic shift; the caution signal rises with it
@@ -315,13 +316,11 @@ int run_store_mode(const std::string& dir, long long epoch_query, bool json) {
     std::fputs(diag.timeline_jsonl.c_str(), stdout);
   } else {
     std::printf("jaal_doctor --store %s: %llu epochs, %llu alerts, "
-                "%llu flight events, %llu metrics records, %llu provenance "
-                "records\n",
+                "%llu flight events, %llu metrics records\n",
                 dir.c_str(), static_cast<unsigned long long>(diag.epochs),
                 static_cast<unsigned long long>(diag.alerts),
                 static_cast<unsigned long long>(diag.flight_events),
-                static_cast<unsigned long long>(diag.metrics_records),
-                static_cast<unsigned long long>(diag.provenance_records));
+                static_cast<unsigned long long>(diag.metrics_records));
     std::printf("health reconstruction %s, drift cross-check: %llu "
                 "mismatched epochs\n\n",
                 diag.health_complete ? "complete" : "partial (no ops stream)",

@@ -275,16 +275,14 @@ void JaalController::close_out(EpochResult& result, std::uint64_t epoch,
   const std::uint64_t fallbacks =
       tier_.engine().stats().feedback_fallbacks - fallbacks_before;
   rec_.close_epoch(result, health_, fallbacks);
-  // Store commit: alerts and provenance land first, then the recorder's ops
-  // batch, then the EpochMeta record marks the epoch
+  // Store commit: the alerts land first (their provenance stays on the
+  // in-memory alerts; the store keeps decisions, not explanations), then
+  // the recorder's ops batch, then the EpochMeta record marks the epoch
   // durable — a crash between any of these appends leaves an uncommitted
   // epoch that recovery truncates wholesale on the next open.
   if (store_) {
     for (const inference::Alert& a : result.alerts) {
       store_->put_alert(epoch, a, result.end_time);
-      if (a.provenance) {
-        store_->put_provenance(epoch, a.sid, *a.provenance);
-      }
     }
     rec_.persist_ops(*store_);
     store::EpochMeta meta{epoch, result.end_time, result.packets,

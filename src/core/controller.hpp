@@ -87,7 +87,7 @@ struct JaalConfig : DeploymentConfig {
   /// — all default on).
   observe::ObserveConfig observe;
   /// Persistence (src/store): when non-empty, every closed epoch's
-  /// aggregated summaries, alerts and provenance are appended to one
+  /// aggregated summaries, alerts and ops records are appended to one
   /// time-sharded log under this directory, closed by one EpochMeta
   /// commit record per epoch.  A controller constructed over an existing
   /// store resumes at the epoch after the last committed one (torn shard

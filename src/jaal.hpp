@@ -41,7 +41,7 @@
 //   persistence     store::StoreConfig, store::DeploymentStore,
 //                   store::StoreReplayer, store::EpochMeta,
 //                   store::diagnose_store (one time-sharded .jstore log
-//                   of summaries/alerts/provenance/ops, crash-safe
+//                   of summaries/alerts/ops, crash-safe
 //                   restart, retroactive rule replay, offline timeline
 //                   diagnosis — JaalConfig::store_dir wires it in;
 //                   examples/retroactive_query and jaal_doctor --store

@@ -64,11 +64,6 @@ StoreDiagnosis diagnose_store(const DeploymentStore& store,
         ++out.alerts;
         return true;
       });
-  store.each_provenance_line(
-      [&](std::uint64_t, std::uint32_t, std::string_view) {
-        ++out.provenance_records;
-        return true;
-      });
 
   // Gather the stored event batches (ascending by epoch; one batch per
   // epoch the live controller closed with the recorder on).

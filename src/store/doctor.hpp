@@ -43,7 +43,6 @@ struct StoreDiagnosisConfig {
 struct StoreDiagnosis {
   std::uint64_t epochs = 0;           ///< Committed epochs.
   std::uint64_t alerts = 0;           ///< Stored alert records.
-  std::uint64_t provenance_records = 0;
   std::uint64_t flight_events = 0;    ///< Stored events across all epochs.
   std::uint64_t metrics_records = 0;  ///< Stored kMetrics deltas.
   /// Epochs whose stored drift events disagree with the re-derived ones.

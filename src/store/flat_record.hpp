@@ -19,7 +19,8 @@ namespace jaal::store {
 enum class RecordKind : std::uint32_t {
   kSummary = 1,     ///< summarize::serialize(MonitorSummary): float32.
   kAlert = 2,       ///< One alert JSON line (inference::alert_to_json).
-  kProvenance = 3,  ///< One provenance JSON line (observe::to_json).
+  kProvenance = 3,  ///< Reserved: never written, never reused.  Older
+                    ///< builds stored provenance JSON here; readers skip it.
   kEpochMeta = 4,   ///< Per-epoch commit point (store::EpochMeta).
   kMetrics = 5,     ///< Per-epoch MetricsSnapshot delta (metrics_codec).
   kEvents = 6,      ///< Per-epoch flight-recorder events (metrics_codec).

@@ -10,8 +10,9 @@ StoreReplayer::StoreReplayer(const StoreConfig& cfg)
 std::vector<ReplayEpoch> StoreReplayer::replay(
     inference::InferenceEngine& engine, double base_tau_c_scale) const {
   std::vector<ReplayEpoch> epochs;
-  // An epoch's summaries precede its EpochMeta in the log (its alert,
-  // provenance and ops records in between are skipped), so one pass
+  // An epoch's summaries precede its EpochMeta in the log (its alert and
+  // ops records in between are skipped, as are the provenance records of
+  // stores written by older builds), so one pass
   // suffices: hold the epoch's parsed summaries, which alias the shard
   // mapping, until the commit record closes the epoch, then rebuild the
   // aggregate on the engine's pool.  The walk serves an epoch's records

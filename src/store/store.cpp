@@ -112,12 +112,6 @@ void DeploymentStore::put_alert(std::uint64_t epoch,
   timed_append(epoch, a.sid, RecordKind::kAlert, as_bytes(line));
 }
 
-void DeploymentStore::put_provenance(std::uint64_t epoch, std::uint32_t sid,
-                                     const observe::AlertProvenance& p) {
-  const std::string line = observe::to_json(p);
-  timed_append(epoch, sid, RecordKind::kProvenance, as_bytes(line));
-}
-
 void DeploymentStore::put_metrics(std::uint64_t epoch,
                                   const telemetry::MetricsSnapshot& delta) {
   const std::vector<std::uint8_t> payload = encode_metrics_delta(delta);
@@ -208,14 +202,6 @@ void DeploymentStore::each_alert_line(
     const std::function<bool(std::uint64_t, std::uint32_t, std::string_view)>&
         fn) const {
   each_committed(RecordKind::kAlert, [&](const RecordView& rec) {
-    return fn(rec.epoch, rec.stream, as_view(rec.payload));
-  });
-}
-
-void DeploymentStore::each_provenance_line(
-    const std::function<bool(std::uint64_t, std::uint32_t, std::string_view)>&
-        fn) const {
-  each_committed(RecordKind::kProvenance, [&](const RecordView& rec) {
     return fn(rec.epoch, rec.stream, as_view(rec.payload));
   });
 }

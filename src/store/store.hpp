@@ -4,12 +4,14 @@
 // epoch appends, in order:
 //   kSummary     summaries as monitors ship them (summarize::serialize,
 //                float32), in aggregation order;
-//   kAlert       alert JSON lines (inference::alert_to_json), each followed
-//   kProvenance  by its provenance JSON line (observe::to_json);
+//   kAlert       alert JSON lines (inference::alert_to_json);
 //   kEvents      the flight events raised closing the epoch and the
 //   kMetrics     registry's MetricsSnapshot delta (store/metrics_codec) —
 //                the telemetry timeline jaal_doctor --store replays;
 //   kEpochMeta   the commit record, last.
+// Alert provenance is not stored: it stays on the live inference::Alert.
+// kProvenance records written by older builds are skipped by every reader,
+// like any record kind a reader did not ask for.
 //
 // Crash-safety protocol: the EpochMeta record IS the epoch's commit point.
 // A writer opening the store truncates the torn tail (flat_timeshard
@@ -100,8 +102,11 @@ class DeploymentStore {
   void put_summary(std::uint64_t epoch, const summarize::MonitorSummary& s);
   void put_alert(std::uint64_t epoch, const inference::Alert& a,
                  double epoch_end_time);
-  void put_provenance(std::uint64_t epoch, std::uint32_t sid,
-                      const observe::AlertProvenance& p);
+  /// A no-op: the store keeps no provenance.  It stays, like
+  /// EpochMeta::shard_count, only because the end-to-end benchmark
+  /// (perfbench/) still calls it, and goes with the next change there.
+  void put_provenance(std::uint64_t, std::uint32_t,
+                      const observe::AlertProvenance&) {}
   /// Persists one epoch's metrics delta (normally registry snapshot diffed
   /// against the previous epoch's — see MetricsSnapshot::diff).  Call
   /// before commit_epoch so the record rides under the epoch's commit.
@@ -144,10 +149,6 @@ class DeploymentStore {
       const std::function<bool(const EpochMeta&)>& fn) const;
   /// Alert JSON lines in append order (view aliases the shard mapping).
   void each_alert_line(
-      const std::function<bool(std::uint64_t epoch, std::uint32_t sid,
-                               std::string_view line)>& fn) const;
-  /// Provenance JSON lines in append order.
-  void each_provenance_line(
       const std::function<bool(std::uint64_t epoch, std::uint32_t sid,
                                std::string_view line)>& fn) const;
   /// Every committed per-epoch metrics delta, ascending by epoch.  Throws

@@ -82,8 +82,7 @@ constexpr HelpEntry kMetricHelp[] = {
     {"jaal_faults_summaries_rolled_forward_total",
      "Late summaries carried into the next epoch under kRollForward."},
     {"jaal_inference_alerts_suppressed_total",
-     "Rule matches withheld because scaled degraded-mode thresholds were not "
-     "met."},
+     "Alerts dropped because verify_all_alerts found no raw-packet match."},
     {"jaal_inference_alerts_total",
      "Alerts raised, labeled by rule sid."},
     {"jaal_inference_alerts_via_feedback_total",
@@ -172,7 +171,8 @@ constexpr HelpEntry kMetricHelp[] = {
     {"jaal_store_bytes_written_total",
      "Bytes appended to the deployment store."},
     {"jaal_store_msync_ms",
-     "Wall-clock latency of store msync calls."},
+     "Wall-clock latency of store fdatasync calls (shard roll, finalize, "
+     "explicit sync)."},
     {"jaal_store_records_total",
      "Records appended to the deployment store."},
     {"jaal_store_scan_bytes_total",

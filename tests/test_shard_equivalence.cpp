@@ -20,6 +20,7 @@
 #include "core/controller.hpp"
 #include "core/experiment.hpp"
 #include "inference/alert_json.hpp"
+#include "observe/provenance.hpp"
 #include "shard/tier.hpp"
 #include "store/doctor.hpp"
 #include "store/replay.hpp"
@@ -140,7 +141,9 @@ TEST(EpochMetaCodec, ShardCountIsIgnoredAndFortyBytesAreRefused) {
 struct ShardRun {
   std::vector<EpochResult> epochs;
   std::vector<std::string> alert_lines;       ///< Stored alert JSON.
-  std::vector<std::string> provenance_lines;  ///< Stored provenance JSON.
+  /// The live alerts' provenance JSON, in alert order (the store keeps
+  /// none).
+  std::vector<std::string> provenance_lines;
   /// Canonical rendering of every summary and EpochMeta record in the
   /// store log, with EpochMeta decoded.  Summary records render as
   /// "kind=<k> epoch=<e> ...".
@@ -199,6 +202,13 @@ ShardRun run_sharded(std::size_t threads,
     trace::TrafficMix mix(bg, {&flood}, 0.10);
     out.epochs = controller.run(mix, kDuration);
     EXPECT_FALSE(controller.store()->failed());
+    for (const EpochResult& e : out.epochs) {
+      for (const inference::Alert& a : e.alerts) {
+        if (a.provenance) {
+          out.provenance_lines.push_back(observe::to_json(*a.provenance));
+        }
+      }
+    }
     out.flight_dump = controller.last_flight_dump();
     if (controller.slo() != nullptr) {
       out.slo_jsonl = controller.slo()->to_jsonl();
@@ -212,11 +222,6 @@ ShardRun run_sharded(std::size_t threads,
   reader.each_alert_line(
       [&](std::uint64_t, std::uint32_t, std::string_view line) {
         out.alert_lines.emplace_back(line);
-        return true;
-      });
-  reader.each_provenance_line(
-      [&](std::uint64_t, std::uint32_t, std::string_view line) {
-        out.provenance_lines.emplace_back(line);
         return true;
       });
   reader.log().for_each([&](const store::RecordView& rec) {
@@ -475,7 +480,7 @@ TEST(ShardEquivalence, OpsStreamMatchesPinnedDigest) {
 
   EXPECT_EQ(digest(run.ops_records), "af90467dd4568301");
   EXPECT_EQ(digest(run.doctor_timeline), "83c5698b404b9999");
-  EXPECT_EQ(digest(run.span_jsonl), "67688f2f8a4831c1");
+  EXPECT_EQ(digest(run.span_jsonl), "551cc9fababf46ad");
   EXPECT_EQ(digest(run.alert_lines), "baa483928d8d1424");
   EXPECT_EQ(digest(run.provenance_lines), "fcd290bea8cc29c5");
   EXPECT_EQ(digest(run.flight_dump), "016506a6650d9fe8");

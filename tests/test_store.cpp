@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "attack/generators.hpp"
 #include "core/controller.hpp"
 #include "core/experiment.hpp"
 #include "inference/alert_json.hpp"
@@ -32,6 +33,7 @@
 #include "store/flat_timeshard.hpp"
 #include "store/replay.hpp"
 #include "trace/background.hpp"
+#include "trace/mix.hpp"
 
 namespace jaal::store {
 namespace {
@@ -903,6 +905,17 @@ TEST(Store, AlertAndProvenanceLinesRoundTrip) {
   EXPECT_EQ(lines, 1u);
 }
 
+/// Every file of a store directory, by name.
+std::map<std::string, std::string> files_of(const fs::path& dir) {
+  std::map<std::string, std::string> out;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    out[entry.path().filename().string()] = {
+        std::istreambuf_iterator<char>(in), {}};
+  }
+  return out;
+}
+
 TEST(Store, FourLogStoreIsRefused) {
   // A store of the older four-log layout (shard format version 1): the
   // summaries log held the commit records, alerts, provenance and ops
@@ -929,23 +942,14 @@ TEST(Store, FourLogStoreIsRefused) {
     const char v1[4] = {1, 0, 0, 0};
     f.write(v1, 4);
   }
-  const auto files = [&] {
-    std::map<std::string, std::string> out;
-    for (const auto& entry : fs::directory_iterator(dir.path)) {
-      std::ifstream in(entry.path(), std::ios::binary);
-      out[entry.path().filename().string()] = {
-          std::istreambuf_iterator<char>(in), {}};
-    }
-    return out;
-  };
-  const auto before = files();
+  const auto before = files_of(dir.path);
   ASSERT_EQ(before.size(), 4u);
   EXPECT_THROW(DeploymentStore({dir.str(), 64}, /*writable=*/false),
                std::invalid_argument);
   EXPECT_THROW(DeploymentStore({dir.str(), 64}, /*writable=*/true),
                std::invalid_argument);
   EXPECT_THROW(StoreReplayer({dir.str(), 64}), std::invalid_argument);
-  EXPECT_EQ(files(), before);
+  EXPECT_EQ(files_of(dir.path), before);
 }
 
 // ------------------------------------------------ live pipeline + replay
@@ -1262,6 +1266,130 @@ TEST(Store, StoreTelemetryCountsAppends) {
   }
   EXPECT_TRUE(saw_records);
   EXPECT_TRUE(saw_bytes);
+}
+
+TEST(Store, ControllerStoresNoProvenance) {
+  // Provenance lives on the live alerts; the store keeps the decisions.
+  TempDir dir("noprov");
+  core::JaalConfig cfg = store_config(dir.str());
+  cfg.engine.feedback_enabled = true;
+  cfg.engine.record_provenance = true;
+  cfg.observe.provenance = true;
+  cfg.engine.default_thresholds = {0.008, 0.03};  // case-3 feedback runs
+  core::JaalController controller(cfg, ruleset());
+  trace::BackgroundTraffic bg(trace::trace1_profile(), 11);
+  attack::AttackConfig acfg;
+  acfg.victim_ip = core::evaluation_victim_ip();
+  acfg.start_time = 0.03;
+  acfg.packets_per_second = 5000.0;
+  acfg.seed = 3;
+  attack::SynFlood flood(acfg);
+  trace::TrafficMix mix(bg, {&flood}, 0.10);
+  std::size_t alerts = 0;
+  for (const core::EpochResult& epoch : controller.run(mix, 0.3)) {
+    for (const inference::Alert& a : epoch.alerts) {
+      EXPECT_NE(a.provenance, nullptr) << "sid " << a.sid;
+      ++alerts;
+    }
+  }
+  ASSERT_GT(alerts, 0u);
+  std::size_t stored_alerts = 0, stored_provenance = 0;
+  controller.store()->log().for_each([&](const RecordView& rec) {
+    stored_alerts += rec.kind == RecordKind::kAlert;
+    stored_provenance += rec.kind == RecordKind::kProvenance;
+    return true;
+  });
+  EXPECT_EQ(stored_alerts, alerts);
+  EXPECT_EQ(stored_provenance, 0u);
+}
+
+TEST(Store, ProvenanceRecordsOfAnOlderBuildAreSkipped) {
+  // Older builds followed each alert with its provenance JSON line
+  // (RecordKind::kProvenance, now reserved).  Such a store still opens,
+  // recovery keeps its bytes, and every reader returns what it returns
+  // for the same store without them.
+  const auto rules = ruleset();
+  const auto write = [&](const std::string& dir, bool with_provenance) {
+    TimeShardLog log({dir, "summaries", 64}, /*writable=*/true);
+    for (std::uint64_t e = 0; e < 3; ++e) {
+      for (std::uint32_t m = 0; m < 2; ++m) {
+        const auto bytes = summarize::serialize(
+            summarize::MonitorSummary{question_hit(rules, m, 700 + 100 * e)});
+        ASSERT_TRUE(log.append(e, m, RecordKind::kSummary, bytes));
+      }
+      const double end = 2.0 * static_cast<double>(e + 1);
+      inference::Alert a;
+      a.sid = 100 + static_cast<std::uint32_t>(e);
+      a.msg = "older build";
+      a.matched_packets = 10 * e;
+      ASSERT_TRUE(log.append(e, a.sid, RecordKind::kAlert,
+                             bytes_of(inference::alert_to_json(a, end))));
+      if (with_provenance) {
+        observe::AlertProvenance p;
+        p.sid = a.sid;
+        p.strict_count = e;
+        ASSERT_TRUE(log.append(e, a.sid, RecordKind::kProvenance,
+                               bytes_of(observe::to_json(p))));
+      }
+      ASSERT_TRUE(log.append(e, 0, RecordKind::kEpochMeta,
+                             encode_epoch_meta({e, end, 2000, 1.0, 0.0})));
+    }
+  };
+  TempDir old_dir("oldprov");
+  TempDir ref_dir("oldprov_ref");
+  write(old_dir.str(), true);
+  write(ref_dir.str(), false);
+  const auto before = files_of(old_dir.path);
+
+  struct Reads {
+    std::optional<std::uint64_t> horizon;
+    std::vector<std::string> alerts, metas, replay;
+    std::size_t provenance = 0;
+  };
+  const auto reads = [&](const std::string& dir, bool writable) {
+    Reads r;
+    DeploymentStore store({dir, 64}, writable);
+    EXPECT_FALSE(store.failed());
+    r.horizon = store.last_committed_epoch();
+    store.each_alert_line(
+        [&](std::uint64_t epoch, std::uint32_t sid, std::string_view line) {
+          r.alerts.push_back(std::to_string(epoch) + "/" +
+                             std::to_string(sid) + " " + std::string(line));
+          return true;
+        });
+    store.each_epoch_meta([&](const EpochMeta& m) {
+      const auto bytes = encode_epoch_meta(m);
+      r.metas.push_back(std::to_string(m.epoch) + " " +
+                        std::string(bytes.begin(), bytes.end()));
+      return true;
+    });
+    store.log().for_each([&](const RecordView& rec) {
+      r.provenance += rec.kind == RecordKind::kProvenance;
+      return true;
+    });
+    inference::InferenceEngine engine(rules, inference::EngineConfig{});
+    for (const ReplayEpoch& e : StoreReplayer({dir, 64}).replay(engine)) {
+      r.replay.push_back("epoch=" + std::to_string(e.epoch) +
+                         " summaries=" + std::to_string(e.summaries));
+      for (const std::string& line : alert_lines(e)) r.replay.push_back(line);
+    }
+    return r;
+  };
+  const Reads want = reads(ref_dir.str(), false);
+  ASSERT_EQ(want.horizon, std::optional<std::uint64_t>{2});
+  ASSERT_EQ(want.alerts.size(), 3u);
+  ASSERT_EQ(want.metas.size(), 3u);
+  ASSERT_GT(want.replay.size(), 3u);  // three epoch lines, then alerts
+  for (const bool writable : {false, true}) {
+    SCOPED_TRACE(writable ? "writer" : "reader");
+    const Reads got = reads(old_dir.str(), writable);
+    EXPECT_EQ(got.horizon, want.horizon);
+    EXPECT_EQ(got.alerts, want.alerts);
+    EXPECT_EQ(got.metas, want.metas);
+    EXPECT_EQ(got.replay, want.replay);
+    EXPECT_EQ(got.provenance, 3u);
+    EXPECT_EQ(files_of(old_dir.path), before);
+  }
 }
 
 }  // namespace

@@ -65,8 +65,7 @@ summarize::MonitorSummary question_hit(const std::vector<rules::Rule>& rules,
 }
 
 /// Appends epochs [from, to) in the live controller's order: summaries,
-/// alerts each followed by its provenance, the flight events, the metrics
-/// delta, then the commit record.
+/// alerts, the flight events, the metrics delta, then the commit record.
 void write_epochs(const std::string& dir, std::uint64_t width,
                   std::uint64_t from, std::uint64_t to,
                   const std::vector<rules::Rule>& rules) {
@@ -84,10 +83,6 @@ void write_epochs(const std::string& dir, std::uint64_t width,
       a.msg = "crash point";
       a.matched_packets = 10 * e + i;
       store.put_alert(e, a, end);
-      observe::AlertProvenance p;
-      p.sid = a.sid;
-      p.strict_count = e + i;
-      store.put_provenance(e, a.sid, p);
     }
     std::vector<observe::FlightEvent> events(2);
     events[0].seq = 2 * e;
@@ -112,8 +107,8 @@ void write_epochs(const std::string& dir, std::uint64_t width,
 /// What a store shows through its walks and a replay.
 struct Contents {
   std::optional<std::uint64_t> horizon;
-  std::size_t summaries = 0, metas = 0, alerts = 0, provenance = 0,
-              metrics = 0, events = 0;
+  std::size_t summaries = 0, metas = 0, alerts = 0, metrics = 0,
+              events = 0;
   std::vector<std::string> replay;  ///< One line per epoch, then its alerts.
   bool operator==(const Contents&) const = default;
 };
@@ -121,9 +116,8 @@ struct Contents {
 void PrintTo(const Contents& c, std::ostream* os) {
   *os << "horizon=" << (c.horizon ? std::to_string(*c.horizon) : "none")
       << " summaries=" << c.summaries << " metas=" << c.metas
-      << " alerts=" << c.alerts << " provenance=" << c.provenance
-      << " metrics=" << c.metrics << " events=" << c.events
-      << " replay lines=" << c.replay.size();
+      << " alerts=" << c.alerts << " metrics=" << c.metrics
+      << " events=" << c.events << " replay lines=" << c.replay.size();
 }
 
 Contents walks_of(const DeploymentStore& store) {
@@ -137,10 +131,6 @@ Contents walks_of(const DeploymentStore& store) {
   store.each_alert_line([&](std::uint64_t, std::uint32_t, std::string_view) {
     return ++c.alerts, true;
   });
-  store.each_provenance_line(
-      [&](std::uint64_t, std::uint32_t, std::string_view) {
-        return ++c.provenance, true;
-      });
   store.each_metrics_delta(
       [&](std::uint64_t, const telemetry::MetricsSnapshot&) {
         return ++c.metrics, true;
@@ -230,7 +220,7 @@ TEST(StoreCrashPoints, EveryCutOfTheLastEpochRecoversTheCommittedPrefix) {
       cuts.push_back(start + kRecordHeaderBytes / 2);  // inside the header
       cuts.push_back(offset - 1);                      // inside the payload
     }
-    ASSERT_EQ(frames, 10u);
+    ASSERT_EQ(frames, 8u);
     ASSERT_EQ(cuts.back(), shard.size());
 
     for (const std::size_t cut : cuts) {
