@@ -2,12 +2,15 @@
 // layer.  A short live run seeds realistic summaries; the bench then
 // streams thousands of epochs of them through a DeploymentStore (append +
 // commit protocol, shard rolls included), scans the resulting log
-// zero-copy, and replays it through the inference engine.
+// zero-copy, and replays it through the inference engine.  The replay row
+// is the median of fresh passes totalling at least one second, because a
+// single pass is shorter than a shared host's run-to-run noise.
 //
 //   $ ./bench_store
 //
 // Emits BENCH_store.json; the *_per_sec keys are tracked against
 // bench/baselines/BENCH_store.json by bench/check_bench_regression.py.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -27,6 +30,11 @@ namespace fs = std::filesystem;
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
 /// Realistic summaries to stream: whatever a short live deployment stored.
@@ -122,19 +130,25 @@ int main() {
       static_cast<double>(scanned_bytes) / 1e6 / scan_s;
 
   // ---- replay: deserialize + aggregate + infer over every stored epoch.
-  double replay_s = 0.0;
+  // Each pass gets a fresh engine and replayer, so every pass does the same
+  // work; the row is the median pass of those filling kReplayBudgetS.
+  constexpr double kReplayBudgetS = 1.0;
+  std::vector<double> replay_pass_s;
   std::size_t replayed = 0, replay_alerts = 0;
-  {
+  for (double total = 0.0; total < kReplayBudgetS;) {
     inference::InferenceEngine engine(
         bench::evaluation_ruleset(),
         bench::operating_point(1.8, /*feedback=*/false));
     store::StoreReplayer replayer({big.string(), 64});
     const auto t0 = std::chrono::steady_clock::now();
     const auto epochs = replayer.replay(engine, 1.8);
-    replay_s = seconds_since(t0);
+    replay_pass_s.push_back(seconds_since(t0));
+    total += replay_pass_s.back();
     replayed = epochs.size();
+    replay_alerts = 0;
     for (const auto& e : epochs) replay_alerts += e.alerts.size();
   }
+  const double replay_s = median(replay_pass_s);
   const double replay_epochs_per_sec =
       static_cast<double>(replayed) / replay_s;
 
@@ -144,8 +158,10 @@ int main() {
               append_summaries_per_sec, append_mb_per_sec, append_s);
   std::printf("  scan:   %8.0f records/s    %7.1f MB/s  (%.3f s)\n",
               scan_records_per_sec, scan_mb_per_sec, scan_s);
-  std::printf("  replay: %8.0f epochs/s    %zu alert(s)  (%.3f s)\n",
-              replay_epochs_per_sec, replay_alerts, replay_s);
+  std::printf("  replay: %8.0f epochs/s    %zu alert(s)  (median of %zu "
+              "passes, %.3f s)\n",
+              replay_epochs_per_sec, replay_alerts, replay_pass_s.size(),
+              replay_s);
 
   bench::write_bench_json(
       "store",
@@ -159,7 +175,8 @@ int main() {
           {{"replay", 1}, {"epochs_per_sec", replay_epochs_per_sec}},
       },
       {{"epochs", std::to_string(kEpochs)},
-       {"summaries_per_epoch", std::to_string(kPerEpoch)}});
+       {"summaries_per_epoch", std::to_string(kPerEpoch)},
+       {"replay_passes", std::to_string(replay_pass_s.size())}});
 
   fs::remove_all(base);
   return 0;

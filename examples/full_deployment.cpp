@@ -5,7 +5,7 @@
 //   flow groups     derived from routed paths (§6)
 //   assignment      AssignmentService fed proto LoadUpdate frames
 //   traffic         MAWI-like background + DDoS + Mirai scan (10% cap)
-//   epochs          driven by the discrete-event engine
+//   epochs          a plain loop of fixed-length epochs
 //   summaries       per-monitor SVD + k-means++ batches
 //   inference       question vectors, postprocessor, feedback loop
 //   correlation     m-of-w window confirmation (§10)
@@ -108,14 +108,18 @@ int main() {
   std::printf("summary collection latency: worst %.0f ms over the map\n\n",
               1000.0 * collection.worst);
 
-  // --- 6. Epochs driven by the event engine.
-  netsim::EventQueue events;
+  // --- 6. Fixed-length epochs: feed the epoch's traffic, then close it.
   constexpr double kEpoch = 0.16;  // ~8500 pkts/epoch over this deployment
   constexpr double kRunFor = 0.96;
-  std::uint64_t epoch_packets = 0;
-
   std::uint64_t epoch_index = 0;
-  std::function<void()> close_epoch = [&] {
+  for (double now = kEpoch;; now += kEpoch) {
+    std::uint64_t epoch_packets = 0;
+    while (mix.peek_time() < now && mix.peek_time() < kRunFor + kEpoch) {
+      const auto pkt = mix.next();
+      monitors[monitor_for(pkt)].observe(pkt);
+      ++epoch_packets;
+    }
+
     tier.begin_epoch(epoch_index++);
     std::size_t reporting = 0;
     for (auto& monitor : monitors) {
@@ -123,7 +127,6 @@ int main() {
         if (tier.add_summary(*summary)) ++reporting;
       }
     }
-    const double now = events.now();
     if (reporting > 0) {
       tier.set_tau_c_scale(static_cast<double>(epoch_packets) / 2000.0);
       const auto alerts = tier.infer_epoch(
@@ -142,21 +145,7 @@ int main() {
                     alert.via_feedback ? " (confirmed via raw feedback)" : "");
       }
     }
-    epoch_packets = 0;
-    if (now + kEpoch <= kRunFor + 1e-9) events.schedule_in(kEpoch, close_epoch);
-  };
-  events.schedule(kEpoch, close_epoch);
-
-  // Feed traffic between epoch events.
-  while (!events.empty()) {
-    const double next_epoch_time = events.now() + kEpoch;
-    while (mix.peek_time() < next_epoch_time &&
-           mix.peek_time() < kRunFor + kEpoch) {
-      const auto pkt = mix.next();
-      monitors[monitor_for(pkt)].observe(pkt);
-      ++epoch_packets;
-    }
-    (void)events.step();
+    if (now + kEpoch > kRunFor + 1e-9) break;
   }
 
   // --- 7. Wrap-up.

@@ -3,12 +3,11 @@
 // cost of detection reported next to its quality.
 //
 //   metrics      every layer writes into one MetricsRegistry (monitors,
-//                summarizers, inference engine, thread-pool runtime, links)
+//                summarizers, inference engine, thread-pool runtime, the
+//                fault transport's ship leg)
 //   traces       each epoch is one causal trace: observe -> summarize(svd,
 //                kmeans) -> ship -> aggregate -> infer -> postprocess ->
 //                feedback, with deterministic span ids
-//   links        the monitor->controller ship leg crosses simulated
-//                LinkQueues (finite buffers, tail drops, sim-time keyed)
 //   exports      Prometheus text + JSONL dump written beside the binary
 //   ROC          a small threshold sweep so cost sits next to quality
 //
@@ -16,7 +15,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -99,21 +97,6 @@ int main() {
                                           core::evaluation_rule_vars());
   core::JaalController controller(cfg, ruleset);
 
-  // --- 2. The ship leg: each monitor's summaries cross a simulated link
-  // with a finite queue.  Stats are keyed by simulated time, so drop logs
-  // and high-water marks are identical across runs.
-  netsim::EventQueue events;
-  std::vector<std::unique_ptr<netsim::LinkQueue>> links;
-  for (std::size_t m = 0; m < cfg.monitor_count; ++m) {
-    netsim::LinkConfig lcfg;
-    lcfg.name = 'm' + std::to_string(m) + "-ctrl";
-    lcfg.rate_bytes_per_s = 250e3;
-    lcfg.queue_limit_bytes = 8 * 1024;
-    links.push_back(std::make_unique<netsim::LinkQueue>(events, lcfg));
-    links.back()->set_telemetry(&tel);
-  }
-  std::vector<std::uint64_t> shipped(cfg.monitor_count, 0);
-
   std::printf("running 6 simulated seconds of Trace-1 + DDoS "
               "(telemetry attached)\n");
   const double start = mix.peek_time();
@@ -124,24 +107,10 @@ int main() {
   MetricsSnapshot warmup_snap;  // registry state after the first 3 epochs
   telemetry::ProfileReport profile_report;  // cross-epoch critical paths
 
-  auto close_and_ship = [&](double t) {
+  auto close_epoch = [&](double t) {
     const core::EpochResult result = controller.close_epoch(t);
     alerts_total += result.alerts.size();
     if (result.profile) profile_report.add(*result.profile);
-    // Drain the event queue up to the epoch boundary, then offer this
-    // epoch's summary bytes onto each monitor's link in MTU-sized frames.
-    (void)events.run_until(t);
-    for (std::size_t m = 0; m < links.size(); ++m) {
-      const std::uint64_t total = controller.monitors()[m].comm().summary_bytes;
-      std::uint64_t to_ship = total - shipped[m];
-      shipped[m] = total;
-      while (to_ship > 0) {
-        const std::size_t frame =
-            static_cast<std::size_t>(to_ship > 1500 ? 1500 : to_ship);
-        (void)links[m]->offer(frame);
-        to_ship -= frame;
-      }
-    }
     std::printf("  t=%.1fs: %zu/%zu monitors reported, %llu pkts, "
                 "%zu alerts\n",
                 t, result.monitors_reporting, controller.monitors().size(),
@@ -152,19 +121,18 @@ int main() {
 
   while (mix.peek_time() - start < duration) {
     if (mix.peek_time() >= epoch_end) {
-      close_and_ship(epoch_end);
+      close_epoch(epoch_end);
       epoch_end += cfg.epoch_seconds;
       continue;
     }
     controller.ingest(mix.next());
   }
-  close_and_ship(epoch_end);
-  (void)events.run_until(epoch_end + 1.0);  // let the links drain
+  close_epoch(epoch_end);
   // Snapshot here so the ROC sweep's cost can be isolated with
   // MetricsSnapshot::diff below.
   const MetricsSnapshot deployment_snap = tel.metrics.snapshot();
 
-  // --- 3. A small ROC sweep so the cost report sits next to the quality
+  // --- 2. A small ROC sweep so the cost report sits next to the quality
   // numbers it buys.
   core::TrialConfig tcfg;
   tcfg.summarizer = cfg.summarizer;
@@ -181,7 +149,7 @@ int main() {
   const core::RocCurve roc = core::roc_sweep(
       trials, target, ruleset, taus, scales, core::tau_c_scale_for(tcfg));
 
-  // --- 4. The cost report, read back from the registry.
+  // --- 3. The cost report, read back from the registry.
   const MetricsSnapshot snap = tel.metrics.snapshot();
   std::printf("\n----- detection quality (distributed SYN flood) -----\n");
   std::printf("  deployment run: %zu alerts over %.0f s\n", alerts_total,
@@ -208,6 +176,11 @@ int main() {
               static_cast<unsigned long long>(comm.summary_bytes),
               static_cast<unsigned long long>(comm.feedback_bytes),
               100.0 * comm.overhead_ratio());
+  std::printf("  ship leg                  %.0f summaries delivered, %.0f "
+              "dropped, %.0f late\n",
+              counter_of(snap, "jaal_faults_summaries_delivered_total"),
+              counter_of(snap, "jaal_faults_summaries_dropped_total"),
+              counter_of(snap, "jaal_faults_summaries_late_total"));
   print_histogram_row(snap, "jaal_summarize_svd_sweeps", "svd sweeps");
   print_histogram_row(snap, "jaal_summarize_kmeans_iterations",
                       "kmeans iterations");
@@ -231,17 +204,6 @@ int main() {
   std::printf("  alerts raised             %.0f\n",
               counter_family_sum(window, "jaal_inference_alerts_total"));
 
-  std::printf("\n----- ship links (simulated, deterministic) -----\n");
-  for (const auto& link : links) {
-    std::printf("  %-10s forwarded %llu msgs / %llu bytes, dropped %llu "
-                "(high water %zu B)\n",
-                link->config().name.c_str(),
-                static_cast<unsigned long long>(link->messages_forwarded()),
-                static_cast<unsigned long long>(link->bytes_forwarded()),
-                static_cast<unsigned long long>(link->drops()),
-                link->queue_high_water_bytes());
-  }
-
   std::printf("\n----- trace spans -----\n");
   const auto spans = tel.tracer.records();
   std::size_t svd_spans = 0, feedback_spans = 0;
@@ -260,13 +222,13 @@ int main() {
                   spans.empty() ? 0 : max_trace + 1),
               svd_spans, feedback_spans);
 
-  // --- 4b. Where the wall clock went: the cross-epoch critical-path table
+  // --- 3b. Where the wall clock went: the cross-epoch critical-path table
   // from the per-epoch profiler (stage self-times, % of total, how often
   // each stage sat on the longest path).
   std::printf("\n----- critical path (per-epoch profiler) -----\n");
   std::fputs(profile_report.to_text().c_str(), stdout);
 
-  // --- 5. Exports: the operator-facing dumps.
+  // --- 4. Exports: the operator-facing dumps.
   {
     std::ofstream prom("jaal_telemetry_report.prom");
     prom << telemetry::prometheus_text(snap);

@@ -3,12 +3,12 @@
 // The paper's central claim is that Jaal keeps detecting while its own
 // summary traffic shares congested ISP links (§8).  A FaultScenario is the
 // declarative description of everything that can go wrong on that path:
-// per-summary drops (i.i.d. or bursty), crash/restart windows that silence a
-// monitor for whole epochs, seeded delivery delay and jitter (which reorders
-// arrivals and makes summaries miss the aggregation deadline), an optional
-// netsim::LinkQueue model that adds serialization delay and tail drops, and
-// a per-attempt failure rate on the feedback retrieval round-trip governed
-// by a bounded RetryPolicy.
+// one loss model (seeded i.i.d. per-summary drops), one delay model (seeded
+// exponential delay plus uniform jitter, which reorders arrivals and makes
+// summaries miss the aggregation deadline), crash/restart windows that
+// silence a monitor for whole epochs, inference-tier outage windows, and a
+// per-attempt failure rate on the feedback retrieval round-trip governed by
+// a bounded RetryPolicy.
 //
 // Scenarios are pure data: every stochastic decision is derived from
 // (seed, epoch, monitor), never from wall clock or thread timing, so a
@@ -21,8 +21,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "netsim/link.hpp"
 
 namespace jaal::faults {
 
@@ -83,11 +81,6 @@ struct FaultScenario {
   // --- Summary-path loss -------------------------------------------------
   /// Per-summary i.i.d. drop probability on the monitor->engine path.
   double drop_rate = 0.0;
-  /// Probability that a drop opens a *burst*: the next burst_length
-  /// summaries on the same link are dropped too (correlated loss, the
-  /// congestion-collapse shape of Fig. 7 rather than random erasure).
-  double burst_rate = 0.0;
-  std::size_t burst_length = 0;
 
   // --- Summary-path delay ------------------------------------------------
   /// Mean extra delivery delay (seeded exponential) added to every summary.
@@ -108,20 +101,12 @@ struct FaultScenario {
   double feedback_failure_rate = 0.0;
   RetryPolicy retry;
 
-  // --- Optional packet-level link model ----------------------------------
-  /// When set, every summary additionally crosses a per-monitor
-  /// netsim::LinkQueue clone of `link`: serialization at the link rate plus
-  /// propagation delay, with tail drops when the queue byte bound overflows
-  /// (a second, purely capacity-driven source of loss).
-  bool use_link_model = false;
-  netsim::LinkConfig link;
-
   /// True when the scenario perturbs nothing — the transport then
   /// short-circuits to perfect in-process delivery (the pre-fault pipeline).
   [[nodiscard]] bool fault_free() const noexcept;
 
-  /// Throws std::invalid_argument on out-of-range rates, a burst without a
-  /// length, inverted crash windows, or a degenerate retry policy.
+  /// Throws std::invalid_argument on out-of-range or NaN rates and delays,
+  /// inverted crash windows, or a degenerate (or NaN) retry policy.
   void validate() const;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 namespace jaal::faults {
 namespace {
@@ -28,39 +27,19 @@ double unit(std::mt19937_64& rng) {
 }  // namespace
 
 SummaryTransport::SummaryTransport(const FaultScenario& scenario,
-                                   std::size_t monitor_count)
-    : scenario_(scenario),
-      monitor_count_(monitor_count),
-      burst_remaining_(monitor_count, 0),
-      fetch_rng_(mix(scenario.seed)) {
+                                   std::size_t /*monitor_count*/)
+    : scenario_(scenario), fetch_rng_(mix(scenario.seed)) {
   scenario_.validate();
-  if (scenario_.use_link_model) {
-    links_.reserve(monitor_count_);
-    for (std::size_t m = 0; m < monitor_count_; ++m) {
-      auto link = std::make_unique<Link>();
-      netsim::LinkConfig cfg = scenario_.link;
-      cfg.name = cfg.name + "-m" + std::to_string(m);
-      link->queue = std::make_unique<netsim::LinkQueue>(link->events, cfg);
-      Link* raw = link.get();
-      link->queue->set_deliver([raw](std::size_t, double now) {
-        raw->last_arrival = now;
-        raw->delivered = true;
-      });
-      links_.push_back(std::move(link));
-    }
-  }
 }
 
 void SummaryTransport::set_telemetry(telemetry::Telemetry* tel) {
-  tel_ = tel;
-  for (auto& link : links_) link->queue->set_telemetry(tel);
-  if (tel_ == nullptr) {
+  if (tel == nullptr) {
     tel_delivered_ = tel_dropped_ = tel_late_ = tel_reordered_ = nullptr;
     tel_crashed_ = nullptr;
     tel_fetch_attempts_ = tel_fetch_failures_ = tel_fetch_giveups_ = nullptr;
     return;
   }
-  auto& m = tel_->metrics;
+  auto& m = tel->metrics;
   tel_delivered_ = &m.counter("jaal_faults_summaries_delivered_total");
   tel_dropped_ = &m.counter("jaal_faults_summaries_dropped_total");
   tel_late_ = &m.counter("jaal_faults_summaries_late_total");
@@ -87,7 +66,8 @@ void SummaryTransport::begin_epoch(std::uint64_t epoch, double now,
   fetch_rng_.seed(stream_seed(scenario_.seed ^ 0xFEEDBACCULL, epoch, 0));
 }
 
-ShipOutcome SummaryTransport::ship(std::size_t monitor, std::size_t bytes) {
+ShipOutcome SummaryTransport::ship(std::size_t monitor,
+                                   std::size_t /*bytes*/) {
   ++stats_.summaries_shipped;
   if (scenario_.fault_free()) {
     ++stats_.summaries_delivered;
@@ -96,35 +76,13 @@ ShipOutcome SummaryTransport::ship(std::size_t monitor, std::size_t bytes) {
   }
 
   std::mt19937_64 rng(stream_seed(scenario_.seed, epoch_, monitor));
-  auto dropped = [&]() -> ShipOutcome {
+  if (scenario_.drop_rate > 0.0 && unit(rng) < scenario_.drop_rate) {
     ++stats_.summaries_dropped;
     if (tel_dropped_ != nullptr) tel_dropped_->add(1);
     return {ShipStatus::kDropped, 0.0};
-  };
-
-  // Burst state first: a burst in progress swallows this summary outright.
-  if (monitor < burst_remaining_.size() && burst_remaining_[monitor] > 0) {
-    --burst_remaining_[monitor];
-    return dropped();
-  }
-  if (scenario_.drop_rate > 0.0 && unit(rng) < scenario_.drop_rate) {
-    if (scenario_.burst_rate > 0.0 && unit(rng) < scenario_.burst_rate) {
-      burst_remaining_[monitor] = scenario_.burst_length;
-    }
-    return dropped();
   }
 
   double arrival = epoch_now_;
-  if (scenario_.use_link_model && monitor < links_.size()) {
-    Link& link = *links_[monitor];
-    // Bring the link's clock up to the ship time (a busy link may already
-    // be past it — the summary then queues behind the previous epoch's).
-    link.events.run_until(epoch_now_);
-    link.delivered = false;
-    if (!link.queue->offer(bytes)) return dropped();  // tail drop
-    (void)link.events.run();
-    arrival = std::max(arrival, link.last_arrival);
-  }
   if (scenario_.delay_mean_s > 0.0) {
     arrival += -scenario_.delay_mean_s * std::log(1.0 - unit(rng));
   }

@@ -3,9 +3,11 @@
 // Every summary the controller aggregates and every feedback retrieval
 // round-trip goes through a SummaryTransport.  With a fault-free scenario
 // (the default) it short-circuits to perfect in-process delivery and costs a
-// branch; with faults configured it decides each summary's fate — delivered
-// in time, delivered late (past the aggregation deadline), or dropped — and
-// wraps feedback retrievals in bounded retry with exponential backoff.
+// branch; with faults configured it decides each summary's fate from one
+// loss model (an i.i.d. drop) and one delay model (exponential delay plus
+// uniform jitter against the aggregation deadline) — delivered in time,
+// delivered late, or dropped — and wraps feedback retrievals in bounded
+// retry with exponential backoff.
 //
 // Determinism contract: ship() and fetch() are called serially by the
 // controller (the aggregation/decision phases are serial in monitor/rule
@@ -18,14 +20,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <random>
 #include <vector>
 
 #include "faults/scenario.hpp"
-#include "netsim/event.hpp"
-#include "netsim/link.hpp"
 #include "packet/wire.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -34,7 +33,7 @@ namespace jaal::faults {
 enum class ShipStatus : std::uint8_t {
   kDelivered,  ///< Arrived at or before the epoch deadline.
   kLate,       ///< Arrived, but after the deadline (LatePolicy decides).
-  kDropped,    ///< Lost on the link (random/burst drop or queue tail drop).
+  kDropped,    ///< Lost on the link (the scenario's i.i.d. drop).
 };
 
 struct ShipOutcome {
@@ -68,8 +67,9 @@ struct TransportStats {
 
 class SummaryTransport {
  public:
-  /// Validates the scenario (std::invalid_argument on misconfiguration) and
-  /// stands up per-monitor link queues when the link model is enabled.
+  /// Validates the scenario (std::invalid_argument on misconfiguration).
+  /// Every draw is keyed by monitor id, so the transport keeps no
+  /// per-monitor state and does not use `monitor_count`.
   SummaryTransport(const FaultScenario& scenario, std::size_t monitor_count);
 
   /// Publishes jaal_faults_* counters into `tel` (null detaches).
@@ -98,8 +98,10 @@ class SummaryTransport {
   /// simulated time after which an arriving summary is late.
   void begin_epoch(std::uint64_t epoch, double now, double deadline);
 
-  /// Decides the fate of one summary of `bytes` bytes from `monitor`,
-  /// shipped at the current epoch's close time.  Never throws.
+  /// Decides the fate of one summary from `monitor`, shipped at the current
+  /// epoch's close time.  The loss and delay models do not depend on the
+  /// summary's size; the byte count stays in the signature because callers
+  /// account shipped bytes alongside each fate.  Never throws.
   [[nodiscard]] ShipOutcome ship(std::size_t monitor, std::size_t bytes);
 
   /// One feedback round-trip: runs `attempt` under the scenario's
@@ -111,18 +113,7 @@ class SummaryTransport {
                                   const FetchAttempt& attempt);
 
  private:
-  /// Per-monitor link instance (only when scenario_.use_link_model).
-  struct Link {
-    netsim::EventQueue events;
-    std::unique_ptr<netsim::LinkQueue> queue;
-    double last_arrival = 0.0;
-    bool delivered = false;
-  };
-
   FaultScenario scenario_;
-  std::size_t monitor_count_;
-  std::vector<std::size_t> burst_remaining_;  ///< Per-link burst state.
-  std::vector<std::unique_ptr<Link>> links_;
   std::mt19937_64 fetch_rng_;
 
   std::uint64_t epoch_ = 0;
@@ -132,7 +123,6 @@ class SummaryTransport {
 
   TransportStats stats_;
 
-  telemetry::Telemetry* tel_ = nullptr;
   telemetry::Counter* tel_delivered_ = nullptr;
   telemetry::Counter* tel_dropped_ = nullptr;
   telemetry::Counter* tel_late_ = nullptr;

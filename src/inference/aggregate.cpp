@@ -29,7 +29,7 @@ void reconstruct_rows(const double* u, const double* sigma, const double* vt,
 }  // namespace
 
 void AggregationPolicy::validate() const {
-  if (deadline_s < 0.0) {
+  if (!(deadline_s >= 0.0)) {  // NaN fails too
     throw std::invalid_argument("AggregationPolicy: deadline_s must be >= 0");
   }
 }

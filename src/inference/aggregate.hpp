@@ -35,8 +35,8 @@ struct AggregationPolicy {
   /// next epoch's aggregate (stale but not lost).
   faults::LatePolicy late_policy = faults::LatePolicy::kDiscard;
 
-  /// Throws std::invalid_argument on a negative deadline (construction-time
-  /// error policy; see jaal.hpp).
+  /// Throws std::invalid_argument on a negative or NaN deadline
+  /// (construction-time error policy; see jaal.hpp).
   void validate() const;
 };
 

@@ -26,8 +26,8 @@
 //                   faults::ShardCrashWindow, faults::RetryPolicy,
 //                   faults::LatePolicy, faults::SummaryTransport,
 //                   faults::TransportStats
-//   network sim     netsim::Topology, netsim::EventQueue, netsim::LinkQueue,
-//                   netsim::latency/replication models, assign::*
+//   network sim     netsim::Topology and the analytic netsim::latency /
+//                   replication models (Figs. 7-9), assign::*
 //   telemetry       telemetry::Telemetry (JaalConfig::telemetry; null,
 //                   the default, is the one off switch),
 //                   telemetry::to_jsonl, telemetry::prometheus_text
@@ -52,8 +52,8 @@
 //
 //   * Construction-time misconfiguration throws std::invalid_argument —
 //     constructors and config validation (JaalController, InferenceEngine,
-//     Summarizer, FaultScenario::validate, LinkQueue, DriftConfig::validate,
-//     ...) are the only places the library throws on bad input.
+//     Summarizer, FaultScenario::validate, DriftConfig::validate, ...) are
+//     the only places the library throws on bad input.
 //   * Runtime degradation never throws: it is reported through status and
 //     optional returns.  A silent monitor is a nullopt summary; a failed
 //     feedback retrieval is a RawFetch with nullopt packets (the engine
@@ -81,9 +81,7 @@
 #include "inference/alert_json.hpp"
 #include "inference/correlator.hpp"
 #include "inference/engine.hpp"
-#include "netsim/event.hpp"
 #include "netsim/latency.hpp"
-#include "netsim/link.hpp"
 #include "netsim/replication.hpp"
 #include "netsim/topology.hpp"
 #include "observe/observe.hpp"

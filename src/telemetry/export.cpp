@@ -106,21 +106,11 @@ constexpr HelpEntry kMetricHelp[] = {
     {"jaal_monitor_packets_observed_total",
      "Packets observed across all monitors."},
     {"jaal_monitor_packets_oversized_total",
-     "Packets truncated to the feature window by monitors."},
+     "Packets dropped by monitors for exceeding the 9000-byte frame bound."},
     {"jaal_monitor_silent_epochs_total",
      "Monitor epoch closes that stayed below n_min and shipped nothing."},
     {"jaal_monitor_summary_bytes_total",
      "Serialized summary bytes produced by monitors."},
-    {"jaal_netsim_link_bytes_forwarded_total",
-     "Bytes forwarded by a simulated link, labeled by link."},
-    {"jaal_netsim_link_dropped_bytes_total",
-     "Bytes dropped by a simulated link, labeled by link."},
-    {"jaal_netsim_link_drops_total",
-     "Messages dropped by a simulated link, labeled by link."},
-    {"jaal_netsim_link_messages_forwarded_total",
-     "Messages forwarded by a simulated link, labeled by link."},
-    {"jaal_netsim_link_queue_depth_high_water_bytes",
-     "High-water queued bytes on a simulated link, labeled by link."},
     {"jaal_observe_caution_permille",
      "Current caution signal (drifting-monitor fraction) in permille."},
     {"jaal_observe_drift_events_total",

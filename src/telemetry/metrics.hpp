@@ -10,8 +10,8 @@
 //
 // Naming scheme (see DESIGN.md "Telemetry"): jaal_<subsystem>_<what>[_total
 // for counters | _ms for wall-clock histograms].  Prometheus-style labels
-// may be embedded literally in the name ('jaal_netsim_link_drops_total
-// {link="3-7"}'); the exporters split them back out.
+// may be embedded literally in the name ('jaal_inference_alerts_total
+// {sid="1000001"}'); the exporters split them back out.
 //
 // Telemetry is off when a component holds a null Telemetry pointer (the
 // default): it then skips instrumentation entirely.  There is no other off

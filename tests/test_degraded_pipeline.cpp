@@ -194,14 +194,12 @@ TEST(DegradedPipeline, SeededScenarioIsByteIdenticalAcrossRunsAndThreads) {
   EXPECT_LT(a.epochs.at(3).report_fraction, 1.0);
 }
 
-// A link too slow for the deadline makes every summary late.  Under
+// A delay far past the deadline makes (almost) every summary late.  Under
 // kRollForward the late summaries are carried into the next epoch's
 // aggregate; under kDiscard they are counted and dropped on the floor.
 TEST(DegradedPipeline, RollForwardCarriesLateSummariesIntoNextEpoch) {
   faults::FaultScenario scenario;
-  scenario.use_link_model = true;
-  scenario.link.rate_bytes_per_s = 10.0;  // KB summaries take >> 1 s epoch
-  scenario.link.queue_limit_bytes = 1 << 30;
+  scenario.delay_mean_s = 1000.0;  // mean delay >> the 1 s deadline
   const FaultedRun rolled =
       run_faulted(1, scenario, faults::LatePolicy::kRollForward, 3.0);
   ASSERT_EQ(rolled.epochs.size(), 3u);

@@ -1,10 +1,11 @@
 // Unit tests for the fault-injection transport: scenario validation,
-// deterministic seeded loss, burst correlation, crash windows, link-model
-// lateness/tail drops, and the provably bounded feedback retry.
+// deterministic seeded loss, crash windows, delay-model lateness against
+// the deadline, and the provably bounded feedback retry.
 #include "faults/transport.hpp"
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 namespace jaal::faults {
@@ -19,9 +20,6 @@ TEST(Faults, ScenarioValidationThrowsOnMisconfiguration) {
   bad.drop_rate = 1.5;
   EXPECT_THROW(bad.validate(), std::invalid_argument);
   bad = {};
-  bad.burst_rate = 0.5;  // burst without a length
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
-  bad = {};
   bad.crashes.push_back({0, 5, 2});  // restart before crash
   EXPECT_THROW(bad.validate(), std::invalid_argument);
   bad = {};
@@ -30,10 +28,24 @@ TEST(Faults, ScenarioValidationThrowsOnMisconfiguration) {
   bad = {};
   bad.retry.multiplier = 0.5;
   EXPECT_THROW(bad.validate(), std::invalid_argument);
-  bad = {};
-  bad.use_link_model = true;
-  bad.link.rate_bytes_per_s = 0.0;
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
+  // NaN fails every range check (a NaN multiplier would otherwise make
+  // fetch() accrue a NaN backoff).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double FaultScenario::*field :
+       {&FaultScenario::drop_rate, &FaultScenario::delay_mean_s,
+        &FaultScenario::delay_jitter_s,
+        &FaultScenario::feedback_failure_rate}) {
+    bad = {};
+    bad.*field = nan;
+    EXPECT_THROW(bad.validate(), std::invalid_argument);
+  }
+  for (double RetryPolicy::*field :
+       {&RetryPolicy::multiplier, &RetryPolicy::timeout_s,
+        &RetryPolicy::base_backoff_s}) {
+    bad = {};
+    bad.retry.*field = nan;
+    EXPECT_THROW(bad.validate(), std::invalid_argument);
+  }
   // The transport constructor enforces the same policy.
   bad = {};
   bad.feedback_failure_rate = -0.1;
@@ -75,29 +87,6 @@ TEST(Faults, SeededDropsAreDeterministicAcrossTransports) {
   EXPECT_NE(std::count(a.begin(), a.end(), ShipStatus::kDelivered), 0);
 }
 
-TEST(Faults, BurstsDropConsecutiveSummariesOnOneLink) {
-  FaultScenario scenario;
-  scenario.seed = 7;
-  scenario.drop_rate = 0.2;
-  scenario.burst_rate = 1.0;  // every drop opens a burst
-  scenario.burst_length = 3;
-  SummaryTransport transport(scenario, 1);
-  std::vector<ShipStatus> fates;
-  for (std::uint64_t epoch = 0; epoch < 64; ++epoch) {
-    transport.begin_epoch(epoch, static_cast<double>(epoch), epoch + 0.5);
-    fates.push_back(transport.ship(0, 1000).status);
-  }
-  // Find the first random drop; the next burst_length ships on the same
-  // link must be dropped too.
-  auto first = std::find(fates.begin(), fates.end(), ShipStatus::kDropped);
-  ASSERT_NE(first, fates.end());
-  const std::size_t i = static_cast<std::size_t>(first - fates.begin());
-  ASSERT_LT(i + 3, fates.size());
-  EXPECT_EQ(fates[i + 1], ShipStatus::kDropped);
-  EXPECT_EQ(fates[i + 2], ShipStatus::kDropped);
-  EXPECT_EQ(fates[i + 3], ShipStatus::kDropped);
-}
-
 TEST(Faults, CrashWindowsSilenceTheMonitorForWholeEpochs) {
   FaultScenario scenario;
   scenario.crashes.push_back({1, 3, 6});
@@ -111,34 +100,39 @@ TEST(Faults, CrashWindowsSilenceTheMonitorForWholeEpochs) {
 
 TEST(Faults, SlowLinkMakesSummariesLateAndDeadlineIsHonored) {
   FaultScenario scenario;
-  scenario.use_link_model = true;
-  scenario.link.rate_bytes_per_s = 1000.0;  // 4000 B take 4 s
-  scenario.link.propagation_s = 0.0;
-  scenario.link.queue_limit_bytes = 1 << 20;
-  SummaryTransport transport(scenario, 1);
-
-  transport.begin_epoch(0, 0.0, 1.0);  // deadline 1 s after close
-  const ShipOutcome late = transport.ship(0, 4000);
-  EXPECT_EQ(late.status, ShipStatus::kLate);
-  EXPECT_DOUBLE_EQ(late.arrival_time, 4.0);
-
-  transport.begin_epoch(1, 10.0, 20.0);  // generous deadline
-  const ShipOutcome ok = transport.ship(0, 4000);
-  EXPECT_EQ(ok.status, ShipStatus::kDelivered);
-  EXPECT_DOUBLE_EQ(ok.arrival_time, 14.0);
-  EXPECT_EQ(transport.stats().summaries_late, 1u);
-  EXPECT_EQ(transport.stats().summaries_delivered, 1u);
-}
-
-TEST(Faults, LinkQueueTailDropCountsAsDropped) {
-  FaultScenario scenario;
-  scenario.use_link_model = true;
-  scenario.link.rate_bytes_per_s = 1e6;
-  scenario.link.queue_limit_bytes = 100;  // smaller than one summary
-  SummaryTransport transport(scenario, 1);
-  transport.begin_epoch(0, 0.0, 5.0);
-  EXPECT_EQ(transport.ship(0, 4000).status, ShipStatus::kDropped);
-  EXPECT_EQ(transport.stats().summaries_dropped, 1u);
+  scenario.seed = 11;
+  scenario.delay_mean_s = 4.0;  // mean delay four times the 1 s deadline
+  SummaryTransport tight(scenario, 4);
+  SummaryTransport generous(scenario, 4);
+  std::uint64_t late = 0, on_time = 0;
+  for (std::uint64_t epoch = 0; epoch < 16; ++epoch) {
+    const double now = 10.0 * static_cast<double>(epoch);
+    tight.begin_epoch(epoch, now, now + 1.0);
+    generous.begin_epoch(epoch, now, now + 1e6);
+    for (std::size_t m = 0; m < 4; ++m) {
+      const ShipOutcome out = tight.ship(m, 4000);
+      ASSERT_GE(out.arrival_time, now);
+      // The deadline alone decides lateness: arrivals past it are late,
+      // the rest are delivered.
+      if (out.arrival_time > now + 1.0) {
+        EXPECT_EQ(out.status, ShipStatus::kLate);
+        ++late;
+      } else {
+        EXPECT_EQ(out.status, ShipStatus::kDelivered);
+        ++on_time;
+      }
+      // The delay is drawn from (seed, epoch, monitor) only, so a later
+      // deadline sees the same arrival and delivers it.
+      const ShipOutcome same = generous.ship(m, 4000);
+      EXPECT_EQ(same.status, ShipStatus::kDelivered);
+      EXPECT_DOUBLE_EQ(same.arrival_time, out.arrival_time);
+    }
+  }
+  EXPECT_GT(late, on_time);  // P(delay > 1 s) = e^(-1/4) ~ 0.78
+  EXPECT_GT(on_time, 0u);
+  EXPECT_EQ(tight.stats().summaries_late, late);
+  EXPECT_EQ(tight.stats().summaries_delivered, on_time);
+  EXPECT_EQ(generous.stats().summaries_late, 0u);
 }
 
 TEST(Faults, RetrySucceedsFirstAttemptWhenHealthy) {

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -55,6 +56,8 @@ std::vector<rules::Rule> ruleset() {
 TEST(AggregationPolicy, NegativeDeadlineThrowsAtConstruction) {
   JaalConfig cfg;
   cfg.aggregation.deadline_s = -1.0;
+  EXPECT_THROW(JaalController(cfg, ruleset()), std::invalid_argument);
+  cfg.aggregation.deadline_s = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(JaalController(cfg, ruleset()), std::invalid_argument);
 }
 

@@ -318,6 +318,9 @@ TEST(Telemetry, HelpLinesCuratedAndConventionFallback) {
   // back to what the naming convention guarantees.
   EXPECT_EQ(metric_help("jaal_faults_packets_lost_total"),
             "Ingress packets lost to crashed monitors, never observed.");
+  EXPECT_EQ(metric_help("jaal_monitor_packets_oversized_total"),
+            "Packets dropped by monitors for exceeding the 9000-byte frame "
+            "bound.");
   EXPECT_EQ(metric_help("jaal_test_unknown_total"),
             "Monotonic event count.");
   EXPECT_EQ(metric_help("jaal_test_unknown_ms"),
